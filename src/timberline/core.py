@@ -81,9 +81,6 @@ __all__ = [
 
 log = logging.getLogger("timberline.core")
 
-# Basal area in square feet of a tree with diameter DIA inches.
-BASAL_AREA_PER_SQIN = 0.005454
-
 
 @dataclass(frozen=True)
 class TotalEstimate:

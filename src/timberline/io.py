@@ -4,6 +4,18 @@ File contract: a database directory holds one file per state and table named
 ``<STATE>_<TABLE>.csv`` (RFC 4180, UTF-8, header row).  ``REF_SPECIES.csv``
 may appear once without a state prefix.  Empty cells are nulls.  Unrecognized
 columns are carried in record ``extras`` and re-emitted on write.
+
+Loading is strict.  A cell that does not parse as its column's type, a
+non-finite number (``nan``, ``inf``, or a literal such as ``1e400`` that
+overflows a float), a blank required value or a row with the wrong number of
+fields raises :class:`LoadError` naming the file, the row (the header is
+row 1) and, for a bad cell, the column.  Blank lines are skipped; no other
+row is dropped.
+
+Tables are read ``CHUNK_ROWS`` rows at a time and parsed a column at a time.
+A chunk that fails that fast path is parsed again cell by cell, which finds
+the first bad cell in file order and builds the message, so the message
+costs nothing on a clean file.
 """
 
 from __future__ import annotations
@@ -11,12 +23,15 @@ from __future__ import annotations
 import csv
 import dataclasses
 import logging
+import math
 import os
 import tempfile
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 from . import model
 from .errors import FetchError, LoadError
@@ -29,6 +44,12 @@ log = logging.getLogger("timberline.io")
 
 DEFAULT_BASE_URL = "https://apps.fs.usda.gov/fia/datamart/CSV"
 BASE_URL_ENV = "TIMBERLINE_DATAMART_URL"
+
+# Rows parsed per chunk.  A chunk's rows stay alive as GC-tracked lists until
+# it is parsed, so the cyclic collector promotes and rescans them: over a
+# 5k-plot load and estimate its time was 2.3x the per-row loader's at 4096
+# rows and 1.3x at 512.
+CHUNK_ROWS = 512
 
 FETCH_TABLES = (
     "PLOT", "COND", "TREE", "SEEDLING", "COND_DWM_CALC", "INVASIVE_SUBPLOT_SPP",
@@ -48,17 +69,99 @@ def _parse_cell(raw: str, kind: str, where: str):
                 return int(value)
             except ValueError:
                 f = float(value)
-                if f != int(f):
+                if not math.isfinite(f) or f != int(f):
                     raise ValueError(value)
                 return int(f)
-        return float(value)
+        f = float(value)
     except ValueError:
         raise LoadError(f"{where}: could not parse {raw!r} as {kind}") from None
+    if not math.isfinite(f):
+        raise LoadError(f"{where}: non-finite value {raw!r}")
+    return f
+
+
+def _parse_column(cells: tuple, kind: str, required: bool) -> list | None:
+    """One column of a chunk, or None when some cell needs the per-row path."""
+    try:
+        if kind == "float":
+            values = [float(c) if c else None for c in cells]
+        elif kind == "int":
+            values = [int(c) if c else None for c in cells]
+        else:
+            values = [c.strip() or None for c in cells]
+    except ValueError:
+        return None
+    if required and None in values:
+        return None
+    # One nan or inf anywhere makes the sum non-finite.  A sum that merely
+    # overflows also lands here; the per-row path then accepts the chunk.
+    if kind == "float" and not math.isfinite(sum(filter(None, values))):
+        return None
+    return values
+
+
+def _parse_chunk(chunk: list, width: int, columns: list, extra_names: list):
+    """Columns and extras of a chunk, or None if it needs the per-row path.
+
+    Any blank or wrong-width row, unparsable, padded-blank or non-finite
+    cell, or blank required value sends the whole chunk to
+    :func:`_parse_rows`.  Every table has a required column, so a blank
+    row always does.
+    """
+    if set(map(len, chunk)) != {width}:
+        return None
+    cells = list(zip(*chunk))
+    values: dict[str, list] = {}
+    for i, col in columns:
+        parsed = _parse_column(cells[i], col.kind, col.required)
+        if parsed is None:
+            return None
+        values[col.attr] = parsed
+    if extra_names:
+        stripped = [[c.strip() for c in cells[i]] for i, _ in extra_names]
+        names = [name for _, name in extra_names]
+        extras = [{n: v for n, v in zip(names, row) if v} for row in zip(*stripped)]
+    else:
+        extras = [{} for _ in chunk]
+    return values, extras
+
+
+def _parse_rows(chunk: list, first_rownum: int, names: list, known: dict, fname: str):
+    """Cell-by-cell parse of a chunk; raises :class:`LoadError` at the first bad cell."""
+    values: dict[str, list] = {known[n].attr: [] for n in names if n in known}
+    extras = []
+    for rownum, row in enumerate(chunk, start=first_rownum):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        if len(row) != len(names):
+            raise LoadError(f"{fname} row {rownum}: expected {len(names)} fields, got {len(row)}")
+        parsed: dict = {}
+        extra: dict[str, str] = {}
+        for name, raw in zip(names, row):
+            col = known.get(name)
+            if col is None:
+                cell = raw.strip()
+                if cell != "":
+                    extra[name] = cell
+                continue
+            where = f"{fname} row {rownum} column {name}"
+            value = _parse_cell(raw, col.kind, where)
+            if value is None and col.required:
+                raise LoadError(f"{where}: required value is blank")
+            parsed[col.attr] = value
+        for attr, column in values.items():
+            column.append(parsed[attr])
+        extras.append(extra)
+    return values, extras
 
 
 def _read_table(path: Path, spec: TableSpec) -> list:
-    known = {c.name: c for c in spec.columns}
-    records = []
+    """Records of one table file, in file order.
+
+    Trees without SIZER get it from DIA.  A plot with a DESIGNCD other than 1
+    is reported only once the whole file has parsed, so a malformed cell
+    anywhere in the file takes precedence.
+    """
     with open(path, newline="", encoding="utf-8-sig") as fp:
         reader = csv.reader(fp)
         try:
@@ -69,49 +172,40 @@ def _read_table(path: Path, spec: TableSpec) -> list:
         missing = [c.name for c in spec.columns if c.required and c.name not in names]
         if missing:
             raise LoadError(f"{path.name}: missing required column(s) {', '.join(missing)}")
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(names):
-                raise LoadError(
-                    f"{path.name} row {rownum}: expected {len(names)} fields, got {len(row)}"
+        known = {c.name: c for c in spec.columns}
+        columns = [(i, known[n]) for i, n in enumerate(names) if n in known]
+        extra_names = [(i, n) for i, n in enumerate(names) if n not in known]
+        fields = [f for f in dataclasses.fields(spec.record) if f.name != "extras"]
+
+        records: list = []
+        bad_design = None
+        rownum = 2
+        while chunk := list(islice(reader, CHUNK_ROWS)):
+            parsed = _parse_chunk(chunk, len(names), columns, extra_names)
+            if parsed is None:
+                parsed = _parse_rows(chunk, rownum, names, known, path.name)
+            values, extras = parsed
+            rownum += len(chunk)
+            if spec is model.TREE_SPEC and "dia" in values:
+                values["sizer"] = [
+                    derive_sizer(d) if s is None else s
+                    for s, d in zip(values.get("sizer", repeat(None)), values["dia"])
+                ]
+            if spec is model.PLOT_SPEC and bad_design is None and "designcd" in values:
+                bad_design = next(
+                    ((cn, d) for cn, d in zip(values["cn"], values["designcd"])
+                     if d is not None and d != 1),
+                    None,
                 )
-            kwargs: dict = {}
-            extras: dict[str, str] = {}
-            for name, raw in zip(names, row):
-                col = known.get(name)
-                if col is None:
-                    cell = raw.strip()
-                    if cell != "":
-                        extras[name] = cell
-                    continue
-                where = f"{path.name} row {rownum} column {name}"
-                value = _parse_cell(raw, col.kind, where)
-                if value is None and col.required:
-                    raise LoadError(f"{where}: required value is blank")
-                kwargs[col.attr] = value
-            kwargs["extras"] = extras
-            try:
-                rec = spec.record(**kwargs)
-            except TypeError as exc:
-                raise LoadError(f"{path.name} row {rownum}: {exc}") from None
-            records.append(rec)
-    return records
-
-
-def _finish_plot(rec: model.PlotRecord, fname: str) -> model.PlotRecord:
-    if rec.designcd is not None and rec.designcd != 1:
+            args = [values[f.name] if f.name in values else repeat(f.default) for f in fields]
+            records.extend(map(spec.record, *args, extras))
+    if bad_design is not None:
+        cn, designcd = bad_design
         raise LoadError(
-            f"{fname}: plot {rec.cn} uses DESIGNCD {rec.designcd}; only the "
+            f"{path.name}: plot {cn} uses DESIGNCD {designcd}; only the "
             "annual design (DESIGNCD 1) is supported"
         )
-    return rec
-
-
-def _finish_tree(rec: model.TreeRecord) -> model.TreeRecord:
-    if rec.sizer is None and rec.dia is not None:
-        rec = dataclasses.replace(rec, sizer=derive_sizer(rec.dia))
-    return rec
+    return records
 
 
 def load_database(directory: str | os.PathLike, states: Sequence[str]) -> ForestDatabase:
@@ -119,9 +213,9 @@ def load_database(directory: str | os.PathLike, states: Sequence[str]) -> Forest
 
     Mandatory tables (PLOT, COND, and the four population tables) must exist
     for every requested state; optional tables are loaded when present.  No
-    subdirectories are searched.  Any malformed cell or missing required
-    column aborts the load with a :class:`LoadError` naming file, row, and
-    column.
+    subdirectories are searched.  Any malformed or non-finite cell or
+    missing required column aborts the load with a :class:`LoadError`
+    naming file, row, and column.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -145,12 +239,7 @@ def load_database(directory: str | os.PathLike, states: Sequence[str]) -> Forest
                 if spec.mandatory:
                     raise LoadError(f"missing required table file {path.name}")
                 continue
-            rows = _read_table(path, spec)
-            if spec.table == "PLOT":
-                rows = [_finish_plot(r, path.name) for r in rows]
-            elif spec.table == "TREE":
-                rows = [_finish_tree(r) for r in rows]
-            collected[spec.db_field].extend(rows)
+            collected[spec.db_field].extend(_read_table(path, spec))
         prefixed = root / f"{st}_REF_SPECIES.csv"
         if prefixed.is_file():
             collected["species"].extend(_read_table(prefixed, model.REF_SPECIES_SPEC))
@@ -305,6 +394,8 @@ def fetch_state(
     base = (base_url or os.environ.get(BASE_URL_ENV) or DEFAULT_BASE_URL).rstrip("/")
     root = Path(dest)
     root.mkdir(parents=True, exist_ok=True)
+    import requests  # deferred: only downloads need it, and it is slow to import
+
     http = session or requests.Session()
 
     fetched: list[str] = []

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import EstimationError
 from .states import FIPS_TO_ABBR
 
 __all__ = [
@@ -482,7 +481,6 @@ class ForestDatabase:
         self.strata_by_unit: dict[str, list[Stratum]] = {}
         for s in self.strata:
             self.strata_by_unit.setdefault(s.estn_unit_cn, []).append(s)
-        self.species_by_spcd = {s.spcd: s for s in self.species}
 
         # Assignments keyed by the evaluation they reach through their stratum.
         self.assignments_by_eval: dict[int, list[StratumAssignment]] = {}
@@ -504,15 +502,6 @@ class ForestDatabase:
         unit = self.unit_by_cn.get(stratum.estn_unit_cn)
         return unit.evalid if unit is not None else None
 
-    def require_evaluation(self, evalid: int) -> Evaluation:
-        ev = self.eval_by_id.get(evalid)
-        if ev is None:
-            known = ", ".join(str(e) for e in sorted(self.eval_by_id))
-            raise EstimationError(
-                f"evaluation {evalid} not found; known evalids: {known or '(none)'}"
-            )
-        return ev
-
     def same_contents(self, other: "ForestDatabase") -> bool:
         """Field-by-field equality up to row order within each table."""
         if self.states != other.states:
@@ -524,11 +513,6 @@ class ForestDatabase:
             if a != b:
                 return False
         return True
-
-    def table_counts(self) -> dict[str, int]:
-        return {
-            spec.table: len(getattr(self, spec.db_field)) for spec in TABLES.values()
-        }
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Predicate parsing, binding, and three-valued evaluation."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from timberline.domain import (
@@ -103,6 +106,17 @@ def test_to_text_round_trips():
 def test_referenced_columns():
     expr = parse_domain("DIA > 5 & (SPCD in (1, 2) | !(STATUSCD == 1))")
     assert referenced_columns(expr) == {"DIA", "SPCD", "STATUSCD"}
+
+
+def test_readme_domain_examples_parse_verbatim():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Defining sub-populations", 1)[1]
+    block = re.search(r"```text\n(.*?)```", section, re.S).group(1)
+    examples = [line for line in block.splitlines() if line.strip()]
+    assert len(examples) == 3
+    for text in examples:
+        expr = parse_domain(text)
+        assert parse_domain(to_text(expr)) == expr
 
 
 # -- binding ---------------------------------------------------------------

@@ -1,12 +1,25 @@
 """CSV round-tripping, load diagnostics, and mirror downloads."""
 
+import csv
 import dataclasses
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import timberline
+from timberline import io as tio
+from timberline import model
+from timberline.cli import main
 from timberline.errors import FetchError, LoadError
 from timberline.io import DEFAULT_BASE_URL, fetch_state, load_database, write_database
-from timberline.synth import build_fixture
+from timberline.synth import build_fixture, random_database
 
 
 @pytest.mark.parametrize("name", ["SYNTH-1", "SYNTH-GRM", "SYNTH-INV"])
@@ -97,6 +110,206 @@ def test_sizer_derived_from_diameter_when_blank(tmp_path):
     from timberline.model import derive_sizer
 
     assert all(t.sizer == derive_sizer(t.dia) for t in back.trees)
+
+
+def test_cli_import_does_not_load_requests():
+    src = str(Path(timberline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, timberline.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def _replace_cell(path, rownum, column, value):
+    """Overwrite one cell of a CSV file; rows are numbered as in LoadError (header = 1)."""
+    with open(path, newline="") as fp:
+        rows = list(csv.reader(fp))
+    rows[rownum - 1][rows[0].index(column)] = value
+    with open(path, "w", newline="") as fp:
+        csv.writer(fp, lineterminator="\r\n").writerows(rows)
+
+
+@pytest.mark.parametrize("column", ["DIA", "SPCD"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+def test_non_finite_cell_fails_load_through_cli(tmp_path, capsys, column, value):
+    # DIA=nan on a SYNTH-1 tree once dropped the tree silently (TPA 4.5, not
+    # 6.0); inf in an int column escaped as an OverflowError.
+    write_database(build_fixture("SYNTH-1"), tmp_path)
+    _replace_cell(tmp_path / "CT_TREE.csv", 2, column, value)
+    assert main(["tpa", "--db", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert f"CT_TREE.csv row 2 column {column}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# The column-wise loader against the record-by-record loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_read_table(path, spec):
+    """The per-record loader that ``io._read_table`` replaced, kept as an oracle."""
+    known = {c.name: c for c in spec.columns}
+    records = []
+    with open(path, newline="", encoding="utf-8-sig") as fp:
+        reader = csv.reader(fp)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise LoadError(f"{path.name}: empty file (missing header row)") from None
+        names = [h.strip().upper() for h in header]
+        missing = [c.name for c in spec.columns if c.required and c.name not in names]
+        if missing:
+            raise LoadError(f"{path.name}: missing required column(s) {', '.join(missing)}")
+        for rownum, row in enumerate(reader, start=2):
+            if not row or all(cell.strip() == "" for cell in row):
+                continue
+            if len(row) != len(names):
+                raise LoadError(
+                    f"{path.name} row {rownum}: expected {len(names)} fields, got {len(row)}"
+                )
+            kwargs: dict = {}
+            extras: dict[str, str] = {}
+            for name, raw in zip(names, row):
+                col = known.get(name)
+                if col is None:
+                    cell = raw.strip()
+                    if cell != "":
+                        extras[name] = cell
+                    continue
+                where = f"{path.name} row {rownum} column {name}"
+                value = tio._parse_cell(raw, col.kind, where)
+                if value is None and col.required:
+                    raise LoadError(f"{where}: required value is blank")
+                kwargs[col.attr] = value
+            kwargs["extras"] = extras
+            try:
+                rec = spec.record(**kwargs)
+            except TypeError as exc:
+                raise LoadError(f"{path.name} row {rownum}: {exc}") from None
+            records.append(rec)
+    if spec.table == "PLOT":
+        for rec in records:
+            if rec.designcd is not None and rec.designcd != 1:
+                raise LoadError(
+                    f"{path.name}: plot {rec.cn} uses DESIGNCD {rec.designcd}; only the "
+                    "annual design (DESIGNCD 1) is supported"
+                )
+    if spec.table == "TREE":
+        records = [
+            dataclasses.replace(r, sizer=model.derive_sizer(r.dia))
+            if r.sizer is None and r.dia is not None else r
+            for r in records
+        ]
+    return records
+
+
+def _outcome(read, path, spec):
+    try:
+        return "records", [repr(r) for r in read(path, spec)]
+    except LoadError as exc:
+        return "error", str(exc)
+
+
+_VALID = {
+    "int": st.integers(-3, 3).map(str) | st.integers(-99999, 99999).map(str),
+    "float": st.floats(-1e6, 1e6, allow_nan=False).map(repr) | st.integers(0, 9).map(str),
+    "str": st.text("ABCxyz01 ", min_size=1, max_size=4),
+}
+_ODD = st.sampled_from([
+    "", " ", "3.0", "-2.0", "3.5", "ten", "1e3", "nan", "inf", "-Infinity", "1e400",
+])
+
+
+@st.composite
+def _cells(draw, kind):
+    text = draw(_ODD) if draw(st.integers(0, 15)) == 0 else draw(_VALID[kind])
+    pad = st.sampled_from(["", "", " ", "\t "])
+    return draw(pad) + text + draw(pad)
+
+
+@st.composite
+def _tables(draw):
+    spec = draw(st.sampled_from(list(model.TABLES.values())))
+    optional = [c for c in spec.columns if not c.required]
+    present = [c for c in spec.columns if c.required]
+    present += draw(st.lists(st.sampled_from(optional), unique=True)) if optional else []
+    kinds = {c.name: c.kind for c in present}
+    # Repeated header names are allowed: the last copy of a column wins.
+    repeated = draw(st.lists(st.sampled_from(present), max_size=1))
+    unknown = draw(st.lists(st.sampled_from(["ECOSUBCD", "EXTRA_B"]), max_size=3))
+    names = draw(st.permutations([c.name for c in present + repeated] + unknown))
+    header = [n.lower() if draw(st.integers(0, 5)) == 0 else n for n in names]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.integers(0, 39))
+        if shape == 0:
+            lines.append("")
+        elif shape == 1:
+            lines.append("," * (len(names) - 1))
+        elif shape == 2:
+            width = draw(st.sampled_from([len(names) - 1, len(names) + 1]))
+            lines.append(",".join(["1"] * width))
+        else:
+            lines.append(",".join(draw(_cells(kinds.get(n, "str"))) for n in names))
+    return spec, "\r\n".join(lines) + "\r\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables(), chunk_rows=st.sampled_from([1, 3, tio.CHUNK_ROWS]))
+def test_column_loader_matches_record_loop(table, chunk_rows):
+    spec, text = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"CT_{spec.table}.csv"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(tio, "CHUNK_ROWS", chunk_rows):
+            got = _outcome(tio._read_table, path, spec)
+        assert got == _outcome(_reference_read_table, path, spec)
+
+
+def test_bad_cell_past_first_chunk_reports_its_row(tmp_path):
+    n = tio.CHUNK_ROWS + 500
+    bad = tio.CHUNK_ROWS + 137  # 0-based data row, inside the second chunk
+    path = tmp_path / "CT_TREE.csv"
+    with open(path, "w", newline="") as fp:
+        writer = csv.writer(fp, lineterminator="\r\n")
+        writer.writerow(["CN", "PLT_CN", "CONDID", "DIA"])
+        for i in range(n):
+            writer.writerow([f"T{i}", "P1", "1", "ten" if i == bad else "7.5"])
+    with pytest.raises(LoadError) as info:
+        tio._read_table(path, model.TREE_SPEC)
+    assert str(info.value) == (
+        f"CT_TREE.csv row {bad + 2} column DIA: could not parse 'ten' as float"
+    )
+
+
+def test_unsupported_design_reported_after_whole_file_parses(tmp_path):
+    path = tmp_path / "CT_PLOT.csv"
+    lines = ["CN,STATECD,PLOT,INVYR,DESIGNCD", "P1,9,1,2018,1", "P2,9,2,2018,410",
+             "P3,9,3,2018,", "P4,9,4,2018,1"]
+    path.write_text("\r\n".join(lines) + "\r\n")
+    with mock.patch.object(tio, "CHUNK_ROWS", 2):
+        with pytest.raises(LoadError, match="plot P2 uses DESIGNCD 410"):
+            tio._read_table(path, model.PLOT_SPEC)
+        path.write_text("\r\n".join(lines[:-1] + ["P4,9,4,x,1"]) + "\r\n")
+        with pytest.raises(LoadError, match="CT_PLOT.csv row 5 column INVYR"):
+            tio._read_table(path, model.PLOT_SPEC)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_column_loader_matches_record_loop_on_random_database(tmp_path, seed):
+    write_database(random_database(seed), tmp_path)
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert paths
+    for path in paths:
+        table = path.stem if path.stem == "REF_SPECIES" else path.stem.split("_", 1)[1]
+        spec = model.TABLES[table]
+        got = _outcome(tio._read_table, path, spec)
+        assert got[0] == "records"
+        assert got == _outcome(_reference_read_table, path, spec)
 
 
 # ---------------------------------------------------------------------------
