@@ -118,7 +118,8 @@ class EstimatorRequest:
     panel combination.  ``tidy=False`` pivots the multi-row families (dwm,
     standStruct) to one row per group with per-class columns.  ``variance``
     adds ``*_VAR`` columns holding the estimator variance alongside each
-    estimate (useful for comparing engines; off by default).
+    estimate (useful for comparing engines; off by default).  ``workers`` is
+    only checked (at least 1): estimation runs in one process.
     """
 
     grp_by: tuple[str, ...] = ()
@@ -216,6 +217,32 @@ def _holds(dom, read, bundle, record, cond) -> bool:
     return dom.indicator(lambda col: read(col, bundle, record, cond)) == 1
 
 
+def _forest_conds(plan: Plan, bundle):
+    """The plot's forested conditions inside the area domain."""
+    for cond in bundle.conds:
+        if cond.cond_status_cd == FOREST_STATUS and _holds(
+            plan.area_domain, plan.read_area, bundle, None, cond
+        ):
+            yield cond
+
+
+def _forest_records(plan: Plan, bundle, records):
+    """(record, condition) for records on forest land inside every domain.
+
+    Domains are checked base, tree, then area; one left None always holds.
+    """
+    for rec in records:
+        cond = bundle.cond_by_id.get(rec.condid)
+        if cond is None or cond.cond_status_cd != FOREST_STATUS:
+            continue
+        if (
+            _holds(plan.base_domain, plan.read, bundle, rec, cond)
+            and _holds(plan.tree_domain, plan.read, bundle, rec, cond)
+            and _holds(plan.area_domain, plan.read_area, bundle, None, cond)
+        ):
+            yield rec, cond
+
+
 # --------------------------------------------------------------------------
 # Plot walkers.  Each consumes one Bundle and returns the plot's grouped
 # numerators/denominators; the core stratifies and combines them.
@@ -224,13 +251,8 @@ def _holds(dom, read, bundle, record, cond) -> bool:
 
 def _fill_area_den(plan: Plan, bundle, pc: PlotContribution) -> None:
     """Forested area within the area domain, the shared ratio denominator."""
-    read = plan.extra["read_area"]
     adj = bundle.stratum.adjustment(SUBPLOT)
-    for cond in bundle.conds:
-        if cond.cond_status_cd != FOREST_STATUS:
-            continue
-        if not _holds(plan.area_domain, read, bundle, None, cond):
-            continue
+    for cond in _forest_conds(plan, bundle):
         pc.add_den_area(area_key(plan, bundle, cond), (cond.condprop_unadj or 0.0) * adj)
 
 
@@ -238,25 +260,13 @@ def _walk_trees(plan: Plan, bundle) -> PlotContribution:
     """Generic tree walker: per-tree selector values times expansion."""
     pc = PlotContribution()
     _fill_area_den(plan, bundle, pc)
-    read = plan.extra["read"]
-    read_area = plan.extra["read_area"]
-    selectors = plan.extra["selectors"]
     ncomp = len(plan.components)
     stratum = bundle.stratum
-    for t in bundle.trees:
-        cond = bundle.cond_by_id.get(t.condid)
-        if cond is None or cond.cond_status_cd != FOREST_STATUS:
-            continue
-        if not _holds(plan.base_domain, read, bundle, t, cond):
-            continue
-        if not _holds(plan.tree_domain, read, bundle, t, cond):
-            continue
-        if not _holds(plan.area_domain, read_area, bundle, None, cond):
-            continue
+    for t, cond in _forest_records(plan, bundle, bundle.trees):
         expand = (t.tpa_unadj or 0.0) * stratum.adjustment(t.sizer)
         gk = numerator_key(plan, bundle, t, cond)
         pc.count_record(gk)
-        for i, sel in enumerate(selectors):
+        for i, sel in enumerate(plan.selectors):
             pc.add_num(gk, i, expand * sel(t), ncomp)
     return pc
 
@@ -264,13 +274,8 @@ def _walk_trees(plan: Plan, bundle) -> PlotContribution:
 def _walk_area(plan: Plan, bundle) -> PlotContribution:
     """Condition walker for total-area estimation (no ratio denominator)."""
     pc = PlotContribution()
-    read = plan.extra["read_area"]
     adj = bundle.stratum.adjustment(SUBPLOT)
-    for cond in bundle.conds:
-        if cond.cond_status_cd != FOREST_STATUS:
-            continue
-        if not _holds(plan.area_domain, read, bundle, None, cond):
-            continue
+    for cond in _forest_conds(plan, bundle):
         gk = numerator_key(plan, bundle, None, cond)
         pc.count_record(gk)
         pc.add_num(gk, 0, (cond.condprop_unadj or 0.0) * adj, 1)
@@ -296,21 +301,9 @@ def _walk_grow_mort(plan: Plan, bundle) -> PlotContribution:
     remper = _change_remper(plan, bundle)
     if remper is None:
         return pc
-    read = plan.extra["read"]
-    read_area = plan.extra["read_area"]
     stratum = bundle.stratum
-    for t in bundle.trees:
-        if t.component not in ("INGROWTH", "MORTALITY", "CUT"):
-            continue
-        cond = bundle.cond_by_id.get(t.condid)
-        if cond is None or cond.cond_status_cd != FOREST_STATUS:
-            continue
-        if not _holds(plan.base_domain, read, bundle, t, cond):
-            continue
-        if not _holds(plan.tree_domain, read, bundle, t, cond):
-            continue
-        if not _holds(plan.area_domain, read_area, bundle, None, cond):
-            continue
+    changes = (t for t in bundle.trees if t.component in ("INGROWTH", "MORTALITY", "CUT"))
+    for t, cond in _forest_records(plan, bundle, changes):
         adj = stratum.adjustment(t.sizer)
         gk = numerator_key(plan, bundle, t, cond)
         pc.count_record(gk)
@@ -335,19 +328,8 @@ def _walk_vital_rates(plan: Plan, bundle) -> PlotContribution:
     remper = _change_remper(plan, bundle)
     if remper is None:
         return pc
-    read = plan.extra["read"]
-    read_area = plan.extra["read_area"]
     stratum = bundle.stratum
-    for t in bundle.trees:
-        cond = bundle.cond_by_id.get(t.condid)
-        if cond is None or cond.cond_status_cd != FOREST_STATUS:
-            continue
-        if not _holds(plan.base_domain, read, bundle, t, cond):
-            continue
-        if not _holds(plan.tree_domain, read, bundle, t, cond):
-            continue
-        if not _holds(plan.area_domain, read_area, bundle, None, cond):
-            continue
+    for t, cond in _forest_records(plan, bundle, bundle.trees):
         gx = t.tpagrow_unadj if t.tpagrow_unadj is not None else t.tpa_unadj
         gx = (gx or 0.0) * stratum.adjustment(t.sizer)
         dia, prev = t.dia, t.prevdia
@@ -369,14 +351,8 @@ def _walk_dwm(plan: Plan, bundle) -> PlotContribution:
     """Area-weighted per-acre fuel loads, one group per fuel class."""
     pc = PlotContribution()
     _fill_area_den(plan, bundle, pc)
-    read_area = plan.extra["read_area"]
     adj = bundle.stratum.adjustment(SUBPLOT)
-    for rec in bundle.dwm:
-        cond = bundle.cond_by_id.get(rec.condid)
-        if cond is None or cond.cond_status_cd != FOREST_STATUS:
-            continue
-        if not _holds(plan.area_domain, read_area, bundle, None, cond):
-            continue
+    for rec, cond in _forest_records(plan, bundle, bundle.dwm):
         weight = (cond.condprop_unadj or 0.0) * adj
         gk = numerator_key(plan, bundle, rec, cond, family_value=rec.fuel_type)
         pc.count_record(gk)
@@ -407,17 +383,8 @@ def _walk_invasive(plan: Plan, bundle) -> PlotContribution:
     if not _invasive_sampled(bundle.plot):
         return pc
     _fill_area_den(plan, bundle, pc)
-    read = plan.extra["read"]
-    read_area = plan.extra["read_area"]
     adj = bundle.stratum.adjustment(SUBPLOT)
-    for rec in bundle.invasives:
-        cond = bundle.cond_by_id.get(rec.condid)
-        if cond is None or cond.cond_status_cd != FOREST_STATUS:
-            continue
-        if not _holds(plan.tree_domain, read, bundle, rec, cond):
-            continue
-        if not _holds(plan.area_domain, read_area, bundle, None, cond):
-            continue
+    for rec, cond in _forest_records(plan, bundle, bundle.invasives):
         cover = (rec.cover_pct or 0.0) * (cond.condprop_unadj or 0.0) * adj
         gk = numerator_key(plan, bundle, rec, cond)
         pc.count_record(gk)
@@ -429,17 +396,8 @@ def _walk_seedling(plan: Plan, bundle) -> PlotContribution:
     """Seedling counts expanded from the microplot."""
     pc = PlotContribution()
     _fill_area_den(plan, bundle, pc)
-    read = plan.extra["read"]
-    read_area = plan.extra["read_area"]
     adj = bundle.stratum.adjustment(MICROPLOT)
-    for s in bundle.seedlings:
-        cond = bundle.cond_by_id.get(s.condid)
-        if cond is None or cond.cond_status_cd != FOREST_STATUS:
-            continue
-        if not _holds(plan.tree_domain, read, bundle, s, cond):
-            continue
-        if not _holds(plan.area_domain, read_area, bundle, None, cond):
-            continue
+    for s, cond in _forest_records(plan, bundle, bundle.seedlings):
         gk = numerator_key(plan, bundle, s, cond)
         pc.count_record(gk)
         pc.add_num(gk, 0, (s.treecount or 0) * (s.tpa_unadj or 0.0) * adj, 1)
@@ -486,13 +444,8 @@ def _walk_stand_struct(plan: Plan, bundle) -> PlotContribution:
     what makes the emitted percentages sum to exactly 100 per group.
     """
     pc = PlotContribution()
-    read = plan.extra["read_area"]
     adj = bundle.stratum.adjustment(SUBPLOT)
-    for cond in bundle.conds:
-        if cond.cond_status_cd != FOREST_STATUS:
-            continue
-        if not _holds(plan.area_domain, read, bundle, None, cond):
-            continue
+    for cond in _forest_conds(plan, bundle):
         stage = _cond_stage(bundle, cond)
         if stage is None:
             continue
@@ -527,21 +480,10 @@ def _walk_diversity(plan: Plan, bundle) -> PlotContribution:
     """Per-plot diversity indices, weighted by the plot's forested area."""
     pc = PlotContribution()
     _fill_area_den(plan, bundle, pc)
-    read = plan.extra["read"]
-    read_area = plan.extra["read_area"]
-    abundance = plan.extra["abundance"]
+    (abundance,) = plan.selectors
     stratum = bundle.stratum
     grouped: dict[tuple, dict[int | None, float]] = {}
-    for t in bundle.trees:
-        cond = bundle.cond_by_id.get(t.condid)
-        if cond is None or cond.cond_status_cd != FOREST_STATUS:
-            continue
-        if not _holds(plan.base_domain, read, bundle, t, cond):
-            continue
-        if not _holds(plan.tree_domain, read, bundle, t, cond):
-            continue
-        if not _holds(plan.area_domain, read_area, bundle, None, cond):
-            continue
+    for t, cond in _forest_records(plan, bundle, bundle.trees):
         a = abundance(t) * (t.tpa_unadj or 0.0) * stratum.adjustment(t.sizer)
         gk = numerator_key(plan, bundle, t, cond)
         pc.count_record(gk)
@@ -848,20 +790,14 @@ def _build_plans(
 
     poly_assign = _assign_plots(db.plots, req.polys) if req.polys is not None else None
 
-    extra = {
-        "read": _make_reader(layer_of),
-        "read_area": _make_reader(area_layers),
-        "emit_variance": req.variance,
-    }
     comps = _components_for(fam, req)
+    selectors: tuple[Callable, ...] = ()
+    hidden: tuple[str, ...] = ()
     if fam.walker is _walk_trees:
-        extra["selectors"] = tuple(_TREE_SELECTORS[c.name] for c in comps)
+        selectors = tuple(_TREE_SELECTORS[c.name] for c in comps)
     if fam.name == "diversity":
-        if req.basis == "BA":
-            extra["abundance"] = lambda t: basal_area(t.dia)
-        else:
-            extra["abundance"] = lambda t: 1.0
-        extra["hidden_components"] = ("_ABUND",)
+        selectors = (_TREE_SELECTORS["BAA" if req.basis == "BA" else "TPA"],)
+        hidden = ("_ABUND",)
 
     plan = Plan(
         family=fam.name,
@@ -874,16 +810,17 @@ def _build_plans(
         poly_assign=poly_assign,
         species_decoration=decoration,
         nplots_cols=fam.nplots,
-        extra=extra,
+        read=_make_reader(layer_of),
+        read_area=_make_reader(area_layers),
+        selectors=selectors,
+        hidden_components=hidden,
+        emit_variance=req.variance,
     )
     plans = [plan]
 
     if fam.name == "diversity":
         # Companion pass: species abundance totals feeding the pooled indices.
         sp_cols = group_cols + (GroupCol("SPCD", "tree", "species"),)
-        sp_extra = dict(extra)
-        sp_extra["selectors"] = (extra["abundance"],)
-        sp_extra.pop("hidden_components", None)
         plans.append(
             dataclasses.replace(
                 plan,
@@ -892,7 +829,6 @@ def _build_plans(
                 group_cols=sp_cols,
                 species_decoration=None,
                 nplots_cols=(),
-                extra=sp_extra,
             )
         )
     return plans
@@ -904,8 +840,7 @@ def _build_plans(
 
 
 def _visible_components(plan: Plan) -> list[ComponentSpec]:
-    hidden = plan.extra.get("hidden_components", ())
-    return [c for c in plan.components if c.name not in hidden]
+    return [c for c in plan.components if c.name not in plan.hidden_components]
 
 
 def _output_columns(fam: Family, req: EstimatorRequest, plan: Plan) -> list[str]:
@@ -1098,7 +1033,6 @@ def run_family(db: ForestDatabase, fam: Family, req: EstimatorRequest):
         fam.name,
         req.method,
         lambdas=lambdas,
-        workers=req.workers,
     ):
         rows.extend(_assemble_rows(fam, plans, totals, year, lam))
     rows.sort(key=lambda r: (r.get("lambda") or 0.0, r.get("YEAR") or 0))

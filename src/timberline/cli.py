@@ -154,7 +154,8 @@ def _estimator_parent() -> argparse.ArgumentParser:
         help="one row per group with per-class columns (dwm, standstruct)",
     )
     g.add_argument(
-        "--workers", type=int, default=1, help="worker processes for plot evaluation"
+        "--workers", type=int, default=1,
+        help="checked to be at least 1; estimation runs in one process",
     )
     g.add_argument(
         "--variance", action="store_true", help="add *_VAR variance columns"

@@ -22,6 +22,13 @@ plot's value out of the numerator (and, for area-level groups, out of the
 denominator) but never changes n, n_h, or the strata, which keeps group
 totals exactly additive.
 
+These formulas live in one place.  :class:`_Strata` holds each stratum's
+constants (n_h, A * W_h and the variance weight), and :class:`_Cells` sums
+plot values per (group, stratum) cell with ``np.bincount``, so one pass
+gets the totals, variances and covariances of every group and component at
+once.  :func:`post_stratified_total` and :func:`post_stratified_covariance`
+are one-series wrappers over the same kernel.
+
 Multi-panel designs estimate each yearly panel separately and combine the
 per-panel totals with the weights from :mod:`timberline.panels`; panels are
 treated as independent samples, so combined variance is sum of w_p^2 * v_p.
@@ -31,8 +38,7 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -107,7 +113,7 @@ class Sample:
     """The plots of one evaluation group (optionally one panel), stratified.
 
     Plots are held in sorted CN order; every estimator walks them in this
-    order, which is what makes output independent of worker count.
+    order, which is what makes output independent of record order.
     """
 
     def __init__(self, plots: list[PlotRecord], units: list[UnitSlice],
@@ -116,7 +122,6 @@ class Sample:
         self.units = units
         self.stratum_of = stratum_of
         self.panel_years = panel_years
-        self.index = {p.cn: i for i, p in enumerate(plots)}
 
     @property
     def n_plots(self) -> int:
@@ -210,49 +215,140 @@ def _unit_terms(unit: UnitSlice) -> list[tuple[Stratum, np.ndarray, float]]:
     return [(st, idx, w / wsum) for (st, idx), w in zip(present, weights)]
 
 
+class _Strata:
+    """A sample's strata: plot memberships and the estimator's constants.
+
+    Strata are numbered in unit order, then in stratum order.  Stratum h
+    carries n_h, its total weight A * W_h and its variance weight, which
+    turns a sum of squared deviations into the stratum's share of the
+    variance.  A plot normally sits in one stratum; duplicate assignments or
+    overlapping evaluations can put it in several, and each membership counts.
+    """
+
+    def __init__(self, sample: Sample):
+        members, sizes, area_w, var_w = [], [], [], []
+        for unit in sample.units:
+            terms = _unit_terms(unit)
+            n = sum(len(idx) for _, idx, _ in terms)
+            for st, idx, w in terms:
+                n_h = len(idx)
+                if n_h == 1:
+                    log.debug("stratum %s has a single plot; its variance term is 0", st.cn)
+                members.append(idx)
+                sizes.append(n_h)
+                area_w.append(unit.area * w)
+                var_w.append(
+                    unit.area ** 2 / n * (n_h / n) * (w + (1.0 - w) / n) / (n_h - 1)
+                    if n_h > 1 else 0.0
+                )
+        self.n_plots, self.n_strata = sample.n_plots, len(sizes)
+        self.n_h = np.array(sizes, dtype=float)
+        self.area_w, self.var_w = np.array(area_w), np.array(var_w)
+        plot = np.concatenate(members) if members else np.zeros(0, dtype=np.intp)
+        order = np.argsort(plot, kind="stable")
+        self._stratum = np.repeat(np.arange(self.n_strata), sizes)[order]
+        self._count = np.bincount(plot, minlength=self.n_plots)
+        self._first = np.cumsum(self._count) - self._count
+
+    def expand(self, plot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(entry, stratum) pairs, one per stratum membership of each entry's plot."""
+        reps = self._count[plot]
+        entry = np.repeat(np.arange(len(plot)), reps)
+        within = np.arange(len(entry)) - np.repeat(np.cumsum(reps) - reps, reps)
+        return entry, self._stratum[self._first[plot[entry]] + within]
+
+
+class _Cells:
+    """One variable's entries, summed per (key, stratum) cell.
+
+    Entries are (key, plot, row of values) with at most one per (key, plot);
+    a plot without an entry holds zeros.  Cell sums take one ``np.bincount``
+    per column over ``key * H + stratum``, which totals every key at once.
+    """
+
+    def __init__(self, strata: _Strata, key: np.ndarray, plot: np.ndarray,
+                 values: np.ndarray, n_keys: int):
+        self.strata, self.n_keys = strata, n_keys
+        self.nonzero = np.column_stack(
+            [np.bincount(key, col != 0, minlength=n_keys) for col in values.T]
+        ).astype(int)
+        self.any_nonzero = np.bincount(key, (values != 0).any(axis=1), minlength=n_keys)
+        entry, self.stratum = strata.expand(plot)
+        self.key, self.plot, self.x = key[entry], plot[entry], values[entry]
+        self.cell = self.key * strata.n_strata + self.stratum
+        n_h = np.tile(strata.n_h, n_keys)
+        self.absent = n_h - np.bincount(self.cell, minlength=len(n_h))
+        self.mean = self._sum(self.x) / n_h[:, None]
+
+    def _sum(self, per_entry: np.ndarray) -> np.ndarray:
+        size = self.n_keys * self.strata.n_strata
+        return np.column_stack(
+            [np.bincount(self.cell, col, minlength=size) for col in per_entry.T]
+        )
+
+    def _over_strata(self, per_cell: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        shaped = per_cell.reshape(self.n_keys, self.strata.n_strata, per_cell.shape[1])
+        return (shaped * weights[:, None]).sum(axis=1)
+
+    def estimates(self) -> list[list[TotalEstimate]]:
+        """One TotalEstimate per key and column.
+
+        Per cell, the sum of (x - xbar)^2 over all n_h plots is the sum over
+        the entries plus (n_h - entries) * xbar^2 for the plots without one.
+        """
+        dev = self.x - self.mean[self.cell]
+        squares = self._sum(dev * dev) + self.absent[:, None] * self.mean ** 2
+        rows = zip(
+            self._over_strata(self.mean, self.strata.area_w).tolist(),
+            self._over_strata(squares, self.strata.var_w).tolist(),
+            self.nonzero.tolist(),
+        )
+        n = self.strata.n_plots
+        return [[TotalEstimate(t, v, z, n) for t, v, z in zip(*row)] for row in rows]
+
+    def covariances(self, y: np.ndarray, y_mean: np.ndarray) -> np.ndarray:
+        """Covariances with another variable's totals, keys x columns.
+
+        ``y`` and ``y_mean`` are that variable's plot value and stratum mean
+        at each expanded entry.  Per cell, the sum of (x - xbar)(y - ybar) is
+        the sum of x (y - ybar) over the entries, as y's deviations sum to 0.
+        """
+        products = self._sum(self.x * (y - y_mean)[:, None])
+        return self._over_strata(products, self.strata.var_w)
+
+    def lookup(self, key: np.ndarray, plot: np.ndarray, stratum: np.ndarray):
+        """Column-0 plot value and stratum mean at each (key, plot, stratum).
+
+        A negative key, or a plot without an entry for the key, reads 0.
+        """
+        if not len(self.key):
+            return np.zeros(len(key)), np.zeros(len(key))
+        n = self.strata.n_plots
+        code = self.key * n + self.plot
+        order = np.argsort(code, kind="stable")
+        want = key * n + plot
+        pos = np.minimum(np.searchsorted(code[order], want), len(code) - 1)
+        known = key >= 0
+        value = np.where(known & (code[order[pos]] == want), self.x[order[pos], 0], 0.0)
+        cell = np.where(known, key, 0) * self.strata.n_strata + stratum
+        return value, np.where(known, self.mean[cell, 0], 0.0)
+
+
+def _series(values: np.ndarray, strata: _Strata) -> _Cells:
+    n = len(values)
+    return _Cells(strata, np.zeros(n, dtype=np.intp), np.arange(n), values[:, None], 1)
+
+
 def post_stratified_total(values: np.ndarray, sample: Sample) -> TotalEstimate:
     """Estimate the population total of per-plot ``values`` (docstring formula)."""
-    total = 0.0
-    variance = 0.0
-    for unit in sample.units:
-        terms = _unit_terms(unit)
-        n = sum(len(idx) for _, idx, _ in terms)
-        acc = 0.0
-        for st, idx, w in terms:
-            vals = values[idx]
-            n_h = len(idx)
-            mean = float(vals.mean())
-            if n_h > 1:
-                s2 = float(vals.var(ddof=1))
-            else:
-                s2 = 0.0
-                log.debug("stratum %s has a single plot; its variance term is 0", st.cn)
-            total += unit.area * w * mean
-            acc += (n_h / n) * s2 * (w + (1.0 - w) / n)
-        variance += (unit.area ** 2 / n) * acc
-    return TotalEstimate(
-        total, variance, int(np.count_nonzero(values)), len(values)
-    )
+    return _series(values, _Strata(sample)).estimates()[0][0]
 
 
 def post_stratified_covariance(x: np.ndarray, y: np.ndarray, sample: Sample) -> float:
     """Covariance of two totals over the same sample, combined like variances."""
-    cov = 0.0
-    for unit in sample.units:
-        terms = _unit_terms(unit)
-        n = sum(len(idx) for _, idx, _ in terms)
-        acc = 0.0
-        for _, idx, w in terms:
-            n_h = len(idx)
-            if n_h > 1:
-                xv = x[idx]
-                yv = y[idx]
-                s_xy = float(((xv - xv.mean()) * (yv - yv.mean())).sum() / (n_h - 1))
-            else:
-                s_xy = 0.0
-            acc += (n_h / n) * s_xy * (w + (1.0 - w) / n)
-        cov += (unit.area ** 2 / n) * acc
-    return cov
+    strata = _Strata(sample)
+    xc, yc = _series(x, strata), _series(y, strata)
+    return float(xc.covariances(y[xc.plot], yc.mean[xc.cell, 0])[0, 0])
 
 
 def ratio_estimate(
@@ -356,7 +452,11 @@ class Plan:
     poly_assign: dict[str, object] | None = None
     species_decoration: dict[int, tuple[str | None, str | None]] | None = None
     nplots_cols: tuple[tuple[str, str], ...] = ()  # (label, "num" | "den")
-    extra: dict = field(default_factory=dict)
+    read: Callable | None = None  # column reader for the base and tree domains
+    read_area: Callable | None = None  # column reader for the area domain
+    selectors: tuple[Callable, ...] = ()  # per-record values (diversity: abundance)
+    hidden_components: tuple[str, ...] = ()
+    emit_variance: bool = False
 
     @property
     def area_positions(self) -> tuple[int, ...]:
@@ -477,44 +577,9 @@ def area_key(plan: Plan, bundle: Bundle, cond) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Pass computation: map plots (possibly in parallel), reduce in plot order.
+# Pass computation: walk every plot once, gather flat entries, then total
+# every group and component in one call of the stratified kernel above.
 # --------------------------------------------------------------------------
-
-_FORK_STATE: tuple | None = None
-
-
-def _run_chunk(bounds: tuple[int, int]) -> list[PlotContribution]:
-    db, plan, sample = _FORK_STATE  # type: ignore[misc]
-    lo, hi = bounds
-    return [plan.eval_plot(plan, make_bundle(db, plan, sample, i)) for i in range(lo, hi)]
-
-
-def _map_plots(
-    db: ForestDatabase, plan: Plan, sample: Sample, workers: int
-) -> list[PlotContribution]:
-    n = len(sample.plots)
-    if workers <= 1 or n < 2:
-        return [
-            plan.eval_plot(plan, make_bundle(db, plan, sample, i)) for i in range(n)
-        ]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        log.warning("fork start method unavailable; computing plots serially")
-        return _map_plots(db, plan, sample, 1)
-    global _FORK_STATE
-    chunk = max(1, math.ceil(n / (workers * 4)))
-    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    _FORK_STATE = (db, plan, sample)
-    try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            parts = list(pool.map(_run_chunk, bounds))
-    finally:
-        _FORK_STATE = None
-    out: list[PlotContribution] = []
-    for part in parts:
-        out.extend(part)
-    return out
 
 
 @dataclass
@@ -530,74 +595,62 @@ class PassTotals:
     n_plots: int
 
 
-def compute_pass(
-    db: ForestDatabase, plan: Plan, sample: Sample, workers: int = 1
-) -> PassTotals:
-    """Run one full estimation pass over a sample."""
-    contribs = _map_plots(db, plan, sample, workers)
+class _Entries:
+    """Flat (key, plot, values) entries gathered from plot contributions."""
+
+    def __init__(self, width: int):
+        self.width, self.index = width, {}
+        self.key, self.plot, self.values = array("q"), array("q"), array("d")
+
+    def add(self, k: tuple, plot: int, values) -> None:
+        self.key.append(self.index.setdefault(k, len(self.index)))
+        self.plot.append(plot)
+        self.values.extend(values)
+
+    def cells(self, strata: _Strata) -> _Cells:
+        values = np.array(self.values).reshape(-1, self.width)
+        return _Cells(strata, np.array(self.key), np.array(self.plot), values, len(self.index))
+
+
+def compute_pass(db: ForestDatabase, plan: Plan, sample: Sample) -> PassTotals:
+    """Run one full estimation pass over a sample.
+
+    Each plot's grouped values become flat entries, one per (group, plot);
+    the stratified kernel then totals every group and component at once.
+    """
     n = sample.n_plots
-    ncomp = len(plan.components)
-
-    num_arrays: dict[tuple, np.ndarray] = {}
-    den_area_arrays: dict[tuple, np.ndarray] = {}
-    den_tree_arrays: dict[tuple, np.ndarray] = {}
-    for i, pc in enumerate(contribs):
+    num, den_area, den_tree = _Entries(len(plan.components)), _Entries(1), _Entries(1)
+    for i in range(n):
+        pc = plan.eval_plot(plan, make_bundle(db, plan, sample, i))
         for gk, values in pc.num.items():
-            arr = num_arrays.get(gk)
-            if arr is None:
-                arr = np.zeros((ncomp, n))
-                num_arrays[gk] = arr
-            arr[:, i] = values
+            num.add(gk, i, values)
         for ak, value in pc.den_area.items():
-            arr = den_area_arrays.get(ak)
-            if arr is None:
-                arr = np.zeros(n)
-                den_area_arrays[ak] = arr
-            arr[i] += value
+            den_area.add(ak, i, (value,))
         for gk, value in pc.den_tree.items():
-            arr = den_tree_arrays.get(gk)
-            if arr is None:
-                arr = np.zeros(n)
-                den_tree_arrays[gk] = arr
-            arr[i] += value
+            den_tree.add(gk, i, (value,))
+    if not (num.index or den_area.index or den_tree.index):
+        return PassTotals([], {}, {}, {}, {}, {}, n)  # no totals, so no stratum checks
 
-    universe = sorted(num_arrays, key=_group_sort_key(plan))
-    den_area_totals = {
-        ak: post_stratified_total(arr, sample) for ak, arr in den_area_arrays.items()
-    }
-    den_tree_totals = {
-        gk: post_stratified_total(arr, sample) for gk, arr in den_tree_arrays.items()
-    }
-
-    comp_totals: dict[tuple, list[TotalEstimate]] = {}
-    covs: dict[tuple, list[float]] = {}
-    nonzero_plots: dict[tuple, int] = {}
-    zeros = np.zeros(n)
-    for gk in universe:
-        arr = num_arrays[gk]
-        totals = []
-        cov_row = []
-        for ci, comp in enumerate(plan.components):
-            values = arr[ci]
-            totals.append(post_stratified_total(values, sample))
-            if comp.den == "area":
-                den_arr = den_area_arrays.get(plan.area_projection(gk), zeros)
-                cov_row.append(post_stratified_covariance(values, den_arr, sample))
-            elif comp.den == "trees":
-                den_arr = den_tree_arrays.get(gk, zeros)
-                cov_row.append(post_stratified_covariance(values, den_arr, sample))
-            else:
-                cov_row.append(0.0)
-        comp_totals[gk] = totals
-        covs[gk] = cov_row
-        nonzero_plots[gk] = int(np.count_nonzero(arr.any(axis=0)))
+    strata = _Strata(sample)
+    x, area_cells, tree_cells = num.cells(strata), den_area.cells(strata), den_tree.cells(strata)
+    covs = []
+    for entries, cells, project in (
+        (den_area, area_cells, plan.area_projection),
+        (den_tree, tree_cells, lambda gk: gk),
+    ):
+        den_of = np.array([entries.index.get(project(gk), -1) for gk in num.index], dtype=np.intp)
+        covs.append(x.covariances(*cells.lookup(den_of[x.key], x.plot, x.stratum)))
+    den = np.array([c.den for c in plan.components])
+    cov = np.where(den == "area", covs[0], np.where(den == "trees", covs[1], 0.0)).tolist()
+    estimates, any_nonzero = x.estimates(), x.any_nonzero.tolist()
+    universe = sorted(num.index, key=_group_sort_key(plan))
     return PassTotals(
         universe=universe,
-        comp=comp_totals,
-        cov=covs,
-        den_area=den_area_totals,
-        den_tree=den_tree_totals,
-        num_plots_nonzero=nonzero_plots,
+        comp={gk: estimates[num.index[gk]] for gk in universe},
+        cov={gk: cov[num.index[gk]] for gk in universe},
+        den_area={k: e[0] for k, e in zip(den_area.index, area_cells.estimates())},
+        den_tree={k: e[0] for k, e in zip(den_tree.index, tree_cells.estimates())},
+        num_plots_nonzero={gk: int(any_nonzero[num.index[gk]]) for gk in universe},
         n_plots=n,
     )
 
@@ -717,8 +770,6 @@ def rows_from_totals(
 ) -> list[dict]:
     """Render one pass (or combined pass) into output rows."""
     rows = []
-    emit_var = bool(plan.extra.get("emit_variance"))
-    hidden = plan.extra.get("hidden_components", ())
     for gk in totals.universe:
         row: dict[str, object] = {}
         if lam is not None:
@@ -731,7 +782,7 @@ def rows_from_totals(
                 row["COMMON_NAME"], row["SCIENTIFIC_NAME"] = names
         den_area = totals.den_area.get(plan.area_projection(gk), ZERO_TOTAL)
         for ci, comp in enumerate(plan.components):
-            if comp.name in hidden:
+            if comp.name in plan.hidden_components:
                 continue
             num = totals.comp[gk][ci]
             if comp.den == "none":
@@ -746,7 +797,7 @@ def rows_from_totals(
                 est, var = ratio_estimate(num, den, totals.cov[gk][ci])
             row[comp.name] = est
             row[comp.name + "_SE"] = sampling_error_pct(est, var, num.n_nonzero)
-            if emit_var:
+            if plan.emit_variance:
                 row[comp.name + "_VAR"] = var
         for label, kind in plan.nplots_cols:
             if kind == "num":
@@ -860,7 +911,6 @@ def method_passes(
     family: str,
     method: str,
     lambdas: Sequence[float] = (DEFAULT_LAMBDA,),
-    workers: int = 1,
 ):
     """Yield (year, lambda-or-None, [PassTotals per plan]) for output rows.
 
@@ -877,7 +927,7 @@ def method_passes(
             yield (
                 group_report_year(evals),
                 None,
-                [compute_pass(db, plan, sample, workers) for plan in plans],
+                [compute_pass(db, plan, sample) for plan in plans],
             )
         return
     if method == "ANNUAL":
@@ -889,7 +939,7 @@ def method_passes(
                 yield (
                     year,
                     None,
-                    [compute_pass(db, plan, sample, workers) for plan in plans],
+                    [compute_pass(db, plan, sample) for plan in plans],
                 )
         return
     for evals in groups:
@@ -901,7 +951,7 @@ def method_passes(
                 per_panel.append(None)
             else:
                 per_panel.append(
-                    [compute_pass(db, plan, sample, workers) for plan in plans]
+                    [compute_pass(db, plan, sample) for plan in plans]
                 )
         present = [p is not None for p in per_panel]
         report_year = group_report_year(evals)

@@ -9,8 +9,9 @@ Loading is strict.  A cell that does not parse as its column's type, a
 non-finite number (``nan``, ``inf``, or a literal such as ``1e400`` that
 overflows a float), a blank required value or a row with the wrong number of
 fields raises :class:`LoadError` naming the file, the row (the header is
-row 1) and, for a bad cell, the column.  Blank lines are skipped; no other
-row is dropped.
+row 1) and, for a bad cell, the column.  A file that is not UTF-8 raises
+:class:`LoadError` naming the file and the offset of its first bad byte.
+Blank lines are skipped; no other row is dropped.
 
 Tables are read ``CHUNK_ROWS`` rows at a time and parsed a column at a time.
 A chunk that fails that fast path is parsed again cell by cell, which finds
@@ -155,6 +156,19 @@ def _parse_rows(chunk: list, first_rownum: int, names: list, known: dict, fname:
     return values, extras
 
 
+def _lines(fp, path: Path):
+    """Lines of an open table file; a byte that is not UTF-8 raises :class:`LoadError`."""
+    try:
+        yield from fp
+    except UnicodeDecodeError:
+        try:  # decode the whole file again for the byte's offset in the file
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LoadError(f"{path.name}: not UTF-8 text (byte "
+                            f"0x{exc.object[exc.start]:02x} at offset {exc.start})") from None
+        raise
+
+
 def _read_table(path: Path, spec: TableSpec) -> list:
     """Records of one table file, in file order.
 
@@ -163,7 +177,7 @@ def _read_table(path: Path, spec: TableSpec) -> list:
     anywhere in the file takes precedence.
     """
     with open(path, newline="", encoding="utf-8-sig") as fp:
-        reader = csv.reader(fp)
+        reader = csv.reader(_lines(fp, path))
         try:
             header = next(reader)
         except StopIteration:

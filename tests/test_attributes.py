@@ -5,11 +5,14 @@ values (see the derivations in comments); none were copied from the engine.
 """
 
 import math
+import random
 
 import pytest
 
 import timberline as tl
 from timberline.errors import EstimationError, UsageError
+from timberline.model import ForestDatabase
+from timberline.synth import random_database
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +300,87 @@ def test_workers_do_not_change_output(synth_panel):
     one = tl.tpa(synth_panel, method="EMA", lambdas=(0.25, 0.75), workers=1)
     two = tl.tpa(synth_panel, method="EMA", lambdas=(0.25, 0.75), workers=2)
     assert one.rows == two.rows
+
+
+# ---------------------------------------------------------------------------
+# properties over randomized databases
+# ---------------------------------------------------------------------------
+
+
+def _by_year(table):
+    out = {}
+    for row in table.rows:
+        out.setdefault(row["YEAR"], []).append(row)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize(
+    "family, columns, grouping",
+    [
+        ("tpa", ("TPA", "BAA"), {"by_species": True}),
+        ("tpa", ("TPA", "BAA"), {"by_size_class": True}),
+        ("biomass", ("NETVOL_ACRE", "BIO_ACRE", "CARB_ACRE"), {"by_species": True}),
+        ("biomass", ("NETVOL_ACRE", "BIO_ACRE", "CARB_ACRE"), {"by_size_class": True}),
+    ],
+)
+def test_tree_level_groups_sum_to_ungrouped(seed, family, columns, grouping):
+    # Tree-level groups share the full-domain denominator, so per-acre
+    # group estimates add up to the ungrouped one.
+    db = random_database(seed)
+    whole = _by_year(tl.estimate(db, family))
+    parts = _by_year(tl.estimate(db, family, **grouping))
+    assert set(parts) == set(whole)
+    for year, (row,) in whole.items():
+        for col in columns:
+            total = sum(r[col] for r in parts[year])
+            assert total == pytest.approx(row[col], rel=1e-12)
+
+
+_PERMUTED_REQUESTS = [
+    ("tpa", {"by_species": True, "by_size_class": True}),
+    ("biomass", {"grp_by": ("OWNCD",), "method": "EMA", "lambdas": (0.3, 0.7)}),
+    ("area", {"grp_by": ("FORTYPCD",)}),
+    ("growMort", {"by_species": True}),
+    ("vitalRates", {"method": "SMA"}),
+    ("diversity", {}),
+    ("dwm", {}),
+    ("invasive", {}),
+    ("seedling", {"by_species": True}),
+    ("standStruct", {"method": "ANNUAL"}),
+]
+
+
+def _outcome(db, family, kw):
+    try:
+        return tl.estimate(db, family, variance=True, **kw)
+    except EstimationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_permuted_records_give_the_same_output(seed):
+    db = random_database(seed)
+    rng = random.Random(seed)
+    shuffled = ForestDatabase(
+        states=db.states,
+        **{
+            name: rng.sample(getattr(db, name), len(getattr(db, name)))
+            for name in ("plots", "conds", "trees", "seedlings", "dwm", "invasives",
+                         "evaluations", "estn_units", "strata", "assignments", "species")
+        },
+    )
+    for family, kw in _PERMUTED_REQUESTS:
+        want, got = _outcome(db, family, kw), _outcome(shuffled, family, kw)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert got.columns == want.columns
+        assert len(got.rows) == len(want.rows)
+        for a, b in zip(got.rows, want.rows):
+            assert a.keys() == b.keys()
+            for col in a:
+                if isinstance(b[col], float):
+                    assert a[col] == pytest.approx(b[col], rel=1e-12), (family, col)
+                else:
+                    assert a[col] == b[col], (family, col)

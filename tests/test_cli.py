@@ -1,10 +1,13 @@
 """Command-line interface, exercised through main() with fixture databases."""
 
 import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
 
+import timberline as tl
 from timberline.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -106,3 +109,26 @@ def test_workers_output_identical(workers, capsys):
     base = capsys.readouterr().out
     assert main(args + ["--workers", workers]) == 0
     assert capsys.readouterr().out == base
+
+
+def test_workers_start_no_process(monkeypatch, synth_panel, capsys):
+    def no_fork():
+        raise AssertionError("estimation started a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    kw = {"method": "EMA", "lambdas": (0.3, 0.7), "variance": True}
+    assert tl.tpa(synth_panel, workers=64, **kw).rows == tl.tpa(synth_panel, **kw).rows
+    assert main(["tpa", "--db", SYNTH_PANEL, "--workers", "64"]) == 0
+
+
+def test_non_utf8_table_is_a_load_error(tmp_path, capsys):
+    db = tmp_path / "db"
+    shutil.copytree(SYNTH1, db)
+    tree = db / "CT_TREE.csv"
+    offset = tree.stat().st_size
+    with open(tree, "ab") as fp:
+        fp.write(b"\xff")
+    assert main(["tpa", "--db", str(db)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"CT_TREE.csv: not UTF-8 text (byte 0xff at offset {offset})" in err

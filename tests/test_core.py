@@ -1,11 +1,18 @@
 """Post-stratified estimation machinery: samples, totals, ratios, classes."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timberline.core import (
+    Sample,
+    TotalEstimate,
+    UnitSlice,
+    _unit_terms,
     build_sample,
     make_classes,
     post_stratified_covariance,
@@ -171,6 +178,119 @@ def test_covariance_sign_tracks_association():
     down = np.array([6.0, 4.0, 2.0])
     assert post_stratified_covariance(x, up, s) > 0
     assert post_stratified_covariance(x, down, s) < 0
+
+
+# -- the kernel against the per-stratum loops ------------------------------
+
+log = logging.getLogger("timberline.core")
+
+
+def _reference_total(values: np.ndarray, sample: Sample) -> TotalEstimate:
+    """The per-unit, per-stratum loop the stratified kernel replaced."""
+    total = 0.0
+    variance = 0.0
+    for unit in sample.units:
+        terms = _unit_terms(unit)
+        n = sum(len(idx) for _, idx, _ in terms)
+        acc = 0.0
+        for st, idx, w in terms:
+            vals = values[idx]
+            n_h = len(idx)
+            mean = float(vals.mean())
+            if n_h > 1:
+                s2 = float(vals.var(ddof=1))
+            else:
+                s2 = 0.0
+                log.debug("stratum %s has a single plot; its variance term is 0", st.cn)
+            total += unit.area * w * mean
+            acc += (n_h / n) * s2 * (w + (1.0 - w) / n)
+        variance += (unit.area ** 2 / n) * acc
+    return TotalEstimate(
+        total, variance, int(np.count_nonzero(values)), len(values)
+    )
+
+
+def _reference_covariance(x: np.ndarray, y: np.ndarray, sample: Sample) -> float:
+    """The per-unit, per-stratum covariance loop the stratified kernel replaced."""
+    cov = 0.0
+    for unit in sample.units:
+        terms = _unit_terms(unit)
+        n = sum(len(idx) for _, idx, _ in terms)
+        acc = 0.0
+        for _, idx, w in terms:
+            n_h = len(idx)
+            if n_h > 1:
+                xv = x[idx]
+                yv = y[idx]
+                s_xy = float(((xv - xv.mean()) * (yv - yv.mean())).sum() / (n_h - 1))
+            else:
+                s_xy = 0.0
+            acc += (n_h / n) * s_xy * (w + (1.0 - w) / n)
+        cov += (unit.area ** 2 / n) * acc
+    return cov
+
+
+@st.composite
+def _stratified_samples(draw):
+    """A sample of 1-3 units with 1-4 strata each, and two sparse plot series.
+
+    Strata may be empty (weights renormalize) or hold one plot.  Most
+    samples partition the plots; the rest draw each stratum's plots with
+    replacement, so a plot can sit in several strata or in none, as
+    duplicate or dangling assignments allow.
+    """
+    n_plots = draw(st.integers(1, 24))
+    partition = draw(st.booleans())
+    order = draw(st.permutations(range(n_plots)))
+    plots = [
+        PlotRecord(cn=f"P{i:02d}", statecd=9, plot=i, invyr=2018, lat=41.0,
+                   lon=-72.0, remper=None, plot_status_cd=1, designcd=1)
+        for i in range(n_plots)
+    ]
+    units = []
+    for u in range(draw(st.integers(1, 3))):
+        strata = []
+        for h in range(draw(st.integers(1, 4))):
+            if partition:
+                size = draw(st.integers(0, min(6, len(order))))
+                members, order = order[:size], order[size:]
+            else:
+                members = draw(st.lists(st.integers(0, n_plots - 1), max_size=6))
+            weight = draw(st.floats(0.01, 1.0))
+            stratum = Stratum(cn=f"S{u}{h}", estn_unit_cn=f"U{u}", weight=weight,
+                              adj_subp=1.0, adj_micr=1.0, adj_macr=1.0)
+            strata.append((stratum, np.array(sorted(members), dtype=np.intp)))
+        if not any(len(idx) for _, idx in strata):
+            strata[0] = (strata[0][0], np.array([0], dtype=np.intp))
+        area = draw(st.floats(1.0, 1e6))
+        units.append(UnitSlice(f"U{u}", area, strata, sum(len(i) for _, i in strata)))
+    values = st.one_of(st.just(0.0), st.floats(-1e4, 1e4))
+    x = np.array(draw(st.lists(values, min_size=n_plots, max_size=n_plots)))
+    y = np.array(draw(st.lists(values, min_size=n_plots, max_size=n_plots)))
+    return Sample(plots, units, {}, {}), x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stratified_samples())
+def test_kernel_matches_per_stratum_loops(case):
+    sample, x, y = case
+    # Summation order differs, so values agree to 1e-12 relative, with an
+    # absolute floor at 1e-12 of the largest possible term for results that
+    # cancel to nearly zero.
+    big = max(float(np.abs(np.concatenate([x, y])).max()), 1.0)
+    area = sum(unit.area for unit in sample.units)
+    want, got = _reference_total(x, sample), post_stratified_total(x, sample)
+    assert (got.n_nonzero, got.n_plots) == (want.n_nonzero, want.n_plots)
+    assert math.isclose(got.total, want.total, rel_tol=1e-12, abs_tol=1e-12 * area * big)
+    assert math.isclose(
+        got.variance, want.variance, rel_tol=1e-12, abs_tol=1e-12 * (area * big) ** 2
+    )
+    assert math.isclose(
+        post_stratified_covariance(x, y, sample),
+        _reference_covariance(x, y, sample),
+        rel_tol=1e-12,
+        abs_tol=1e-12 * (area * big) ** 2,
+    )
 
 
 # -- ratio_estimate --------------------------------------------------------
