@@ -1,9 +1,13 @@
 """The attribute estimator families.
 
 Each public function here (``tpa``, ``biomass``, ``area``, ...) is a thin
-configuration of the estimation core: it picks the tree/condition selectors,
-the default domains, the output columns, and hands everything to the shared
-post-stratified pipeline.  All families accept the same
+configuration of the estimation core: default domains, output columns and
+a small table of value expressions.  Once per estimate, every domain is
+compiled to a boolean mask over whole columns of the database's column
+view (``ForestDatabase.columns``); the records (or conditions) inside all
+of them become the core's :class:`~timberline.core.Records`, with their
+group-key codes, a weight and the family's value columns.  The core then
+gathers and totals them per sample.  All families accept the same
 :class:`EstimatorRequest` options; unsupported combinations raise
 :class:`~timberline.errors.UsageError` listing every problem at once.
 
@@ -20,24 +24,27 @@ Column semantics worth knowing:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import logging
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
+    ADJUST_CLASSES,
     ComponentSpec,
     EstimateTable,
     GroupCol,
+    Note,
     Plan,
-    PlotContribution,
-    area_key,
+    Records,
     build_sample,
     make_bundle,
     make_classes,
     method_passes,
-    numerator_key,
     rows_from_totals,
     select_family_evals,
 )
@@ -50,7 +57,7 @@ from .model import (
     SUBPLOT,
     TABLES,
     ForestDatabase,
-    record_value,
+    factorize,
 )
 from .panels import METHODS, normalize_lambdas
 from .spatial import emit_spatial
@@ -96,10 +103,8 @@ _GRM_EVALS = (frozenset({"GRM", "CHNG"}),)
 _DWM_EVALS = (frozenset({"DWM"}), frozenset({"VOL"}))
 
 
-def basal_area(dia: float | None) -> float:
-    """Stem basal area in square feet from DBH in inches."""
-    if dia is None:
-        return 0.0
+def basal_area(dia):
+    """Stem basal area in square feet from DBH in inches (arrays too)."""
     return BA_FACTOR * dia * dia
 
 
@@ -162,13 +167,9 @@ def _request(request: EstimatorRequest | None, kw: dict) -> EstimatorRequest:
 # --------------------------------------------------------------------------
 
 
-def _layer_schema(table: str, records) -> dict[str, str]:
+def _layer_schema(db: ForestDatabase, table: str) -> dict[str, str]:
     kinds = dict(TABLES[table].column_kinds())
-    seen: set[str] = set()
-    for rec in records:
-        for name in rec.extras:
-            seen.add(name)
-    for name in seen:
+    for name in db.columns.extra_names(table):
         kinds.setdefault(name, "text")
     return kinds
 
@@ -177,199 +178,78 @@ def _namespace(
     db: ForestDatabase, record_table: str | None
 ) -> tuple[dict[str, str], dict[str, str]]:
     """(column kinds, column -> layer) for a family's full namespace."""
-    layers: list[tuple[str, str, object]] = [
-        ("plot", "PLOT", db.plots),
-        ("cond", "COND", db.conds),
-    ]
+    layers = [("plot", "PLOT"), ("cond", "COND")]
     if record_table is not None:
-        spec = TABLES[record_table]
-        layers.append(("record", record_table, getattr(db, spec.db_field)))
+        layers.append(("record", record_table))
     kinds: dict[str, str] = {}
     layer_of: dict[str, str] = {}
-    for layer, table, records in layers:  # later layers take priority
-        for name, kind in _layer_schema(table, records).items():
+    for layer, table in layers:  # later layers take priority
+        for name, kind in _layer_schema(db, table).items():
             kinds[name] = kind
             layer_of[name] = layer
     return kinds, layer_of
 
 
-def _make_reader(layer_of: Mapping[str, str]):
-    def read(column: str, bundle, record, cond):
-        layer = layer_of.get(column)
-        if layer == "record":
-            src = record
-        elif layer == "cond":
-            src = cond
-        elif layer == "plot":
-            src = bundle.plot
-        else:
-            src = None
-        if src is None:
-            return None
-        return record_value(src, column)
+# --------------------------------------------------------------------------
+# Frames: one table's rows joined to their condition and plot.  A column
+# read through a frame gives one code per row into the column's distinct
+# values (see ``ColumnView``); a name without a layer resolves like a
+# domain column.
+# --------------------------------------------------------------------------
 
-    return read
+_WALK_ORDER = {"TREE": ("plt_cn", "cn"), "COND": ("plt_cn", "condid")}
 
 
-def _holds(dom, read, bundle, record, cond) -> bool:
+class _Frame:
+    def __init__(self, db: ForestDatabase, table: str, layer_of: Mapping[str, str]):
+        view = db.columns
+        own = np.arange(len(view.records(table)))
+        self.view, self.layer_of, self.n = view, layer_of, len(own)
+        self.tables = {"record": table, "cond": "COND", "plot": "PLOT"}
+        self.joins = {"plot": view.plot_rows(table)}
+        self.joins["cond"] = own if table == "COND" else view.cond_rows(table)
+        if table != "COND":
+            self.joins["record"] = own
+        self.order = view.order(table, _WALK_ORDER.get(table, ("plt_cn",)))
+
+    def select(self, keep: np.ndarray) -> "_Frame":
+        """The kept rows in walk order: plot CN, then the table's order in a plot."""
+        rows = self.order[keep[self.order]]
+        out = copy.copy(self)
+        out.joins = {layer: join[rows] for layer, join in self.joins.items()}
+        out.n = len(rows)
+        return out
+
+    def column(self, name: str, layer: str | None = None) -> tuple[np.ndarray, list]:
+        join = self.joins.get(layer or self.layer_of.get(name))
+        if join is None:
+            return np.zeros(self.n, dtype=np.intp), [None]
+        codes, values = self.view.column(self.tables[layer or self.layer_of[name]], name)
+        return codes[join], values
+
+    def map(self, fn: Callable, name: str, layer: str | None = None, dtype=bool) -> np.ndarray:
+        """fn of each row's value, called once per distinct value."""
+        codes, values = self.column(name, layer)
+        return np.array([fn(v) for v in values], dtype=dtype)[codes]
+
+    def num(self, name: str, layer: str | None = None) -> np.ndarray:
+        """The column as floats, null read as 0."""
+        return self.map(lambda v: 0.0 if v is None else v, name, layer, float)
+
+
+def _in_domain(dom, frame: _Frame) -> np.ndarray:
     if dom is None:
-        return True
-    return dom.indicator(lambda col: read(col, bundle, record, cond)) == 1
+        return np.ones(frame.n, dtype=bool)
+    return dom.mask(frame.column, frame.n)[1]
 
 
-def _forest_conds(plan: Plan, bundle):
-    """The plot's forested conditions inside the area domain."""
-    for cond in bundle.conds:
-        if cond.cond_status_cd == FOREST_STATUS and _holds(
-            plan.area_domain, plan.read_area, bundle, None, cond
-        ):
-            yield cond
-
-
-def _forest_records(plan: Plan, bundle, records):
-    """(record, condition) for records on forest land inside every domain.
-
-    Domains are checked base, tree, then area; one left None always holds.
-    """
-    for rec in records:
-        cond = bundle.cond_by_id.get(rec.condid)
-        if cond is None or cond.cond_status_cd != FOREST_STATUS:
-            continue
-        if (
-            _holds(plan.base_domain, plan.read, bundle, rec, cond)
-            and _holds(plan.tree_domain, plan.read, bundle, rec, cond)
-            and _holds(plan.area_domain, plan.read_area, bundle, None, cond)
-        ):
-            yield rec, cond
-
-
-# --------------------------------------------------------------------------
-# Plot walkers.  Each consumes one Bundle and returns the plot's grouped
-# numerators/denominators; the core stratifies and combines them.
-# --------------------------------------------------------------------------
-
-
-def _fill_area_den(plan: Plan, bundle, pc: PlotContribution) -> None:
-    """Forested area within the area domain, the shared ratio denominator."""
-    adj = bundle.stratum.adjustment(SUBPLOT)
-    for cond in _forest_conds(plan, bundle):
-        pc.add_den_area(area_key(plan, bundle, cond), (cond.condprop_unadj or 0.0) * adj)
-
-
-def _walk_trees(plan: Plan, bundle) -> PlotContribution:
-    """Generic tree walker: per-tree selector values times expansion."""
-    pc = PlotContribution()
-    _fill_area_den(plan, bundle, pc)
-    ncomp = len(plan.components)
-    stratum = bundle.stratum
-    for t, cond in _forest_records(plan, bundle, bundle.trees):
-        expand = (t.tpa_unadj or 0.0) * stratum.adjustment(t.sizer)
-        gk = numerator_key(plan, bundle, t, cond)
-        pc.count_record(gk)
-        for i, sel in enumerate(plan.selectors):
-            pc.add_num(gk, i, expand * sel(t), ncomp)
-    return pc
-
-
-def _walk_area(plan: Plan, bundle) -> PlotContribution:
-    """Condition walker for total-area estimation (no ratio denominator)."""
-    pc = PlotContribution()
-    adj = bundle.stratum.adjustment(SUBPLOT)
-    for cond in _forest_conds(plan, bundle):
-        gk = numerator_key(plan, bundle, None, cond)
-        pc.count_record(gk)
-        pc.add_num(gk, 0, (cond.condprop_unadj or 0.0) * adj, 1)
-    return pc
-
-
-def _change_remper(plan: Plan, bundle) -> float | None:
-    remper = bundle.plot.remper
-    if remper is None or remper <= 0:
-        if any(t.component for t in bundle.trees):
-            log.warning(
-                "plot %s has change records but no usable REMPER; skipped",
-                bundle.plot.cn,
-            )
-        return None
-    return remper
-
-
-def _walk_grow_mort(plan: Plan, bundle) -> PlotContribution:
-    """Annualized recruitment / mortality / harvest expansions."""
-    pc = PlotContribution()
-    _fill_area_den(plan, bundle, pc)
-    remper = _change_remper(plan, bundle)
-    if remper is None:
-        return pc
-    stratum = bundle.stratum
-    changes = (t for t in bundle.trees if t.component in ("INGROWTH", "MORTALITY", "CUT"))
-    for t, cond in _forest_records(plan, bundle, changes):
-        adj = stratum.adjustment(t.sizer)
-        gk = numerator_key(plan, bundle, t, cond)
-        pc.count_record(gk)
-        recr = (t.tpagrow_unadj or 0.0) if t.component == "INGROWTH" else 0.0
-        mort = (t.tpamort_unadj or 0.0) if t.component == "MORTALITY" else 0.0
-        remv = (t.tparemv_unadj or 0.0) if t.component == "CUT" else 0.0
-        pc.add_num(gk, 0, recr / remper * adj, 3)
-        pc.add_num(gk, 1, mort / remper * adj, 3)
-        pc.add_num(gk, 2, remv / remper * adj, 3)
-    return pc
-
-
-def _walk_vital_rates(plan: Plan, bundle) -> PlotContribution:
-    """Annual growth of survivor trees, per tree and per acre.
-
-    Previous volume/biomass are not stored on the record, so they are
-    back-scaled from the current value by the squared diameter ratio —
-    the same allometric shortcut used for the per-tree fixtures.
-    """
-    pc = PlotContribution()
-    _fill_area_den(plan, bundle, pc)
-    remper = _change_remper(plan, bundle)
-    if remper is None:
-        return pc
-    stratum = bundle.stratum
-    for t, cond in _forest_records(plan, bundle, bundle.trees):
-        gx = t.tpagrow_unadj if t.tpagrow_unadj is not None else t.tpa_unadj
-        gx = (gx or 0.0) * stratum.adjustment(t.sizer)
-        dia, prev = t.dia, t.prevdia
-        shrink = (prev / dia) ** 2
-        d_dia = (dia - prev) / remper
-        d_ba = (basal_area(dia) - basal_area(prev)) / remper
-        d_vol = (t.volcfnet or 0.0) * (1.0 - shrink) / remper
-        d_bio = (t.drybio_ag or 0.0) / LB_PER_TON * (1.0 - shrink) / remper
-        gk = numerator_key(plan, bundle, t, cond)
-        pc.count_record(gk)
-        for i, v in enumerate((d_dia, d_ba, d_vol, d_bio)):
-            pc.add_num(gk, i, gx * v, 8)
-            pc.add_num(gk, i + 4, gx * v, 8)
-        pc.add_den_tree(gk, gx)
-    return pc
-
-
-def _walk_dwm(plan: Plan, bundle) -> PlotContribution:
-    """Area-weighted per-acre fuel loads, one group per fuel class."""
-    pc = PlotContribution()
-    _fill_area_den(plan, bundle, pc)
-    adj = bundle.stratum.adjustment(SUBPLOT)
-    for rec, cond in _forest_records(plan, bundle, bundle.dwm):
-        weight = (cond.condprop_unadj or 0.0) * adj
-        gk = numerator_key(plan, bundle, rec, cond, family_value=rec.fuel_type)
-        pc.count_record(gk)
-        pc.add_num(gk, 0, (rec.vol_acre or 0.0) * weight, 3)
-        pc.add_num(gk, 1, (rec.bio_acre or 0.0) * weight, 3)
-        pc.add_num(gk, 2, (rec.carb_acre or 0.0) * weight, 3)
-    return pc
-
-
-def _invasive_sampled(plot) -> bool:
+def _invasive_sampled(raw) -> bool:
     """Whether the invasive protocol ran on a plot.
 
     Plots carrying INVASIVE_SAMPLING_STATUS_CD are counted only when it is 1;
     data without the column is assumed fully sampled.
     """
-    raw = plot.extras.get("INVASIVE_SAMPLING_STATUS_CD")
-    if raw in (None, ""):
+    if raw is None:
         return True
     try:
         return float(raw) == 1.0
@@ -377,84 +257,232 @@ def _invasive_sampled(plot) -> bool:
         return False
 
 
-def _walk_invasive(plan: Plan, bundle) -> PlotContribution:
-    """Percent cover of invasive species over protocol-sampled forest area."""
-    pc = PlotContribution()
-    if not _invasive_sampled(bundle.plot):
-        return pc
-    _fill_area_den(plan, bundle, pc)
-    adj = bundle.stratum.adjustment(SUBPLOT)
-    for rec, cond in _forest_records(plan, bundle, bundle.invasives):
-        cover = (rec.cover_pct or 0.0) * (cond.condprop_unadj or 0.0) * adj
-        gk = numerator_key(plan, bundle, rec, cond)
-        pc.count_record(gk)
-        pc.add_num(gk, 0, cover, 1)
-    return pc
+class _Ctx:
+    """What a family's value table reads: its rows, domains and group keys.
 
+    ``area_ok`` marks the conditions on forest land inside the area domain
+    (and on plots the family's protocol sampled).
+    """
 
-def _walk_seedling(plan: Plan, bundle) -> PlotContribution:
-    """Seedling counts expanded from the microplot."""
-    pc = PlotContribution()
-    _fill_area_den(plan, bundle, pc)
-    adj = bundle.stratum.adjustment(MICROPLOT)
-    for s, cond in _forest_records(plan, bundle, bundle.seedlings):
-        gk = numerator_key(plan, bundle, s, cond)
-        pc.count_record(gk)
-        pc.add_num(gk, 0, (s.treecount or 0) * (s.tpa_unadj or 0.0) * adj, 1)
-    return pc
-
-
-def _cond_stage(bundle, cond) -> str | None:
-    """Structural stage of one condition from live basal-area fractions."""
-    pole = mature = late = 0.0
-    for t in bundle.trees:
-        if t.condid != cond.condid or t.statuscd != 1:
-            continue
-        if t.dia is None or t.dia < 5.0:
-            continue
-        ba = basal_area(t.dia) * (t.tpa_unadj or 0.0)
-        if t.dia < POLE_UPPER_DIA:
-            pole += ba
-        elif t.dia < MATURE_UPPER_DIA:
-            mature += ba
-        else:
-            late += ba
-    total = pole + mature + late
-    if total <= 0.0:
-        log.info(
-            "plot %s condition %s has no live basal area; structural stage "
-            "undefined, condition excluded",
-            bundle.plot.cn,
-            cond.condid,
+    def __init__(self, db, fam, req, group_cols, layer_of, area_layers, domains, polys):
+        self.db, self.fam, self.req, self.group_cols = db, fam, req, group_cols
+        self.layer_of, (self.base, self.tree, area) = layer_of, domains
+        self.comps = _components_for(fam, req)
+        self.conds = _Frame(db, "COND", area_layers)
+        self.area_ok = (self.conds.num("COND_STATUS_CD", "cond") == FOREST_STATUS) & _in_domain(
+            area, self.conds
         )
-        return None
-    if pole / total >= STAGE_DOMINANCE:
-        return "POLE"
-    if mature / total >= STAGE_DOMINANCE:
-        return "MATURE"
-    if late / total >= STAGE_DOMINANCE:
-        return "LATE"
-    return "MOSAIC"
+        if fam.plot_gate is not None:
+            self.area_ok &= self.conds.map(fam.plot_gate[1], fam.plot_gate[0], "plot")
+        if polys is not None:
+            codes, names = factorize(polys.get(p.cn) for p in db.plots)
+            self.poly = (np.append(codes, 0), names)
+
+    def records(self, table: str, extra: Callable | None = None) -> _Frame:
+        """The family's records on forest land inside every domain."""
+        f = _Frame(self.db, table, self.layer_of)
+        keep = np.append(self.area_ok, False)[f.joins["cond"]]
+        keep &= _in_domain(self.base, f) & _in_domain(self.tree, f)
+        if extra is not None:
+            keep &= extra(f)
+        return f.select(keep)
+
+    def keys(self, f: _Frame, cols, family) -> tuple[np.ndarray, list[tuple]]:
+        """Group key code of each row, and the key tuples the codes index."""
+        columns = []
+        for col in cols:
+            if col.origin in ("record", "cond", "plot"):
+                columns.append(f.column(col.name, col.origin))
+            elif col.origin == "poly":
+                codes, names = self.poly
+                columns.append((codes[f.joins["plot"]], names))
+            elif col.origin == "species":
+                columns.append(f.column("SPCD", "record"))
+            elif col.origin == "sizeclass":
+                codes, dias = f.column("DIA", "record")
+                labels, names = factorize(make_classes(d) for d in dias)
+                columns.append((labels[codes], names))
+            else:
+                columns.append(family)
+        if not columns:
+            return np.zeros(f.n, dtype=np.intp), [()]
+        rows, key = np.unique(
+            np.column_stack([codes for codes, _ in columns]), axis=0, return_inverse=True
+        )
+        names = [values for _, values in columns]
+        return key.reshape(-1), [tuple(v[c] for v, c in zip(names, r)) for r in rows.tolist()]
+
+    def rows(self, f: _Frame, weight, values, adjust: str | None = None,
+             family=None, cols=None) -> Records:
+        """Records of the rows of ``f``; ``adjust`` None reads each record's SIZER."""
+        key, keys = self.keys(f, self.group_cols if cols is None else cols, family)
+        if adjust is None:
+            size = f.map(lambda v: ADJUST_CLASSES.index(v) if v in ADJUST_CLASSES else 0,
+                         "SIZER", "record", np.intp)
+        else:
+            size = np.full(f.n, ADJUST_CLASSES.index(adjust), dtype=np.intp)
+        table = np.column_stack(values).reshape(f.n, len(values))
+        return Records(f.joins["plot"], key, keys, weight, table, size)
+
+    def area_den(self, keep: np.ndarray | None = None) -> Records:
+        """Forested area within the area domain, the shared ratio denominator."""
+        f = self.conds.select(self.area_ok if keep is None else keep)
+        cols = [col for col in self.group_cols if col.level == "area"]
+        return self.rows(f, f.num("CONDPROP_UNADJ", "cond"), [np.ones(f.n)], SUBPLOT, cols=cols)
+
+    def remper(self) -> tuple[np.ndarray, tuple[Note, ...]]:
+        """Which plots have a usable REMPER, and a note on the change plots without."""
+        view = self.db.columns
+        codes, values = view.column("PLOT", "REMPER")
+        usable = np.array([v is not None and v > 0 for v in values])[codes]
+        plot = view.plot_rows("TREE")
+        codes, values = view.column("TREE", "COMPONENT")
+        changed = np.zeros(len(usable), dtype=bool)
+        changed[plot[np.array([bool(v) for v in values])[codes[:-1]] & (plot >= 0)]] = True
+        return usable, (Note(
+            logging.WARNING, "%d plots have change records but no usable REMPER; skipped",
+            np.flatnonzero(changed & ~usable),
+        ),)
 
 
-def _walk_stand_struct(plan: Plan, bundle) -> PlotContribution:
+# --------------------------------------------------------------------------
+# Value tables.  Each family names its rows, their weight and value columns
+# (a sample multiplies weight by the stratum adjustment, then by each value
+# column) and its denominators; the core sums them per (group, plot).
+# --------------------------------------------------------------------------
+
+_TREE_SELECTORS: dict[str, Callable[[_Frame], np.ndarray]] = {
+    "TPA": lambda f: np.ones(f.n),
+    "BAA": lambda f: basal_area(f.num("DIA")),
+    "NETVOL_ACRE": lambda f: f.num("VOLCFNET"),
+    "SAWVOL_ACRE": lambda f: f.num("VOLCSNET"),
+    "SAWVOL_BF_ACRE": lambda f: f.num("VOLCSNET") * BOARD_FEET_PER_CUFT,
+    "BIO_AG_ACRE": lambda f: f.num("DRYBIO_AG") / LB_PER_TON,
+    "BIO_BG_ACRE": lambda f: f.num("DRYBIO_BG") / LB_PER_TON,
+    "BIO_ACRE": lambda f: (f.num("DRYBIO_AG") + f.num("DRYBIO_BG")) / LB_PER_TON,
+    "CARB_AG_ACRE": lambda f: f.num("CARBON_AG") / LB_PER_TON,
+    "CARB_BG_ACRE": lambda f: f.num("CARBON_BG") / LB_PER_TON,
+    "CARB_ACRE": lambda f: (f.num("CARBON_AG") + f.num("CARBON_BG")) / LB_PER_TON,
+}
+
+
+def _tree_values(ctx: _Ctx) -> dict:
+    """Per-tree selector values times the tree's expansion."""
+    f = ctx.records("TREE")
+    values = [_TREE_SELECTORS[c.name](f) for c in ctx.comps]
+    return dict(num=ctx.rows(f, f.num("TPA_UNADJ"), values), den_area=ctx.area_den())
+
+
+def _area_values(ctx: _Ctx) -> dict:
+    """Forested condition area (a total: no ratio denominator)."""
+    f = ctx.conds.select(ctx.area_ok)
+    return dict(num=ctx.rows(f, f.num("CONDPROP_UNADJ", "cond"), [np.ones(f.n)], SUBPLOT))
+
+
+_CHANGES = ("INGROWTH", "MORTALITY", "CUT")
+_CHANGE_TPA = ("TPAGROW_UNADJ", "TPAMORT_UNADJ", "TPAREMV_UNADJ")
+
+
+def _grow_mort_values(ctx: _Ctx) -> dict:
+    """Annualized recruitment / mortality / harvest expansions."""
+    usable, notes = ctx.remper()
+    f = ctx.records("TREE", lambda f: usable[f.joins["plot"]]
+                    & f.map(_CHANGES.__contains__, "COMPONENT", "record"))
+    remper = f.num("REMPER", "plot")
+    values = [
+        np.where(f.map(lambda v, name=name: v == name, "COMPONENT", "record"), f.num(tpa), 0.0)
+        / remper
+        for name, tpa in zip(_CHANGES, _CHANGE_TPA)
+    ]
+    return dict(num=ctx.rows(f, np.ones(f.n), values), den_area=ctx.area_den(), notes=notes)
+
+
+def _vital_rates_values(ctx: _Ctx) -> dict:
+    """Annual growth of survivor trees, per tree and per acre.
+
+    Previous volume/biomass are not stored on the record, so they are
+    back-scaled from the current value by the squared diameter ratio —
+    the same allometric shortcut used for the per-tree fixtures.
+    """
+    usable, notes = ctx.remper()
+    f = ctx.records("TREE", lambda f: usable[f.joins["plot"]])
+    remper, dia, prev = f.num("REMPER", "plot"), f.num("DIA"), f.num("PREVDIA")
+    gx = np.where(f.map(lambda v: v is not None, "TPAGROW_UNADJ"),
+                  f.num("TPAGROW_UNADJ"), f.num("TPA_UNADJ"))
+    shrink = (prev / dia) ** 2
+    growth = [
+        (dia - prev) / remper,
+        (basal_area(dia) - basal_area(prev)) / remper,
+        f.num("VOLCFNET") * (1.0 - shrink) / remper,
+        f.num("DRYBIO_AG") / LB_PER_TON * (1.0 - shrink) / remper,
+    ]
+    num = ctx.rows(f, gx, growth + growth)
+    return dict(num=num, den_tree=dataclasses.replace(num, values=np.ones((f.n, 1))),
+                den_area=ctx.area_den(), notes=notes)
+
+
+def _dwm_values(ctx: _Ctx) -> dict:
+    """Area-weighted per-acre fuel loads, one group per fuel class."""
+    f = ctx.records("COND_DWM_CALC")
+    values = [f.num(name) for name in ("VOL_ACRE", "BIO_ACRE", "CARB_ACRE")]
+    num = ctx.rows(f, f.num("CONDPROP_UNADJ", "cond"), values, SUBPLOT,
+                   family=f.column("FUEL_TYPE", "record"))
+    return dict(num=num, den_area=ctx.area_den())
+
+
+def _invasive_values(ctx: _Ctx) -> dict:
+    """Percent cover of invasive species over protocol-sampled forest area."""
+    f = ctx.records("INVASIVE_SUBPLOT_SPP")
+    weight = f.num("COVER_PCT") * f.num("CONDPROP_UNADJ", "cond")
+    return dict(num=ctx.rows(f, weight, [np.ones(f.n)], SUBPLOT), den_area=ctx.area_den())
+
+
+def _seedling_values(ctx: _Ctx) -> dict:
+    """Seedling counts expanded from the microplot."""
+    f = ctx.records("SEEDLING")
+    weight = f.num("TREECOUNT") * f.num("TPA_UNADJ")
+    return dict(num=ctx.rows(f, weight, [np.ones(f.n)], MICROPLOT), den_area=ctx.area_den())
+
+
+def _stages(db: ForestDatabase) -> tuple[np.ndarray, list]:
+    """Structural stage code of every condition row (plus a null slot), and names.
+
+    A condition's live basal area per diameter class is summed over its
+    live trees of at least 5 inches.
+    """
+    f = _Frame(db, "TREE", {})
+    f = f.select(f.map(lambda v: v == 1, "STATUSCD", "record")
+                 & f.map(lambda v: v is not None and v >= 5.0, "DIA", "record")
+                 & (f.joins["cond"] >= 0))
+    dia = f.num("DIA", "record")
+    ba = basal_area(dia) * f.num("TPA_UNADJ", "record")
+    size = np.where(dia < POLE_UPPER_DIA, 0, np.where(dia < MATURE_UPPER_DIA, 1, 2))
+    sums = np.bincount(f.joins["cond"] * 3 + size, ba, minlength=3 * len(db.conds))
+    pole, mature, late = sums.reshape(len(db.conds), 3).T
+    total = pole + mature + late
+    share = np.where(total > 0.0, total, 1.0)
+    stage = np.select(
+        [total <= 0.0, pole / share >= STAGE_DOMINANCE, mature / share >= STAGE_DOMINANCE,
+         late / share >= STAGE_DOMINANCE], [0, 1, 2, 3], 4)
+    canonical = db.columns.cond_rows("COND")  # duplicate conditions share their trees
+    return np.append(stage[canonical], 0), [None, *STAGES]
+
+
+def _stand_struct_values(ctx: _Ctx) -> dict:
     """Share of forested area per structural stage.
 
     The denominator covers only conditions with a defined stage, which is
     what makes the emitted percentages sum to exactly 100 per group.
     """
-    pc = PlotContribution()
-    adj = bundle.stratum.adjustment(SUBPLOT)
-    for cond in _forest_conds(plan, bundle):
-        stage = _cond_stage(bundle, cond)
-        if stage is None:
-            continue
-        weight = (cond.condprop_unadj or 0.0) * adj
-        gk = numerator_key(plan, bundle, None, cond, family_value=stage)
-        pc.count_record(gk)
-        pc.add_num(gk, 0, 100.0 * weight, 1)
-        pc.add_den_area(area_key(plan, bundle, cond), weight)
-    return pc
+    codes, names = _stages(ctx.db)
+    staged = ctx.area_ok & (codes[:-1] != 0)
+    f = ctx.conds.select(staged)
+    num = ctx.rows(f, f.num("CONDPROP_UNADJ", "cond"), [np.full(f.n, 100.0)], SUBPLOT,
+                   family=(codes[f.joins["cond"]], names))
+    note = Note(logging.INFO, "%d forested conditions have no live basal area; structural "
+                "stage undefined, conditions excluded",
+                ctx.conds.joins["plot"][ctx.area_ok & (codes[:-1] == 0)])
+    return dict(num=num, den_area=ctx.area_den(staged), notes=(note,))
 
 
 def _shannon(abundances) -> tuple[float, int, float]:
@@ -476,46 +504,39 @@ def _shannon(abundances) -> tuple[float, int, float]:
     return h, s, eh
 
 
-def _walk_diversity(plan: Plan, bundle) -> PlotContribution:
-    """Per-plot diversity indices, weighted by the plot's forested area."""
-    pc = PlotContribution()
-    _fill_area_den(plan, bundle, pc)
-    (abundance,) = plan.selectors
-    stratum = bundle.stratum
-    grouped: dict[tuple, dict[int | None, float]] = {}
-    for t, cond in _forest_records(plan, bundle, bundle.trees):
-        a = abundance(t) * (t.tpa_unadj or 0.0) * stratum.adjustment(t.sizer)
-        gk = numerator_key(plan, bundle, t, cond)
-        pc.count_record(gk)
-        by_sp = grouped.setdefault(gk, {})
-        by_sp[t.spcd] = by_sp.get(t.spcd, 0.0) + a
-    for gk, by_sp in grouped.items():
-        x = pc.den_area.get(plan.area_projection(gk), 0.0)
-        h, s, eh = _shannon(by_sp.values())
-        pc.add_num(gk, 0, h * x, 4)
-        pc.add_num(gk, 1, s * x, 4)
-        pc.add_num(gk, 2, eh * x, 4)
-        pc.add_num(gk, 3, sum(by_sp.values()), 4)
-    return pc
+def _diversity_values(ctx: _Ctx) -> dict:
+    """Per-plot diversity indices, weighted by the plot's forested area.
+
+    A sample's entries get H, S and Eh from their trees' abundance per
+    species, times the entry's forested area; the companion records give
+    the species abundance totals behind the pooled indices.
+    """
+    f = ctx.records("TREE")
+    abundance = _TREE_SELECTORS["BAA" if ctx.req.basis == "BA" else "TPA"](f)
+    tpa = f.num("TPA_UNADJ")
+    species, names = f.column("SPCD", "record")
+
+    def reduce(bundle) -> np.ndarray:
+        num, m = bundle.num, len(bundle.num.key)
+        pair, inverse = np.unique(num.entry * len(names) + species[num.rows], return_inverse=True)
+        a = np.bincount(inverse, num.expand)
+        entry = pair // len(names)
+        e, a_pos = entry[a > 0], a[a > 0]
+        p = a_pos / np.bincount(e, a_pos, minlength=m)[e]
+        h = -np.bincount(e, p * np.log(p), minlength=m)
+        s = np.bincount(e, minlength=m)
+        eh = np.where(s > 1, h / np.log(np.maximum(s, 2)), 0.0)
+        x = bundle.den_area.at(bundle.area_of[num.key], num.plot)
+        return np.column_stack([h * x, s * x, eh * x, np.bincount(entry, a, minlength=m)])
+
+    species_cols = ctx.group_cols + (GroupCol("SPCD", "tree", "species"),)
+    return dict(num=ctx.rows(f, abundance * tpa, [np.ones(f.n)]), den_area=ctx.area_den(),
+                reduce=reduce, companion=ctx.rows(f, tpa, [abundance], cols=species_cols))
 
 
 # --------------------------------------------------------------------------
 # Family descriptions.
 # --------------------------------------------------------------------------
-
-_TREE_SELECTORS: dict[str, Callable] = {
-    "TPA": lambda t: 1.0,
-    "BAA": lambda t: basal_area(t.dia),
-    "NETVOL_ACRE": lambda t: t.volcfnet or 0.0,
-    "SAWVOL_ACRE": lambda t: t.volcsnet or 0.0,
-    "SAWVOL_BF_ACRE": lambda t: (t.volcsnet or 0.0) * BOARD_FEET_PER_CUFT,
-    "BIO_AG_ACRE": lambda t: (t.drybio_ag or 0.0) / LB_PER_TON,
-    "BIO_BG_ACRE": lambda t: (t.drybio_bg or 0.0) / LB_PER_TON,
-    "BIO_ACRE": lambda t: ((t.drybio_ag or 0.0) + (t.drybio_bg or 0.0)) / LB_PER_TON,
-    "CARB_AG_ACRE": lambda t: (t.carbon_ag or 0.0) / LB_PER_TON,
-    "CARB_BG_ACRE": lambda t: (t.carbon_bg or 0.0) / LB_PER_TON,
-    "CARB_ACRE": lambda t: ((t.carbon_ag or 0.0) + (t.carbon_bg or 0.0)) / LB_PER_TON,
-}
 
 
 def _area_comps(*names: str) -> tuple[ComponentSpec, ...]:
@@ -529,7 +550,7 @@ class Family:
     name: str
     type_sets: tuple[frozenset[str], ...]
     record_table: str | None
-    walker: Callable
+    values: Callable[[_Ctx], dict]
     components: tuple[ComponentSpec, ...]
     nplots: tuple[tuple[str, str], ...]
     supports: frozenset[str]
@@ -539,155 +560,53 @@ class Family:
     byplot_ok: bool = True
     byplot_names: tuple[str, ...] | None = None
     wide: bool = False
+    plot_gate: tuple[str, Callable] | None = None  # (plot column, test of its value)
+    hidden: tuple[str, ...] = ()
 
 
 _LIVE_GE_1 = "STATUSCD == 1 & DIA >= 1.0"
-
-_TPA_FAMILY = Family(
-    name="tpa",
-    type_sets=_VOL_EVALS,
-    record_table="TREE",
-    walker=_walk_trees,
-    components=_area_comps("TPA", "BAA"),
-    nplots=(("nPlots_TREE", "num"), ("nPlots_AREA", "den")),
-    supports=frozenset({"treeDomain", "areaDomain", "bySpecies", "bySizeClass"}),
-    base_domain=_LIVE_GE_1,
-)
-
-_BIOMASS_COLUMNS = (
-    "NETVOL_ACRE",
-    "SAWVOL_ACRE",
-    "BIO_AG_ACRE",
-    "BIO_BG_ACRE",
-    "BIO_ACRE",
-    "CARB_AG_ACRE",
-    "CARB_BG_ACRE",
-    "CARB_ACRE",
-)
-
-_BIOMASS_FAMILY = Family(
-    name="biomass",
-    type_sets=_VOL_EVALS,
-    record_table="TREE",
-    walker=_walk_trees,
-    components=_area_comps(*_BIOMASS_COLUMNS),
-    nplots=(("nPlots_VOL", "num"), ("nPlots_AREA", "den")),
-    supports=frozenset(
-        {"treeDomain", "areaDomain", "bySpecies", "bySizeClass", "boardFeet"}
-    ),
-    base_domain=_LIVE_GE_1,
-)
-
-_AREA_FAMILY = Family(
-    name="area",
-    type_sets=_VOL_EVALS,
-    record_table=None,
-    walker=_walk_area,
-    components=(ComponentSpec("AREA_TOTAL", "none"),),
-    nplots=(("nPlots_AREA", "num"),),
-    supports=frozenset({"areaDomain"}),
-    byplot_names=("PROP_FOREST",),
-)
-
-_GROW_MORT_FAMILY = Family(
-    name="growMort",
-    type_sets=_GRM_EVALS,
-    record_table="TREE",
-    walker=_walk_grow_mort,
-    components=_area_comps("RECR_TPA", "MORT_TPA", "REMV_TPA"),
-    nplots=(("nPlots_TREE", "num"), ("nPlots_AREA", "den")),
-    supports=frozenset({"treeDomain", "areaDomain", "bySpecies", "bySizeClass"}),
-    base_domain="DIA >= 5.0",
-)
-
+_TREE_NPLOTS = (("nPlots_TREE", "num"), ("nPlots_AREA", "den"))
+_TREE_OPTIONS = frozenset({"treeDomain", "areaDomain", "bySpecies", "bySizeClass"})
+_BIOMASS_COLUMNS = ("NETVOL_ACRE", "SAWVOL_ACRE", "BIO_AG_ACRE", "BIO_BG_ACRE", "BIO_ACRE",
+                    "CARB_AG_ACRE", "CARB_BG_ACRE", "CARB_ACRE")
 _VITAL_COLUMNS = ("DIA_GROW", "BA_GROW", "NETVOL_GROW", "BIO_GROW")
 
-_VITAL_RATES_FAMILY = Family(
-    name="vitalRates",
-    type_sets=_GRM_EVALS,
-    record_table="TREE",
-    walker=_walk_vital_rates,
-    components=tuple(ComponentSpec(n, "trees") for n in _VITAL_COLUMNS)
-    + _area_comps(*(n + "_AC" for n in _VITAL_COLUMNS)),
-    nplots=(("nPlots_TREE", "num"), ("nPlots_AREA", "den")),
-    supports=frozenset({"treeDomain", "areaDomain", "bySpecies", "bySizeClass"}),
-    base_domain="COMPONENT == 'SURVIVOR' & DIA >= 5.0 & PREVDIA > 0",
-)
-
-_DWM_FAMILY = Family(
-    name="dwm",
-    type_sets=_DWM_EVALS,
-    record_table="COND_DWM_CALC",
-    walker=_walk_dwm,
-    components=_area_comps("VOL_ACRE", "BIO_ACRE", "CARB_ACRE"),
-    nplots=(("nPlots_DWM", "num"), ("nPlots_AREA", "den")),
-    supports=frozenset({"areaDomain", "tidy"}),
-    family_group=GroupCol("FUEL_TYPE", "tree", "family", categorical=FUEL_TYPES),
-    byplot_ok=False,
-    wide=True,
-)
-
-_DIVERSITY_FAMILY = Family(
-    name="diversity",
-    type_sets=_VOL_EVALS,
-    record_table="TREE",
-    walker=_walk_diversity,
-    components=_area_comps("H", "S", "Eh") + (ComponentSpec("_ABUND", "area"),),
-    nplots=(("nPlots_TREE", "num"), ("nPlots_AREA", "den")),
-    supports=frozenset({"treeDomain", "areaDomain", "bySizeClass", "basis"}),
-    base_domain=_LIVE_GE_1,
-)
-
-_INVASIVE_FAMILY = Family(
-    name="invasive",
-    type_sets=_VOL_EVALS,
-    record_table="INVASIVE_SUBPLOT_SPP",
-    walker=_walk_invasive,
-    components=_area_comps("COVER_PCT"),
-    nplots=(("nPlots_INV", "num"), ("nPlots_AREA", "den")),
-    supports=frozenset({"areaDomain"}),
-    species_default=True,
-    byplot_ok=False,
-)
-
-_SEEDLING_FAMILY = Family(
-    name="seedling",
-    type_sets=_VOL_EVALS,
-    record_table="SEEDLING",
-    walker=_walk_seedling,
-    components=_area_comps("TPA"),
-    nplots=(("nPlots_TREE", "num"), ("nPlots_AREA", "den")),
-    supports=frozenset({"treeDomain", "areaDomain", "bySpecies"}),
-)
-
-_STAND_STRUCT_FAMILY = Family(
-    name="standStruct",
-    type_sets=_VOL_EVALS,
-    record_table=None,
-    walker=_walk_stand_struct,
-    components=_area_comps("PERC_AREA"),
-    nplots=(("nPlots", "den"),),
-    supports=frozenset({"areaDomain", "tidy"}),
-    family_group=GroupCol("STAGE", "tree", "family", categorical=STAGES),
-    byplot_ok=False,
-    wide=True,
-)
-
-FAMILIES: dict[str, Family] = {
-    f.name: f
-    for f in (
-        _TPA_FAMILY,
-        _BIOMASS_FAMILY,
-        _AREA_FAMILY,
-        _GROW_MORT_FAMILY,
-        _VITAL_RATES_FAMILY,
-        _DWM_FAMILY,
-        _DIVERSITY_FAMILY,
-        _INVASIVE_FAMILY,
-        _SEEDLING_FAMILY,
-        _STAND_STRUCT_FAMILY,
-    )
-}
+FAMILIES: dict[str, Family] = {f.name: f for f in (
+    Family("tpa", _VOL_EVALS, "TREE", _tree_values, _area_comps("TPA", "BAA"),
+           _TREE_NPLOTS, _TREE_OPTIONS, base_domain=_LIVE_GE_1),
+    Family("biomass", _VOL_EVALS, "TREE", _tree_values, _area_comps(*_BIOMASS_COLUMNS),
+           (("nPlots_VOL", "num"), ("nPlots_AREA", "den")), _TREE_OPTIONS | {"boardFeet"},
+           base_domain=_LIVE_GE_1),
+    Family("area", _VOL_EVALS, None, _area_values, (ComponentSpec("AREA_TOTAL", "none"),),
+           (("nPlots_AREA", "num"),), frozenset({"areaDomain"}),
+           byplot_names=("PROP_FOREST",)),
+    Family("growMort", _GRM_EVALS, "TREE", _grow_mort_values,
+           _area_comps("RECR_TPA", "MORT_TPA", "REMV_TPA"), _TREE_NPLOTS, _TREE_OPTIONS,
+           base_domain="DIA >= 5.0"),
+    Family("vitalRates", _GRM_EVALS, "TREE", _vital_rates_values,
+           tuple(ComponentSpec(n, "trees") for n in _VITAL_COLUMNS)
+           + _area_comps(*(n + "_AC" for n in _VITAL_COLUMNS)), _TREE_NPLOTS, _TREE_OPTIONS,
+           base_domain="COMPONENT == 'SURVIVOR' & DIA >= 5.0 & PREVDIA > 0"),
+    Family("dwm", _DWM_EVALS, "COND_DWM_CALC", _dwm_values,
+           _area_comps("VOL_ACRE", "BIO_ACRE", "CARB_ACRE"),
+           (("nPlots_DWM", "num"), ("nPlots_AREA", "den")), frozenset({"areaDomain", "tidy"}),
+           family_group=GroupCol("FUEL_TYPE", "tree", "family", categorical=FUEL_TYPES),
+           byplot_ok=False, wide=True),
+    Family("diversity", _VOL_EVALS, "TREE", _diversity_values,
+           _area_comps("H", "S", "Eh", "_ABUND"), _TREE_NPLOTS,
+           frozenset({"treeDomain", "areaDomain", "bySizeClass", "basis"}),
+           base_domain=_LIVE_GE_1, hidden=("_ABUND",)),
+    Family("invasive", _VOL_EVALS, "INVASIVE_SUBPLOT_SPP", _invasive_values,
+           _area_comps("COVER_PCT"), (("nPlots_INV", "num"), ("nPlots_AREA", "den")),
+           frozenset({"areaDomain"}), species_default=True, byplot_ok=False,
+           plot_gate=("INVASIVE_SAMPLING_STATUS_CD", _invasive_sampled)),
+    Family("seedling", _VOL_EVALS, "SEEDLING", _seedling_values, _area_comps("TPA"),
+           _TREE_NPLOTS, frozenset({"treeDomain", "areaDomain", "bySpecies"})),
+    Family("standStruct", _VOL_EVALS, None, _stand_struct_values, _area_comps("PERC_AREA"),
+           (("nPlots", "den"),), frozenset({"areaDomain", "tidy"}),
+           family_group=GroupCol("STAGE", "tree", "family", categorical=STAGES),
+           byplot_ok=False, wide=True),
+)}
 
 
 # --------------------------------------------------------------------------
@@ -778,59 +697,35 @@ def _build_plans(
     area_kinds, area_layers = _namespace(db, None)
     group_cols, species_on = _build_group_cols(fam, req, layer_of)
 
-    tree_dom = bind_domain(req.tree_domain, kinds) if req.tree_domain else None
-    area_dom = bind_domain(req.area_domain, area_kinds) if req.area_domain else None
-    base_dom = bind_domain(fam.base_domain, kinds) if fam.base_domain else None
-
+    domains = (
+        bind_domain(fam.base_domain, kinds) if fam.base_domain else None,
+        bind_domain(req.tree_domain, kinds) if req.tree_domain else None,
+        bind_domain(req.area_domain, area_kinds) if req.area_domain else None,
+    )
     decoration = None
     if species_on:
         decoration = {
             sp.spcd: (sp.common_name, sp.scientific_name) for sp in db.species
         }
+    polys = _assign_plots(db.plots, req.polys) if req.polys is not None else None
 
-    poly_assign = _assign_plots(db.plots, req.polys) if req.polys is not None else None
-
-    comps = _components_for(fam, req)
-    selectors: tuple[Callable, ...] = ()
-    hidden: tuple[str, ...] = ()
-    if fam.walker is _walk_trees:
-        selectors = tuple(_TREE_SELECTORS[c.name] for c in comps)
-    if fam.name == "diversity":
-        selectors = (_TREE_SELECTORS["BAA" if req.basis == "BA" else "TPA"],)
-        hidden = ("_ABUND",)
-
-    plan = Plan(
+    ctx = _Ctx(db, fam, req, group_cols, layer_of, area_layers, domains, polys)
+    fields = fam.values(ctx)
+    companion = fields.pop("companion", None)
+    plans = [Plan(
         family=fam.name,
-        components=comps,
-        eval_plot=fam.walker,
+        components=ctx.comps,
         group_cols=group_cols,
-        tree_domain=tree_dom,
-        area_domain=area_dom,
-        base_domain=base_dom,
-        poly_assign=poly_assign,
         species_decoration=decoration,
         nplots_cols=fam.nplots,
-        read=_make_reader(layer_of),
-        read_area=_make_reader(area_layers),
-        selectors=selectors,
-        hidden_components=hidden,
+        hidden_components=fam.hidden,
         emit_variance=req.variance,
-    )
-    plans = [plan]
-
-    if fam.name == "diversity":
-        # Companion pass: species abundance totals feeding the pooled indices.
-        sp_cols = group_cols + (GroupCol("SPCD", "tree", "species"),)
-        plans.append(
-            dataclasses.replace(
-                plan,
-                components=(ComponentSpec("_SP_ABUND", "none"),),
-                eval_plot=_walk_trees,
-                group_cols=sp_cols,
-                species_decoration=None,
-                nplots_cols=(),
-            )
-        )
+        **fields,
+    )]
+    if companion is not None:
+        # Species abundance totals feeding the pooled indices.
+        plans.append(Plan(fam.name, (ComponentSpec("_SP_ABUND", "none"),), companion,
+                          group_cols + (GroupCol("SPCD", "tree", "species"),)))
     return plans
 
 
@@ -957,44 +852,41 @@ def _by_plot_table(
 ) -> EstimateTable:
     """Raw per-plot values: one row per plot visit (and group), no variance."""
     plan = plans[0]
-    comp_names = list(
-        fam.byplot_names
-        or [c.name for c in _visible_components(plan)]
-    )
+    visible = [i for i, c in enumerate(plan.components) if c.name not in plan.hidden_components]
+    comp_names = list(fam.byplot_names or [plan.components[i].name for i in visible])
     groups = select_family_evals(db, fam.type_sets, fam.name)
     rows: list[dict] = []
     seen: set[tuple] = set()
     for evals in groups:
         sample = build_sample(db, evals)
-        for i, plot in enumerate(sample.plots):
-            year = sample.panel_years.get(plot.cn, plot.invyr)
-            if (plot.cn, year) in seen:
+        visits = [(p.cn, sample.panel_years.get(p.cn, p.invyr)) for p in sample.plots]
+        fresh = [visit not in seen for visit in visits]
+        seen.update(visits)
+        bundle = make_bundle(db, plan, sample)
+        num = bundle.num
+        dens = {
+            "area": bundle.den_area.at(bundle.area_of[num.key], num.plot).tolist(),
+            "trees": bundle.den_tree.at(bundle.tree_of[num.key], num.plot).tolist(),
+        }
+        entries = zip(num.key.tolist(), num.plot.tolist(), num.values.tolist(), num.count.tolist())
+        for e, (k, i, values, count) in enumerate(entries):
+            if not fresh[i]:
                 continue
-            seen.add((plot.cn, year))
-            bundle = make_bundle(db, plan, sample, i)
-            pc = plan.eval_plot(plan, bundle)
-            keys = sorted(pc.num, key=lambda gk: tuple(repr(v) for v in gk))
-            for gk in keys:
-                row: dict[str, object] = {"YEAR": year, "PLT_CN": plot.cn}
-                for gc, v in zip(plan.group_cols, gk):
-                    row[gc.name] = v
-                    if gc.origin == "species" and plan.species_decoration is not None:
-                        names = plan.species_decoration.get(v, (None, None))
-                        row["COMMON_NAME"], row["SCIENTIFIC_NAME"] = names
-                values = pc.num[gk]
-                for name, comp, value in zip(
-                    comp_names, _visible_components(plan), values
-                ):
-                    if comp.den == "area":
-                        den = pc.den_area.get(plan.area_projection(gk), 0.0)
-                        row[name] = value / den if den > 0 else None
-                    elif comp.den == "trees":
-                        den = pc.den_tree.get(gk, 0.0)
-                        row[name] = value / den if den > 0 else None
-                    else:
-                        row[name] = value
-                row["nStems"] = pc.nrec.get(gk, 0)
-                rows.append(row)
+            row: dict[str, object] = {"YEAR": visits[i][1], "PLT_CN": visits[i][0]}
+            for gc, v in zip(plan.group_cols, num.keys[k]):
+                row[gc.name] = v
+                if gc.origin == "species" and plan.species_decoration is not None:
+                    names = plan.species_decoration.get(v, (None, None))
+                    row["COMMON_NAME"], row["SCIENTIFIC_NAME"] = names
+            for name, c in zip(comp_names, visible):
+                kind = plan.components[c].den
+                if kind == "none":
+                    row[name] = values[c]
+                else:
+                    den = dens[kind][e]
+                    row[name] = values[c] / den if den > 0 else None
+            row["nStems"] = count
+            rows.append(row)
     rows.sort(
         key=lambda r: (
             r["YEAR"],
@@ -1067,7 +959,7 @@ def tpa(db: ForestDatabase, request: EstimatorRequest | None = None, **kw):
 
     Default tree domain: live stems with DIA >= 1.0 inch.
     """
-    return run_family(db, _TPA_FAMILY, _request(request, kw))
+    return run_family(db, FAMILIES["tpa"], _request(request, kw))
 
 
 def biomass(db: ForestDatabase, request: EstimatorRequest | None = None, **kw):
@@ -1077,12 +969,12 @@ def biomass(db: ForestDatabase, request: EstimatorRequest | None = None, **kw):
     ``board_feet=True`` for an extra sawlog column at 12 board feet per
     cubic foot.
     """
-    return run_family(db, _BIOMASS_FAMILY, _request(request, kw))
+    return run_family(db, FAMILIES["biomass"], _request(request, kw))
 
 
 def area(db: ForestDatabase, request: EstimatorRequest | None = None, **kw):
     """Total forested acres (a total, not a per-acre ratio)."""
-    return run_family(db, _AREA_FAMILY, _request(request, kw))
+    return run_family(db, FAMILIES["area"], _request(request, kw))
 
 
 def grow_mort(db: ForestDatabase, request: EstimatorRequest | None = None, **kw):
@@ -1091,17 +983,17 @@ def grow_mort(db: ForestDatabase, request: EstimatorRequest | None = None, **kw)
     Needs a change evaluation; component expansions are divided by the plot
     remeasurement period.
     """
-    return run_family(db, _GROW_MORT_FAMILY, _request(request, kw))
+    return run_family(db, FAMILIES["growMort"], _request(request, kw))
 
 
 def vital_rates(db: ForestDatabase, request: EstimatorRequest | None = None, **kw):
     """Annual growth of survivor trees, per tree and per acre."""
-    return run_family(db, _VITAL_RATES_FAMILY, _request(request, kw))
+    return run_family(db, FAMILIES["vitalRates"], _request(request, kw))
 
 
 def dwm(db: ForestDatabase, request: EstimatorRequest | None = None, **kw):
     """Down woody material volume, biomass, and carbon per acre by fuel class."""
-    return run_family(db, _DWM_FAMILY, _request(request, kw))
+    return run_family(db, FAMILIES["dwm"], _request(request, kw))
 
 
 def diversity(db: ForestDatabase, request: EstimatorRequest | None = None, **kw):
@@ -1111,17 +1003,17 @@ def diversity(db: ForestDatabase, request: EstimatorRequest | None = None, **kw)
     columns recompute the indices from the estimated abundance totals.
     ``basis`` picks the abundance measure: "BA" (default) or "TPA".
     """
-    return run_family(db, _DIVERSITY_FAMILY, _request(request, kw))
+    return run_family(db, FAMILIES["diversity"], _request(request, kw))
 
 
 def invasive(db: ForestDatabase, request: EstimatorRequest | None = None, **kw):
     """Percent cover by invasive species over protocol-sampled forest area."""
-    return run_family(db, _INVASIVE_FAMILY, _request(request, kw))
+    return run_family(db, FAMILIES["invasive"], _request(request, kw))
 
 
 def seedling(db: ForestDatabase, request: EstimatorRequest | None = None, **kw):
     """Seedlings per acre from microplot counts."""
-    return run_family(db, _SEEDLING_FAMILY, _request(request, kw))
+    return run_family(db, FAMILIES["seedling"], _request(request, kw))
 
 
 def stand_struct(db: ForestDatabase, request: EstimatorRequest | None = None, **kw):
@@ -1132,4 +1024,4 @@ def stand_struct(db: ForestDatabase, request: EstimatorRequest | None = None, **
     Conditions with no live basal area have no stage and are excluded from
     both numerator and denominator, so percentages sum to 100.
     """
-    return run_family(db, _STAND_STRUCT_FAMILY, _request(request, kw))
+    return run_family(db, FAMILIES["standStruct"], _request(request, kw))

@@ -22,12 +22,18 @@ plot's value out of the numerator (and, for area-level groups, out of the
 denominator) but never changes n, n_h, or the strata, which keeps group
 totals exactly additive.
 
-These formulas live in one place.  :class:`_Strata` holds each stratum's
-constants (n_h, A * W_h and the variance weight), and :class:`_Cells` sums
-plot values per (group, stratum) cell with ``np.bincount``, so one pass
-gets the totals, variances and covariances of every group and component at
-once.  :func:`post_stratified_total` and :func:`post_stratified_covariance`
-are one-series wrappers over the same kernel.
+One columnar pass per sample computes all of it.  A :class:`Plan` holds
+each variable (numerator, area denominator, tree denominator) as
+:class:`Records`: the rows inside every domain, over the whole database,
+with their plot, group-key code, weight and value columns.  Per sample,
+:func:`make_bundle` gathers the rows on the sample's plots, multiplies in
+each plot's stratum adjustment factor and sums them per (group, plot) with
+``np.bincount`` into :class:`Entries`.  :class:`_Strata` holds each
+stratum's constants (n_h, A * W_h and the variance weight) and
+:class:`_Cells` sums entries per (group, stratum) cell, so one call gets
+the totals, variances and covariances of every group and component.
+:func:`post_stratified_total` and :func:`post_stratified_covariance` are
+one-series wrappers over the same kernel.
 
 Multi-panel designs estimate each yearly panel separately and combine the
 per-panel totals with the weights from :mod:`timberline.panels`; panels are
@@ -38,20 +44,20 @@ from __future__ import annotations
 
 import logging
 import math
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .domain import BoundDomain
 from .errors import EstimationError
 from .model import (
+    MACROPLOT,
+    MICROPLOT,
+    SUBPLOT,
     Evaluation,
     ForestDatabase,
     PlotRecord,
     Stratum,
-    record_value,
 )
 from .panels import (
     DEFAULT_LAMBDA,
@@ -73,8 +79,11 @@ __all__ = [
     "Plan",
     "GroupCol",
     "ComponentSpec",
-    "PlotContribution",
+    "Records",
+    "Note",
+    "Entries",
     "Bundle",
+    "make_bundle",
     "PassTotals",
     "compute_pass",
     "combine_passes",
@@ -109,6 +118,7 @@ class UnitSlice:
     n: int
 
 
+@dataclass
 class Sample:
     """The plots of one evaluation group (optionally one panel), stratified.
 
@@ -116,12 +126,10 @@ class Sample:
     order, which is what makes output independent of record order.
     """
 
-    def __init__(self, plots: list[PlotRecord], units: list[UnitSlice],
-                 stratum_of: dict[str, Stratum], panel_years: dict[str, int]):
-        self.plots = plots
-        self.units = units
-        self.stratum_of = stratum_of
-        self.panel_years = panel_years
+    plots: list[PlotRecord]
+    units: list[UnitSlice]
+    stratum_of: dict[str, Stratum]
+    panel_years: dict[str, int]
 
     @property
     def n_plots(self) -> int:
@@ -138,7 +146,8 @@ def build_sample(
     ``years`` restricts to specific measurement panels (assignment INVYR,
     falling back to plot INVYR).  Assignments pointing at plots missing from
     the database are a hard error: a sampled plot the estimator cannot see
-    would silently bias every mean.
+    would silently bias every mean.  So is a plot assigned more than once
+    in one evaluation, which would count it twice in n and n_h.
     """
     year_set = set(years) if years is not None else None
     plots: dict[str, PlotRecord] = {}
@@ -147,7 +156,16 @@ def build_sample(
     per_unit: dict[str, dict[str, list[str]]] = {}
 
     for ev in evals:
-        for assgn in db.assignments_by_eval.get(ev.evalid, ()):
+        assignments = db.assignments_by_eval.get(ev.evalid, ())
+        assigned: set[str] = set()
+        for assgn in assignments:
+            if assgn.plt_cn in assigned:
+                strata = [a.stratum_cn for a in assignments if a.plt_cn == assgn.plt_cn]
+                raise EstimationError(
+                    f"evaluation {ev.evalid} assigns plot {assgn.plt_cn} more than once "
+                    f"(strata {', '.join(strata)}); a plot needs one stratum per evaluation"
+                )
+            assigned.add(assgn.plt_cn)
             stratum = db.stratum_by_cn.get(assgn.stratum_cn)
             if stratum is None:
                 raise EstimationError(
@@ -221,8 +239,8 @@ class _Strata:
     Strata are numbered in unit order, then in stratum order.  Stratum h
     carries n_h, its total weight A * W_h and its variance weight, which
     turns a sum of squared deviations into the stratum's share of the
-    variance.  A plot normally sits in one stratum; duplicate assignments or
-    overlapping evaluations can put it in several, and each membership counts.
+    variance.  A plot sits in one stratum per evaluation; overlapping
+    evaluations can put it in several, and each membership counts.
     """
 
     def __init__(self, sample: Sample):
@@ -316,22 +334,12 @@ class _Cells:
         products = self._sum(self.x * (y - y_mean)[:, None])
         return self._over_strata(products, self.strata.var_w)
 
-    def lookup(self, key: np.ndarray, plot: np.ndarray, stratum: np.ndarray):
-        """Column-0 plot value and stratum mean at each (key, plot, stratum).
-
-        A negative key, or a plot without an entry for the key, reads 0.
-        """
-        if not len(self.key):
-            return np.zeros(len(key)), np.zeros(len(key))
-        n = self.strata.n_plots
-        code = self.key * n + self.plot
-        order = np.argsort(code, kind="stable")
-        want = key * n + plot
-        pos = np.minimum(np.searchsorted(code[order], want), len(code) - 1)
-        known = key >= 0
-        value = np.where(known & (code[order[pos]] == want), self.x[order[pos], 0], 0.0)
-        cell = np.where(known, key, 0) * self.strata.n_strata + stratum
-        return value, np.where(known, self.mean[cell, 0], 0.0)
+    def mean_at(self, key: np.ndarray, stratum: np.ndarray) -> np.ndarray:
+        """Column-0 stratum mean at each (key, stratum); 0 for a negative key."""
+        if not self.n_keys:
+            return np.zeros(len(key))
+        cell = np.where(key >= 0, key, 0) * self.strata.n_strata + stratum
+        return np.where(key >= 0, self.mean[cell, 0], 0.0)
 
 
 def _series(values: np.ndarray, strata: _Strata) -> _Cells:
@@ -412,8 +420,11 @@ def make_classes(value: float | None, width: float = 2.0, lower: float = 1.0) ->
 
 
 # --------------------------------------------------------------------------
-# Plans: everything one estimation run needs, independent of the database.
+# Plans: everything one estimation run needs, its rows already selected.
 # --------------------------------------------------------------------------
+
+# Size classes in the order of a row's ``Records.adjust`` code.
+ADJUST_CLASSES = (SUBPLOT, MICROPLOT, MACROPLOT)
 
 
 @dataclass(frozen=True)
@@ -423,7 +434,7 @@ class GroupCol:
     ``level`` decides ratio semantics: "tree" columns restrict only the
     numerator (every group shares the full-domain denominator), "area"
     columns restrict numerator and denominator alike.  ``origin`` tells the
-    plot walkers where to read the value.
+    family's value table where to read the value.
     """
 
     name: str
@@ -438,23 +449,46 @@ class ComponentSpec:
     den: str  # "area" | "trees" | "none"
 
 
+@dataclass(frozen=True)
+class Records:
+    """One variable's rows over the whole database, independent of samples.
+
+    Rows are the records (or conditions) inside every domain, in walk
+    order: plot CN, then the table's order within a plot.  Row r sits on
+    ``db.plots[plot[r]]`` under the group key ``keys[key[r]]``.  In a sample
+    it adds ``weight[r] * factor * values[r]``, where factor is its plot's
+    stratum adjustment for size class ``ADJUST_CLASSES[adjust[r]]``.
+    """
+
+    plot: np.ndarray
+    key: np.ndarray
+    keys: list[tuple]
+    weight: np.ndarray
+    values: np.ndarray  # rows x columns
+    adjust: np.ndarray
+
+
+@dataclass(frozen=True)
+class Note:
+    """A per-pass log line counting the sample's flagged plots (or conditions)."""
+
+    level: int
+    message: str  # formatted with the count
+    plots: np.ndarray  # db plot row of each flagged item
+
+
 @dataclass
 class Plan:
     family: str
     components: tuple[ComponentSpec, ...]
-    eval_plot: Callable[["Plan", "Bundle"], "PlotContribution"]
+    num: Records
     group_cols: tuple[GroupCol, ...] = ()
-    tree_domain: BoundDomain | None = None
-    area_domain: BoundDomain | None = None
-    base_domain: BoundDomain | None = None
-    size_class_width: float = 2.0
-    size_class_lower: float = 1.0
-    poly_assign: dict[str, object] | None = None
+    den_area: Records | None = None
+    den_tree: Records | None = None
+    reduce: Callable[["Bundle"], np.ndarray] | None = None  # per-entry values (diversity)
+    notes: tuple[Note, ...] = ()
     species_decoration: dict[int, tuple[str | None, str | None]] | None = None
     nplots_cols: tuple[tuple[str, str], ...] = ()  # (label, "num" | "den")
-    read: Callable | None = None  # column reader for the base and tree domains
-    read_area: Callable | None = None  # column reader for the area domain
-    selectors: tuple[Callable, ...] = ()  # per-record values (diversity: abundance)
     hidden_components: tuple[str, ...] = ()
     emit_variance: bool = False
 
@@ -468,118 +502,105 @@ class Plan:
         return tuple(gk[i] for i in self.area_positions)
 
 
-class PlotContribution:
-    """Per-plot grouped values: numerators, denominators, record counts."""
+# --------------------------------------------------------------------------
+# Pass computation: gather one sample's rows into (key, plot) entries, then
+# total every group and component in one call of the stratified kernel.
+# --------------------------------------------------------------------------
 
-    __slots__ = ("num", "den_area", "den_tree", "nrec")
 
-    def __init__(self):
-        self.num: dict[tuple, list[float]] = {}
-        self.den_area: dict[tuple, float] = {}
-        self.den_tree: dict[tuple, float] = {}
-        self.nrec: dict[tuple, int] = {}
+@dataclass
+class Entries:
+    """One variable's sample rows summed per (key, plot), sorted by key then plot.
 
-    def add_num(self, gk: tuple, idx: int, value: float, ncomp: int) -> None:
-        row = self.num.get(gk)
-        if row is None:
-            row = [0.0] * ncomp
-            self.num[gk] = row
-        row[idx] += value
-        self.nrec[gk] = self.nrec.get(gk, 0)
+    Only (key, plot) pairs with at least one row are present.  ``rows``,
+    ``entry`` and ``expand`` describe the gathered rows themselves: their
+    index in :class:`Records`, their entry and their weight times factor.
+    """
 
-    def count_record(self, gk: tuple) -> None:
-        self.nrec[gk] = self.nrec.get(gk, 0) + 1
+    keys: list[tuple]  # group key of each local key
+    key: np.ndarray
+    plot: np.ndarray  # sample plot index
+    values: np.ndarray  # entries x columns
+    count: np.ndarray  # rows per entry
+    n_plots: int
+    rows: np.ndarray
+    entry: np.ndarray
+    expand: np.ndarray
 
-    def add_den_area(self, ak: tuple, value: float) -> None:
-        self.den_area[ak] = self.den_area.get(ak, 0.0) + value
+    def cells(self, strata: _Strata) -> _Cells:
+        return _Cells(strata, self.key, self.plot, self.values, len(self.keys))
 
-    def add_den_tree(self, gk: tuple, value: float) -> None:
-        self.den_tree[gk] = self.den_tree.get(gk, 0.0) + value
+    def at(self, key: np.ndarray, plot: np.ndarray) -> np.ndarray:
+        """Column-0 value at each (key, plot); 0 for a negative key or no entry."""
+        if not len(self.key):
+            return np.zeros(len(key))
+        code = self.key * self.n_plots + self.plot
+        want = key * self.n_plots + plot
+        pos = np.minimum(np.searchsorted(code, want), len(code) - 1)
+        return np.where((key >= 0) & (code[pos] == want), self.values[pos, 0], 0.0)
 
 
 @dataclass
 class Bundle:
-    """Everything a plot walker may read for one plot."""
+    """One sample's entries, and each numerator key's denominator keys (-1: none)."""
 
-    plot: PlotRecord
-    conds: list
-    trees: list
-    seedlings: list
-    dwm: list
-    invasives: list
-    stratum: Stratum
-    poly_fid: object | None
-    panel_year: int | None
-    cond_by_id: dict[int, object] = field(default_factory=dict)
+    num: Entries
+    den_area: Entries
+    den_tree: Entries
+    area_of: np.ndarray
+    tree_of: np.ndarray
 
 
-def make_bundle(db: ForestDatabase, plan: Plan, sample: Sample, i: int) -> Bundle:
-    plot = sample.plots[i]
-    fid = None
-    if plan.poly_assign is not None:
-        fid = plan.poly_assign.get(plot.cn)
-    conds = sorted(db.conds_by_plot.get(plot.cn, ()), key=lambda c: c.condid)
-    return Bundle(
-        plot=plot,
-        conds=conds,
-        trees=sorted(db.trees_by_plot.get(plot.cn, ()), key=lambda t: t.cn),
-        seedlings=db.seedlings_by_plot.get(plot.cn, ()),
-        dwm=db.dwm_by_plot.get(plot.cn, ()),
-        invasives=db.invasives_by_plot.get(plot.cn, ()),
-        stratum=sample.stratum_of[plot.cn],
-        poly_fid=fid,
-        panel_year=sample.panel_years.get(plot.cn),
-        cond_by_id={c.condid: c for c in conds},
+def _gather(rec: Records | None, pos: np.ndarray, factors: np.ndarray, width: int) -> Entries:
+    """The rows of ``rec`` on sample plots, summed per (key, plot) in row order."""
+    n = len(factors)
+    if rec is None:
+        none = np.zeros(0, dtype=np.intp)
+        return Entries([], none, none, np.zeros((0, width)), none, n, none, none, np.zeros(0))
+    plot = pos[rec.plot]
+    rows = np.flatnonzero(plot >= 0)
+    plot = plot[rows]
+    expand = rec.weight[rows] * factors[plot, rec.adjust[rows]]
+    x = expand[:, None] * rec.values[rows]
+    cell, entry = np.unique(rec.key[rows] * n + plot, return_inverse=True)
+    present, key = np.unique(cell // n, return_inverse=True)
+    values = np.column_stack(
+        [np.bincount(entry, col, minlength=len(cell)) for col in x.T]
+    ).reshape(len(cell), x.shape[1])
+    return Entries([rec.keys[k] for k in present.tolist()], key, cell % n, values,
+                   np.bincount(entry, minlength=len(cell)), n, rows, entry, expand)
+
+
+def make_bundle(db: ForestDatabase, plan: Plan, sample: Sample) -> Bundle:
+    """Gather one sample's rows of every variable of a plan into entries.
+
+    Each plan note logs one line with the number of its items in the sample.
+    """
+    pos = np.full(len(db.plots) + 1, -1, dtype=np.intp)  # slot -1: rows without a plot
+    rows = np.array([db.columns.plot_row[p.cn] for p in sample.plots], dtype=np.intp)
+    pos[rows] = np.arange(sample.n_plots)
+    by_stratum = {
+        st.cn: [st.adjustment(c) for c in ADJUST_CLASSES] for st in sample.stratum_of.values()
+    }
+    factors = np.array(
+        [by_stratum[sample.stratum_of[p.cn].cn] for p in sample.plots], dtype=float
+    ).reshape(sample.n_plots, len(ADJUST_CLASSES))
+    for note in plan.notes:
+        count = int(np.count_nonzero(pos[note.plots] >= 0))
+        if count:
+            log.log(note.level, note.message, count)
+    num = _gather(plan.num, pos, factors, len(plan.components))
+    den_area = _gather(plan.den_area, pos, factors, 1)
+    den_tree = _gather(plan.den_tree, pos, factors, 1)
+    area_index, tree_index = ({gk: i for i, gk in enumerate(e.keys)} for e in (den_area, den_tree))
+    bundle = Bundle(
+        num, den_area, den_tree,
+        np.array([area_index.get(plan.area_projection(gk), -1) for gk in num.keys], dtype=np.intp),
+        np.array([tree_index.get(gk, -1) for gk in num.keys], dtype=np.intp),
     )
-
-
-def numerator_key(plan: Plan, bundle: Bundle, record, cond, family_value=None) -> tuple:
-    """Full group key for a numerator record, in display column order."""
-    vals = []
-    for col in plan.group_cols:
-        if col.origin == "record":
-            v = record_value(record, col.name)
-        elif col.origin == "cond":
-            v = record_value(cond, col.name) if cond is not None else None
-        elif col.origin == "plot":
-            v = record_value(bundle.plot, col.name)
-        elif col.origin == "poly":
-            v = bundle.poly_fid
-        elif col.origin == "species":
-            v = getattr(record, "spcd", None)
-        elif col.origin == "sizeclass":
-            v = make_classes(
-                getattr(record, "dia", None),
-                plan.size_class_width,
-                plan.size_class_lower,
-            )
-        else:  # "family": the walker supplies its own derived value
-            v = family_value
-        vals.append(v)
-    return tuple(vals)
-
-
-def area_key(plan: Plan, bundle: Bundle, cond) -> tuple:
-    """Area-level projection of the group key, for denominator bookkeeping."""
-    vals = []
-    for col in plan.group_cols:
-        if col.level != "area":
-            continue
-        if col.origin == "cond":
-            vals.append(record_value(cond, col.name) if cond is not None else None)
-        elif col.origin == "plot":
-            vals.append(record_value(bundle.plot, col.name))
-        elif col.origin == "poly":
-            vals.append(bundle.poly_fid)
-        else:
-            vals.append(None)
-    return tuple(vals)
-
-
-# --------------------------------------------------------------------------
-# Pass computation: walk every plot once, gather flat entries, then total
-# every group and component in one call of the stratified kernel above.
-# --------------------------------------------------------------------------
+    if plan.reduce is not None:
+        num.values = plan.reduce(bundle)
+    return bundle
 
 
 @dataclass
@@ -595,62 +616,34 @@ class PassTotals:
     n_plots: int
 
 
-class _Entries:
-    """Flat (key, plot, values) entries gathered from plot contributions."""
-
-    def __init__(self, width: int):
-        self.width, self.index = width, {}
-        self.key, self.plot, self.values = array("q"), array("q"), array("d")
-
-    def add(self, k: tuple, plot: int, values) -> None:
-        self.key.append(self.index.setdefault(k, len(self.index)))
-        self.plot.append(plot)
-        self.values.extend(values)
-
-    def cells(self, strata: _Strata) -> _Cells:
-        values = np.array(self.values).reshape(-1, self.width)
-        return _Cells(strata, np.array(self.key), np.array(self.plot), values, len(self.index))
-
-
 def compute_pass(db: ForestDatabase, plan: Plan, sample: Sample) -> PassTotals:
     """Run one full estimation pass over a sample.
 
-    Each plot's grouped values become flat entries, one per (group, plot);
-    the stratified kernel then totals every group and component at once.
+    The sample's rows become entries, one per (group, plot) with rows; the
+    stratified kernel then totals every group and component at once.
     """
     n = sample.n_plots
-    num, den_area, den_tree = _Entries(len(plan.components)), _Entries(1), _Entries(1)
-    for i in range(n):
-        pc = plan.eval_plot(plan, make_bundle(db, plan, sample, i))
-        for gk, values in pc.num.items():
-            num.add(gk, i, values)
-        for ak, value in pc.den_area.items():
-            den_area.add(ak, i, (value,))
-        for gk, value in pc.den_tree.items():
-            den_tree.add(gk, i, (value,))
-    if not (num.index or den_area.index or den_tree.index):
+    bundle = make_bundle(db, plan, sample)
+    num, den_area, den_tree = bundle.num, bundle.den_area, bundle.den_tree
+    if not (num.keys or den_area.keys or den_tree.keys):
         return PassTotals([], {}, {}, {}, {}, {}, n)  # no totals, so no stratum checks
 
     strata = _Strata(sample)
-    x, area_cells, tree_cells = num.cells(strata), den_area.cells(strata), den_tree.cells(strata)
-    covs = []
-    for entries, cells, project in (
-        (den_area, area_cells, plan.area_projection),
-        (den_tree, tree_cells, lambda gk: gk),
-    ):
-        den_of = np.array([entries.index.get(project(gk), -1) for gk in num.index], dtype=np.intp)
-        covs.append(x.covariances(*cells.lookup(den_of[x.key], x.plot, x.stratum)))
+    x = num.cells(strata)
+    covs, dens = [], []
+    for entries, den_of in ((den_area, bundle.area_of), (den_tree, bundle.tree_of)):
+        cells, key = entries.cells(strata), den_of[x.key]
+        covs.append(x.covariances(entries.at(key, x.plot), cells.mean_at(key, x.stratum)))
+        dens.append(dict(zip(entries.keys, (e[0] for e in cells.estimates()))))
     den = np.array([c.den for c in plan.components])
     cov = np.where(den == "area", covs[0], np.where(den == "trees", covs[1], 0.0)).tolist()
-    estimates, any_nonzero = x.estimates(), x.any_nonzero.tolist()
-    universe = sorted(num.index, key=_group_sort_key(plan))
     return PassTotals(
-        universe=universe,
-        comp={gk: estimates[num.index[gk]] for gk in universe},
-        cov={gk: cov[num.index[gk]] for gk in universe},
-        den_area={k: e[0] for k, e in zip(den_area.index, area_cells.estimates())},
-        den_tree={k: e[0] for k, e in zip(den_tree.index, tree_cells.estimates())},
-        num_plots_nonzero={gk: int(any_nonzero[num.index[gk]]) for gk in universe},
+        universe=sorted(num.keys, key=_group_sort_key(plan)),
+        comp=dict(zip(num.keys, x.estimates())),
+        cov=dict(zip(num.keys, cov)),
+        den_area=dens[0],
+        den_tree=dens[1],
+        num_plots_nonzero=dict(zip(num.keys, x.any_nonzero.astype(int).tolist())),
         n_plots=n,
     )
 
@@ -674,57 +667,33 @@ def combine_passes(
     A group absent from a panel contributes an exact zero total with zero
     variance for that panel (its plots all observed zero).
     """
-    ncomp = len(plan.components)
-    universe_set: set[tuple] = set()
-    for pt in passes:
-        universe_set.update(pt.universe)
-    universe = sorted(universe_set, key=_group_sort_key(plan))
+    universe = sorted({gk for pt in passes for gk in pt.universe}, key=_group_sort_key(plan))
+    columns = range(len(plan.components))
 
-    def zero_like(pt: PassTotals) -> TotalEstimate:
-        return TotalEstimate(0.0, 0.0, 0, pt.n_plots)
+    def mix(name: str, pick) -> dict:
+        """One combined entry per key of the ``name`` dicts of the passes."""
+        keys = {k for pt in passes for k in getattr(pt, name)}
+        return {k: pick([getattr(pt, name).get(k) for pt in passes]) for k in keys}
 
-    comp: dict[tuple, list[TotalEstimate]] = {}
-    cov: dict[tuple, list[float]] = {}
-    nonzero: dict[tuple, int] = {}
-    for gk in universe:
-        per_comp = []
-        per_cov = []
-        for ci in range(ncomp):
-            totals = [
-                pt.comp[gk][ci] if gk in pt.comp else zero_like(pt) for pt in passes
-            ]
-            per_comp.append(_combine_totals_list(totals, weights))
-            per_cov.append(
-                combine_variances(
-                    [pt.cov[gk][ci] if gk in pt.cov else 0.0 for pt in passes],
-                    weights,
-                )
-            )
-        comp[gk] = per_comp
-        cov[gk] = per_cov
-        nonzero[gk] = sum(pt.num_plots_nonzero.get(gk, 0) for pt in passes)
+    def total(found: list) -> TotalEstimate:
+        return _combine_totals_list([
+            t or TotalEstimate(0.0, 0.0, 0, pt.n_plots) for t, pt in zip(found, passes)
+        ], weights)
 
-    den_keys = {k for pt in passes for k in pt.den_area}
-    den_area = {
-        ak: _combine_totals_list(
-            [pt.den_area.get(ak, zero_like(pt)) for pt in passes], weights
-        )
-        for ak in den_keys
-    }
-    den_tree_keys = {k for pt in passes for k in pt.den_tree}
-    den_tree = {
-        gk: _combine_totals_list(
-            [pt.den_tree.get(gk, zero_like(pt)) for pt in passes], weights
-        )
-        for gk in den_tree_keys
-    }
     return PassTotals(
         universe=universe,
-        comp=comp,
-        cov=cov,
-        den_area=den_area,
-        den_tree=den_tree,
-        num_plots_nonzero=nonzero,
+        comp=mix("comp", lambda found: [
+            total([row and row[i] for row in found]) for i in columns
+        ]),
+        cov=mix("cov", lambda found: [
+            combine_variances([row[i] if row else 0.0 for row in found], weights)
+            for i in columns
+        ]),
+        den_area=mix("den_area", total),
+        den_tree=mix("den_tree", total),
+        num_plots_nonzero={
+            gk: sum(pt.num_plots_nonzero.get(gk, 0) for pt in passes) for gk in universe
+        },
         n_plots=sum(pt.n_plots for pt in passes),
     )
 
@@ -921,52 +890,37 @@ def method_passes(
     """
     method = method.upper()
     groups = select_family_evals(db, type_sets, family)
+
+    def run(evals, year=None) -> list[PassTotals] | None:
+        """One pass per plan; None for a panel without plots."""
+        sample = build_sample(db, evals, None if year is None else [year])
+        if year is not None and sample.n_plots == 0:
+            return None
+        return [compute_pass(db, plan, sample) for plan in plans]
+
     if method == "TI":
         for evals in groups:
-            sample = build_sample(db, evals)
-            yield (
-                group_report_year(evals),
-                None,
-                [compute_pass(db, plan, sample) for plan in plans],
-            )
+            yield group_report_year(evals), None, run(evals)
         return
     if method == "ANNUAL":
         for evals in _most_recent_groups(groups):
             for year in _panel_years(db, evals):
-                sample = build_sample(db, evals, years=[year])
-                if sample.n_plots == 0:
-                    continue
-                yield (
-                    year,
-                    None,
-                    [compute_pass(db, plan, sample) for plan in plans],
-                )
+                totals = run(evals, year)
+                if totals is not None:
+                    yield year, None, totals
         return
     for evals in groups:
         years = _panel_years(db, evals)
-        per_panel: list[list[PassTotals] | None] = []
-        for year in years:
-            sample = build_sample(db, evals, years=[year])
-            if sample.n_plots == 0:
-                per_panel.append(None)
-            else:
-                per_panel.append(
-                    [compute_pass(db, plan, sample) for plan in plans]
-                )
+        per_panel = [run(evals, year) for year in years]
         present = [p is not None for p in per_panel]
-        report_year = group_report_year(evals)
-        lam_list: Sequence[float | None]
-        lam_list = list(lambdas) if method == "EMA" else [None]
-        for lam in lam_list:
-            weights = panel_weights(method, len(years), lam)
-            assert weights is not None
-            weights = present_weights(weights, present)
-            combined = []
-            for pi in range(len(plans)):
-                passes = [p[pi] for p in per_panel if p is not None]
-                kept_weights = [w for w, ok in zip(weights, present) if ok]
-                combined.append(combine_passes(plans[pi], passes, kept_weights))
-            yield report_year, lam, combined
+        kept = [p for p in per_panel if p is not None]
+        for lam in list(lambdas) if method == "EMA" else [None]:
+            weights = present_weights(panel_weights(method, len(years), lam), present)
+            weights = [w for w, ok in zip(weights, present) if ok]
+            yield group_report_year(evals), lam, [
+                combine_passes(plan, [p[i] for p in kept], weights)
+                for i, plan in enumerate(plans)
+            ]
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,8 @@ Evaluation is three-valued: a comparison against a null cell is *unknown*,
 combined by Kleene logic (``unknown & false = false``, ``unknown | true =
 true``, otherwise unknown propagates).  At the root, unknown collapses to 0,
 so records with missing values drop out of the domain.
+:meth:`BoundDomain.mask` gives the same result for a whole column of rows
+at once, evaluating each comparison once per distinct value.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import DomainBindError, DomainSyntaxError
 
@@ -308,9 +312,11 @@ def to_text(expr: DomainExpr) -> str:
         op = "&" if isinstance(expr, And) else "|"
         mine = _PRECEDENCE[type(expr)]
         parts = []
-        for child in (expr.lhs, expr.rhs):
+        # A right operand of equal precedence needs parentheses: the parser
+        # associates to the left.
+        for child, right in ((expr.lhs, 0), (expr.rhs, 1)):
             text = to_text(child)
-            if _PRECEDENCE.get(type(child), 4) < mine:
+            if _PRECEDENCE.get(type(child), 4) < mine + right:
                 text = f"({text})"
             parts.append(text)
         return f" {op} ".join(parts)
@@ -353,6 +359,9 @@ _CMP_FUNCS: dict[str, Callable] = {
 
 _ORDERING_OPS = {"<", "<=", ">", ">="}
 
+# ColumnGetter: column name -> (code per row, distinct values the codes index).
+ColumnGetter = Callable[[str], "tuple[np.ndarray, list]"]
+
 # RowSchema: column name -> kind ("int" | "float" | "str" | "text"), where
 # "text" marks passthrough extras columns of unknown type.
 RowSchema = Mapping[str, str]
@@ -371,6 +380,14 @@ class BoundDomain:
 
     def tristate(self, getter: Callable[[str], object]) -> bool | None:
         return _eval(self.expr, getter)
+
+    def mask(self, column: ColumnGetter, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(known, true) boolean arrays: the three-valued result over n rows.
+
+        ``column(name)`` gives one code per row and the distinct values the
+        codes index.  ``true`` is the 0/1 indicator; it implies ``known``.
+        """
+        return _mask(self.expr, column, n)
 
 
 def bind_domain(expr: DomainExpr | str, schema: RowSchema) -> BoundDomain:
@@ -495,4 +512,32 @@ def _eval(node: DomainExpr, getter: Callable[[str], object]) -> bool | None:
         if left is False and right is False:
             return False
         return _UNKNOWN
+    raise TypeError(f"not a domain expression: {node!r}")
+
+
+def _mask(node: DomainExpr, column: ColumnGetter, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vector form of :func:`_eval`: each leaf is evaluated once per distinct
+    value of its column and gathered by codes; Kleene logic on (known, true)."""
+    if isinstance(node, Constant):
+        return np.ones(n, dtype=bool), np.full(n, node.value)
+    if isinstance(node, (Comparison, InSet)):
+        if isinstance(node, InSet):
+            name = node.column.name
+        else:
+            name = (node.lhs if isinstance(node.lhs, Ident) else node.rhs).name
+        codes, values = column(name)
+        results = [_eval(node, lambda _: v) for v in values]
+        known = np.array([r is not None for r in results], dtype=bool)
+        return known[codes], np.array([r is True for r in results], dtype=bool)[codes]
+    if isinstance(node, Not):
+        known, true = _mask(node.operand, column, n)
+        return known, known & ~true
+    if isinstance(node, (And, Or)):
+        lk, lt = _mask(node.lhs, column, n)
+        rk, rt = _mask(node.rhs, column, n)
+        if isinstance(node, And):
+            true, false = lt & rt, (lk & ~lt) | (rk & ~rt)
+        else:
+            true, false = lt | rt, (lk & ~lt) & (rk & ~rt)
+        return true | false, true
     raise TypeError(f"not a domain expression: {node!r}")

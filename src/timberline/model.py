@@ -9,14 +9,20 @@ round trip.
 A :class:`ForestDatabase` holds every table as an immutable tuple plus the
 lookup indexes the estimators need.  Treat instances as read-only after
 construction; operations that "modify" a database (clipping, merging) build a
-new one.
+new one.  ``db.columns`` is the same tables as factorised columns, built on
+first use, which the estimators read.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .states import FIPS_TO_ABBR
 
@@ -33,6 +39,8 @@ __all__ = [
     "StratumAssignment",
     "SpeciesRef",
     "ForestDatabase",
+    "ColumnView",
+    "factorize",
     "Violation",
     "validate_integrity",
     "derive_sizer",
@@ -453,25 +461,19 @@ class ForestDatabase:
         self.states = tuple(states)
         self._build_indexes()
 
+    # Per-plot record lists and the condition key index are built on first
+    # use: the integrity report and the reference estimator read them, the
+    # estimators read the column view instead.
+    conds_by_plot = functools.cached_property(lambda self: _by_plot(self.conds))
+    trees_by_plot = functools.cached_property(lambda self: _by_plot(self.trees))
+    seedlings_by_plot = functools.cached_property(lambda self: _by_plot(self.seedlings))
+    dwm_by_plot = functools.cached_property(lambda self: _by_plot(self.dwm))
+    invasives_by_plot = functools.cached_property(lambda self: _by_plot(self.invasives))
+    cond_by_key = functools.cached_property(
+        lambda self: {(c.plt_cn, c.condid): c for c in self.conds})
+
     def _build_indexes(self) -> None:
         self.plot_by_cn = {p.cn: p for p in self.plots}
-        self.conds_by_plot: dict[str, list[ConditionRecord]] = {}
-        for c in self.conds:
-            self.conds_by_plot.setdefault(c.plt_cn, []).append(c)
-        self.cond_by_key = {(c.plt_cn, c.condid): c for c in self.conds}
-        self.trees_by_plot: dict[str, list[TreeRecord]] = {}
-        for t in self.trees:
-            self.trees_by_plot.setdefault(t.plt_cn, []).append(t)
-        self.seedlings_by_plot: dict[str, list[SeedlingRecord]] = {}
-        for s in self.seedlings:
-            self.seedlings_by_plot.setdefault(s.plt_cn, []).append(s)
-        self.dwm_by_plot: dict[str, list[DwmRecord]] = {}
-        for d in self.dwm:
-            self.dwm_by_plot.setdefault(d.plt_cn, []).append(d)
-        self.invasives_by_plot: dict[str, list[InvasiveRecord]] = {}
-        for i in self.invasives:
-            self.invasives_by_plot.setdefault(i.plt_cn, []).append(i)
-
         self.eval_by_id = {e.evalid: e for e in self.evaluations}
         self.unit_by_cn = {u.cn: u for u in self.estn_units}
         self.units_by_eval: dict[int, list[EstimationUnit]] = {}
@@ -493,6 +495,11 @@ class ForestDatabase:
                 continue
             self.assignments_by_eval.setdefault(unit.evalid, []).append(a)
 
+    @functools.cached_property
+    def columns(self) -> "ColumnView":
+        """The column view of this database's tables, built on first use."""
+        return ColumnView(self)
+
     # -- convenience -------------------------------------------------------
 
     def eval_of_stratum(self, stratum_cn: str) -> int | None:
@@ -513,6 +520,105 @@ class ForestDatabase:
             if a != b:
                 return False
         return True
+
+
+def _by_plot(records: Iterable) -> dict[str, list]:
+    out: dict[str, list] = {}
+    for r in records:
+        out.setdefault(r.plt_cn, []).append(r)
+    return out
+
+
+def factorize(values: Iterable, floats: bool = False) -> tuple[np.ndarray, list]:
+    """Codes into the distinct values, None first (code 0).
+
+    ``floats`` says every value is a float or None, so numpy can sort them.
+    """
+    if floats:
+        values = list(values)
+        number = np.array(values, dtype=float)  # None reads NaN
+        known = ~np.isnan(number)
+        _, first, codes = np.unique(number[known], return_index=True, return_inverse=True)
+        out = np.zeros(len(values), dtype=np.int32)
+        out[known] = codes.reshape(-1) + 1
+        return out, [None] + [values[i] for i in np.flatnonzero(known)[first].tolist()]
+    index: dict = {None: 0}
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in values), np.int32)
+    return codes, list(index)
+
+
+class ColumnView:
+    """A database's tables as factorised columns, plus their joins.
+
+    ``column(table, name)`` gives one code per row into the distinct values
+    :func:`record_value` returns for that column (an extras ``''`` stays
+    None), with ``values[0]`` always None.  The code array ends with one
+    extra null code, so gathering it through a join row of -1 reads None.
+    Joins map each record to its plot's row in ``db.plots`` and its
+    condition's row in ``db.conds`` (-1 when there is none; duplicates
+    resolve like ``plot_by_cn`` and ``cond_by_key``, the last row wins).
+    Everything is built on first use and kept.
+    """
+
+    def __init__(self, db: ForestDatabase):
+        self.db = db
+        self._memo: dict[tuple, object] = {}
+
+    def _get(self, key: tuple, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def records(self, table: str) -> tuple:
+        return getattr(self.db, TABLES[table].db_field)
+
+    def column(self, table: str, name: str) -> tuple[np.ndarray, list]:
+        def build():
+            records = self.records(table)
+            attr = _COLUMN_TO_ATTR[TABLES[table].record].get(name)
+            if attr is not None:
+                raw = map(operator.attrgetter(attr), records)
+            else:
+                raw = (r.extras.get(name) or None for r in records)
+            codes, distinct = factorize(raw, TABLES[table].column_kinds().get(name) == "float")
+            return np.append(codes, np.int32(0)), distinct
+
+        return self._get(("column", table, name), build)
+
+    def order(self, table: str, attrs: tuple[str, ...]) -> np.ndarray:
+        """Row numbers sorted by these record attributes, ties in table order."""
+        def build():
+            records = self.records(table)
+            keys = [np.array(list(map(operator.attrgetter(a), records))) for a in attrs]
+            return np.lexsort(keys[::-1]).astype(np.intp)
+
+        return self._get(("order", table, attrs), build)
+
+    def extra_names(self, table: str) -> frozenset[str]:
+        return self._get(("extras", table), lambda: frozenset(
+            name for r in self.records(table) for name in r.extras))
+
+    @property
+    def plot_row(self) -> dict[str, int]:
+        return self._get(("plot_row",), lambda: _row_index(self.db.plots, "cn"))
+
+    def _join(self, table: str, rows: dict, *attrs: str) -> np.ndarray:
+        records = self.records(table)
+        found = map(rows.get, map(operator.attrgetter(*attrs), records), itertools.repeat(-1))
+        return np.fromiter(found, np.intp, len(records))
+
+    def plot_rows(self, table: str) -> np.ndarray:
+        return self._get(("plot_rows", table),
+                         lambda: self._join(table, self.plot_row, "plt_cn"))
+
+    def cond_rows(self, table: str) -> np.ndarray:
+        return self._get(("cond_rows", table), lambda: self._join(
+            table, _row_index(self.db.conds, "plt_cn", "condid"), "plt_cn", "condid"))
+
+
+def _row_index(records: Sequence, *attrs: str) -> dict:
+    """Key -> row number; a duplicate key keeps its last row."""
+    return dict(zip(map(operator.attrgetter(*attrs), records), itertools.count()))
 
 
 # --------------------------------------------------------------------------

@@ -364,6 +364,14 @@ def _collect_sample(db: ForestDatabase, evals, years=None) -> _OSample:
     panel_year: dict[str, int] = {}
     by_stratum: dict[str, list[str]] = {}
     for ev in evals:
+        per_plot: dict[str, list[str]] = {}
+        for a in db.assignments_by_eval.get(ev.evalid, ()):
+            per_plot.setdefault(a.plt_cn, []).append(a.stratum_cn)
+        for cn, cns in per_plot.items():
+            if len(cns) > 1:
+                raise EstimationError(
+                    f"evaluation {ev.evalid} assigns plot {cn} to strata {', '.join(cns)}"
+                )
         for a in db.assignments_by_eval.get(ev.evalid, ()):
             st = db.stratum_by_cn.get(a.stratum_cn)
             if st is None:

@@ -4,6 +4,8 @@ Every expected number below was derived by hand from the fixture's record
 values (see the derivations in comments); none were copied from the engine.
 """
 
+import dataclasses
+import logging
 import math
 import random
 
@@ -384,3 +386,35 @@ def test_permuted_records_give_the_same_output(seed):
                     assert a[col] == pytest.approx(b[col], rel=1e-12), (family, col)
                 else:
                     assert a[col] == b[col], (family, col)
+
+
+def test_missing_remper_warns_once_per_pass(synth_grm, caplog):
+    plots = [dataclasses.replace(p, remper=None) for p in synth_grm.plots]
+    db = ForestDatabase(
+        plots=plots, conds=synth_grm.conds, trees=synth_grm.trees,
+        evaluations=synth_grm.evaluations, estn_units=synth_grm.estn_units,
+        strata=synth_grm.strata, assignments=synth_grm.assignments,
+        species=synth_grm.species,
+    )
+    for family in ("growMort", "vitalRates"):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="timberline"):
+            tl.estimate(db, family)
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert lines == ["2 plots have change records but no usable REMPER; skipped"]
+
+
+def test_stageless_conditions_logged_once_per_pass(synth_inv, caplog):
+    trees = [dataclasses.replace(t, statuscd=2) if t.plt_cn == "V1" else t
+             for t in synth_inv.trees]
+    db = ForestDatabase(
+        plots=synth_inv.plots, conds=synth_inv.conds, trees=trees,
+        evaluations=synth_inv.evaluations, estn_units=synth_inv.estn_units,
+        strata=synth_inv.strata, assignments=synth_inv.assignments,
+        species=synth_inv.species,
+    )
+    with caplog.at_level(logging.INFO, logger="timberline"):
+        out = tl.stand_struct(db)
+    assert out.column("PERC_AREA") == [100.0]
+    lines = [r.getMessage() for r in caplog.records if "live basal area" in r.getMessage()]
+    assert len(lines) == 1 and lines[0].startswith("1 forested conditions")

@@ -132,3 +132,18 @@ def test_non_utf8_table_is_a_load_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"CT_TREE.csv: not UTF-8 text (byte 0xff at offset {offset})" in err
+
+
+def test_duplicate_assignment_exits_1_without_traceback(tmp_path, capsys):
+    db = tl.build_fixture("SYNTH-1")
+    first = db.assignments[0]
+    twice = tl.ForestDatabase(
+        plots=db.plots, conds=db.conds, trees=db.trees, evaluations=db.evaluations,
+        estn_units=db.estn_units, strata=db.strata, species=db.species,
+        assignments=db.assignments + (first,),
+    )
+    tl.write_database(twice, tmp_path)
+    assert main(["tpa", "--db", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"assigns plot {first.plt_cn} more than once" in err
+    assert "Traceback" not in err

@@ -20,7 +20,9 @@ from timberline.core import (
     ratio_estimate,
     sampling_error_pct,
 )
+import timberline as tl
 from timberline.errors import EstimationError
+from timberline.oracle import brute_force_estimate
 from timberline.model import (
     Evaluation,
     EstimationUnit,
@@ -109,20 +111,29 @@ def test_assignment_to_missing_plot_raises():
         build_sample(bad, bad.evaluations)
 
 
-def test_sample_duplicate_assignment_keeps_last():
-    db = _db([0.5, 0.5], {"P1": 0})
-    assigns = [
-        StratumAssignment(plt_cn="P1", stratum_cn="S0", invyr=2018),
-        StratumAssignment(plt_cn="P1", stratum_cn="S1", invyr=2018),
-    ]
-    redone = ForestDatabase(
+def _twice_assigned_db():
+    """P1 assigned to both S0 and S1 of one evaluation, P2 to S1."""
+    db = _db([0.5, 0.5], {"P1": 0, "P2": 1})
+    extra = StratumAssignment(plt_cn="P1", stratum_cn="S1", invyr=2018)
+    return ForestDatabase(
         plots=db.plots, conds=[], trees=[], seedlings=[], dwm=[], invasives=[],
         evaluations=db.evaluations, estn_units=db.estn_units, strata=db.strata,
-        assignments=assigns, species=[], states=("CT",),
+        assignments=db.assignments + (extra,), species=[], states=("CT",),
     )
-    s = build_sample(redone, redone.evaluations)
-    assert s.n_plots == 1
-    assert s.stratum_of["P1"].cn == "S1"
+
+
+def test_sample_duplicate_assignment_is_an_error():
+    db = _twice_assigned_db()
+    with pytest.raises(EstimationError, match=r"evaluation 1 assigns plot P1 .*S0, S1"):
+        build_sample(db, db.evaluations)
+
+
+def test_duplicate_assignment_fails_the_estimate_and_the_reference():
+    db = _twice_assigned_db()
+    with pytest.raises(EstimationError, match=r"evaluation 1 assigns plot P1 .*S0, S1"):
+        tl.area(db)
+    with pytest.raises(EstimationError, match=r"evaluation 1 assigns plot P1 .*S0, S1"):
+        brute_force_estimate(db, "area")
 
 
 # -- post_stratified_total -------------------------------------------------

@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timberline.domain import (
     And,
@@ -19,6 +21,7 @@ from timberline.domain import (
     to_text,
 )
 from timberline.errors import DomainBindError, DomainSyntaxError
+from timberline.model import ForestDatabase, TreeRecord, record_value
 
 SCHEMA = {"DIA": "float", "SPCD": "int", "STATUSCD": "int", "COMPONENT": "str",
           "ECOSUBCD": "text"}
@@ -199,3 +202,70 @@ def test_number_cell_against_string_literal_via_text_column():
     # text columns coerce at evaluation instead
     assert _ind("ECOSUBCD == '316'", ECOSUBCD=316) == 1
     assert _ind("ECOSUBCD == 'oak'", ECOSUBCD=316) == 0
+
+
+# -- generated expressions ---------------------------------------------------
+
+_NUMBERS = st.one_of(st.integers(-20, 20),
+                     st.floats(-20, 20, allow_nan=False, allow_infinity=False))
+_WORDS = st.sampled_from(["SURVIVOR", "CUT", "M211", "3", "2.5", "-1", "1e1", "oak", ""])
+_LITERALS = {"SPCD": _NUMBERS, "DIA": _NUMBERS, "COMPONENT": _WORDS,
+             "ECOSUBCD": st.one_of(_NUMBERS, _WORDS)}
+
+
+@st.composite
+def _leaf(draw):
+    """A comparison or set test that binds against SCHEMA."""
+    column = draw(st.sampled_from(sorted(_LITERALS)))
+    literals = _LITERALS[column]
+    if draw(st.booleans()):
+        return InSet(Ident(column), tuple(draw(st.lists(literals, min_size=1, max_size=3))))
+    ops = ["==", "!="] if SCHEMA[column] == "str" else ["==", "!=", "<", "<=", ">", ">="]
+    op, literal = draw(st.sampled_from(ops)), draw(literals)
+    if draw(st.booleans()):
+        return Comparison(op, Ident(column), literal)
+    return Comparison(op, literal, Ident(column))
+
+
+_EXPRS = st.recursive(
+    st.one_of(_leaf(), st.booleans().map(Constant)),
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda p: And(*p)),
+        st.tuples(kids, kids).map(lambda p: Or(*p)),
+        kids.map(Not),
+    ),
+    max_leaves=8,
+)
+
+_ROWS = st.lists(st.tuples(
+    st.none() | st.integers(-20, 20),
+    st.none() | st.floats(-20, 20, allow_nan=False, allow_infinity=False),
+    st.none() | st.sampled_from(["SURVIVOR", "CUT", "3"]),
+    st.none() | _WORDS,  # "" in an extras cell reads as null
+), min_size=1, max_size=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=_EXPRS)
+def test_generated_expressions_round_trip(expr):
+    assert parse_domain(to_text(expr)) == expr
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=_EXPRS, rows=_ROWS)
+def test_column_mask_equals_tristate_row_by_row(expr, rows):
+    trees = [
+        TreeRecord(cn=f"T{i}", plt_cn="P1", condid=1, spcd=spcd, dia=dia, component=comp,
+                   extras={} if eco is None else {"ECOSUBCD": eco})
+        for i, (spcd, dia, comp, eco) in enumerate(rows)
+    ]
+    view = ForestDatabase(trees=trees, states=("CT",)).columns
+
+    def column(name):
+        codes, values = view.column("TREE", name)
+        return codes[:-1], values
+
+    dom = bind_domain(expr, SCHEMA)
+    known, true = dom.mask(column, len(trees))
+    want = [dom.tristate(lambda name, t=t: record_value(t, name)) for t in trees]
+    assert [bool(v) if k else None for k, v in zip(known, true)] == want
