@@ -27,8 +27,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import logging
-import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -485,31 +484,12 @@ def _stand_struct_values(ctx: _Ctx) -> dict:
     return dict(num=num, den_area=ctx.area_den(staged), notes=(note,))
 
 
-def _shannon(abundances) -> tuple[float, int, float]:
-    """(H, S, Eh) from raw abundance values (zeros ignored)."""
-    total = 0.0
-    positive = []
-    for a in abundances:
-        if a > 0.0:
-            positive.append(a)
-            total += a
-    if total <= 0.0:
-        return 0.0, 0, 0.0
-    h = 0.0
-    for a in positive:
-        p = a / total
-        h -= p * math.log(p)
-    s = len(positive)
-    eh = h / math.log(s) if s > 1 else 0.0
-    return h, s, eh
-
-
 def _diversity_values(ctx: _Ctx) -> dict:
     """Per-plot diversity indices, weighted by the plot's forested area.
 
     A sample's entries get H, S and Eh from their trees' abundance per
-    species, times the entry's forested area; the companion records give
-    the species abundance totals behind the pooled indices.
+    species, times the entry's forested area; the species records give the
+    abundance totals behind the pooled indices.
     """
     f = ctx.records("TREE")
     abundance = _TREE_SELECTORS["BAA" if ctx.req.basis == "BA" else "TPA"](f)
@@ -531,7 +511,7 @@ def _diversity_values(ctx: _Ctx) -> dict:
 
     species_cols = ctx.group_cols + (GroupCol("SPCD", "tree", "species"),)
     return dict(num=ctx.rows(f, abundance * tpa, [np.ones(f.n)]), den_area=ctx.area_den(),
-                reduce=reduce, companion=ctx.rows(f, tpa, [abundance], cols=species_cols))
+                reduce=reduce, species=ctx.rows(f, tpa, [abundance], cols=species_cols))
 
 
 # --------------------------------------------------------------------------
@@ -690,9 +670,7 @@ def _components_for(fam: Family, req: EstimatorRequest) -> tuple[ComponentSpec, 
     return comps
 
 
-def _build_plans(
-    db: ForestDatabase, fam: Family, req: EstimatorRequest
-) -> list[Plan]:
+def _build_plan(db: ForestDatabase, fam: Family, req: EstimatorRequest) -> Plan:
     kinds, layer_of = _namespace(db, fam.record_table)
     area_kinds, area_layers = _namespace(db, None)
     group_cols, species_on = _build_group_cols(fam, req, layer_of)
@@ -710,9 +688,7 @@ def _build_plans(
     polys = _assign_plots(db.plots, req.polys) if req.polys is not None else None
 
     ctx = _Ctx(db, fam, req, group_cols, layer_of, area_layers, domains, polys)
-    fields = fam.values(ctx)
-    companion = fields.pop("companion", None)
-    plans = [Plan(
+    return Plan(
         family=fam.name,
         components=ctx.comps,
         group_cols=group_cols,
@@ -720,13 +696,8 @@ def _build_plans(
         nplots_cols=fam.nplots,
         hidden_components=fam.hidden,
         emit_variance=req.variance,
-        **fields,
-    )]
-    if companion is not None:
-        # Species abundance totals feeding the pooled indices.
-        plans.append(Plan(fam.name, (ComponentSpec("_SP_ABUND", "none"),), companion,
-                          group_cols + (GroupCol("SPCD", "tree", "species"),)))
-    return plans
+        **fam.values(ctx),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -752,38 +723,11 @@ def _output_columns(fam: Family, req: EstimatorRequest, plan: Plan) -> list[str]
         cols.append(comp.name + "_SE")
         if req.variance:
             cols.append(comp.name + "_VAR")
-    if fam.name == "diversity":
+    if plan.species is not None:
         cols.extend(("H_POOLED", "S_POOLED", "Eh_POOLED"))
     for label, _ in plan.nplots_cols:
         cols.append(label)
     return cols
-
-
-def _diversity_rows(
-    plans: Sequence[Plan], totals, year: int | None, lam: float | None
-) -> list[dict]:
-    tot_main, tot_sp = totals
-    plan = plans[0]
-    pooled: dict[tuple, list[float]] = {}
-    for bk in tot_sp.universe:
-        outer = bk[:-1]
-        t = tot_sp.comp[bk][0].total
-        pooled.setdefault(outer, []).append(max(t, 0.0))
-    rows = rows_from_totals(plan, tot_main, year, lam)
-    for gk, row in zip(tot_main.universe, rows):
-        h, s, eh = _shannon(pooled.get(gk, ()))
-        row["H_POOLED"] = h
-        row["S_POOLED"] = s
-        row["Eh_POOLED"] = eh
-    return rows
-
-
-def _assemble_rows(
-    fam: Family, plans: Sequence[Plan], totals, year: int | None, lam: float | None
-) -> list[dict]:
-    if fam.name == "diversity":
-        return _diversity_rows(plans, totals, year, lam)
-    return rows_from_totals(plans[0], totals[0], year, lam)
 
 
 def _wide_namer(fam: Family) -> Callable[[str, object], str]:
@@ -847,11 +791,8 @@ def _pivot_wide(
 # --------------------------------------------------------------------------
 
 
-def _by_plot_table(
-    db: ForestDatabase, fam: Family, req: EstimatorRequest, plans: Sequence[Plan]
-) -> EstimateTable:
+def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable:
     """Raw per-plot values: one row per plot visit (and group), no variance."""
-    plan = plans[0]
     visible = [i for i, c in enumerate(plan.components) if c.name not in plan.hidden_components]
     comp_names = list(fam.byplot_names or [plan.components[i].name for i in visible])
     groups = select_family_evals(db, fam.type_sets, fam.name)
@@ -859,7 +800,8 @@ def _by_plot_table(
     seen: set[tuple] = set()
     for evals in groups:
         sample = build_sample(db, evals)
-        visits = [(p.cn, sample.panel_years.get(p.cn, p.invyr)) for p in sample.plots]
+        cns = [db.plots[r].cn for r in sample.rows.tolist()]
+        visits = list(zip(cns, sample.year[sample.last].tolist()))
         fresh = [visit not in seen for visit in visits]
         seen.update(visits)
         bundle = make_bundle(db, plan, sample)
@@ -910,28 +852,23 @@ def _by_plot_table(
 
 
 def run_family(db: ForestDatabase, fam: Family, req: EstimatorRequest):
-    """Validate a request, build plans, run the estimation, shape the output."""
+    """Validate a request, build its plan, run the estimation, shape the output."""
     _validate(fam, req)
-    plans = _build_plans(db, fam, req)
+    plan = _build_plan(db, fam, req)
     if req.by_plot:
-        return _by_plot_table(db, fam, req, plans)
+        return _by_plot_table(db, fam, plan)
 
     lambdas = normalize_lambdas(req.lambdas)
     rows: list[dict] = []
     for year, lam, totals in method_passes(
-        db,
-        plans,
-        fam.type_sets,
-        fam.name,
-        req.method,
-        lambdas=lambdas,
+        db, plan, fam.type_sets, fam.name, req.method, lambdas=lambdas
     ):
-        rows.extend(_assemble_rows(fam, plans, totals, year, lam))
+        rows.extend(rows_from_totals(plan, totals, year, lam))
     rows.sort(key=lambda r: (r.get("lambda") or 0.0, r.get("YEAR") or 0))
 
-    columns = _output_columns(fam, req, plans[0])
+    columns = _output_columns(fam, req, plan)
     if fam.wide and not req.tidy:
-        columns, rows = _pivot_wide(fam, req, plans[0], columns, rows)
+        columns, rows = _pivot_wide(fam, req, plan, columns, rows)
     table = EstimateTable(columns, rows)
     if req.return_spatial:
         return emit_spatial(table, req.polys)

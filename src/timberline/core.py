@@ -22,22 +22,28 @@ plot's value out of the numerator (and, for area-level groups, out of the
 denominator) but never changes n, n_h, or the strata, which keeps group
 totals exactly additive.
 
-One columnar pass per sample computes all of it.  A :class:`Plan` holds
-each variable (numerator, area denominator, tree denominator) as
-:class:`Records`: the rows inside every domain, over the whole database,
-with their plot, group-key code, weight and value columns.  Per sample,
+One columnar pass per evaluation group computes all of it.  A
+:class:`Sample` is the group's plots plus one (plot, stratum, panel)
+membership per stratum assignment.  A :class:`Plan` holds each variable
+(numerator, area denominator, tree denominator, diversity's species
+abundances) as :class:`Records`: the rows inside every domain, over the
+whole database, with their plot, group-key code, weight and value columns.
 :func:`make_bundle` gathers the rows on the sample's plots, multiplies in
 each plot's stratum adjustment factor and sums them per (group, plot) with
 ``np.bincount`` into :class:`Entries`.  :class:`_Strata` holds each
-stratum's constants (n_h, A * W_h and the variance weight) and
-:class:`_Cells` sums entries per (group, stratum) cell, so one call gets
-the totals, variances and covariances of every group and component.
+(panel, stratum) cell's constants (n_h, A * W_h and the variance weight)
+and :class:`_Cells` sums entries per (group, cell), so one call gets the
+totals, variances and covariances of every group, component and panel.
 :func:`post_stratified_total` and :func:`post_stratified_covariance` are
 one-series wrappers over the same kernel.
 
-Multi-panel designs estimate each yearly panel separately and combine the
-per-panel totals with the weights from :mod:`timberline.panels`; panels are
-treated as independent samples, so combined variance is sum of w_p^2 * v_p.
+Each panel is a sample of its own: W_h renormalizes over the strata with
+plots in that panel and n counts the unit's plots in it.  Panels are
+independent samples, so weights w_p combine the per-panel totals Y_p and
+variances v_p of one pass into sum_p w_p * Y_p with variance
+sum_p w_p^2 * v_p (:func:`combine_passes`).  TI is one panel of weight 1,
+SMA and LMA one row of weights, EMA one row per lambda and ANNUAL one
+single-panel row per panel with plots.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,18 +60,12 @@ from .model import (
     MACROPLOT,
     MICROPLOT,
     SUBPLOT,
+    EstimationUnit,
     Evaluation,
     ForestDatabase,
-    PlotRecord,
     Stratum,
 )
-from .panels import (
-    DEFAULT_LAMBDA,
-    combine_totals,
-    combine_variances,
-    panel_weights,
-    present_weights,
-)
+from .panels import DEFAULT_LAMBDA, panel_weights, present_weights
 
 __all__ = [
     "TotalEstimate",
@@ -84,7 +84,9 @@ __all__ = [
     "Entries",
     "Bundle",
     "make_bundle",
+    "PanelTotals",
     "PassTotals",
+    "GroupTotals",
     "compute_pass",
     "combine_passes",
     "rows_from_totals",
@@ -110,236 +112,304 @@ class TotalEstimate:
 ZERO_TOTAL = TotalEstimate(0.0, 0.0, 0, 0)
 
 
-@dataclass
-class UnitSlice:
-    cn: str
-    area: float
-    strata: list[tuple[Stratum, np.ndarray]]  # (stratum, plot index array)
-    n: int
+ASSIGNMENTS = "POP_PLOT_STRATUM_ASSGN"
 
 
 @dataclass
 class Sample:
-    """The plots of one evaluation group (optionally one panel), stratified.
+    """The plots of one evaluation group, stratified along a panel axis.
 
-    Plots are held in sorted CN order; every estimator walks them in this
-    order, which is what makes output independent of record order.
+    ``rows`` are the sampled plots' rows in ``db.plots``, in CN order; every
+    estimator walks them in this order, which is what makes output
+    independent of record order.  Each kept stratum assignment is one
+    membership: sample plot ``plot[m]`` sits in stratum ``strata[stratum[m]]``
+    during panel ``panel[m]``, measured in ``year[m]``.  Stratum h belongs to
+    estimation unit ``units[unit[h]]``.
     """
 
-    plots: list[PlotRecord]
-    units: list[UnitSlice]
-    stratum_of: dict[str, Stratum]
-    panel_years: dict[str, int]
+    rows: np.ndarray
+    plot: np.ndarray
+    stratum: np.ndarray
+    panel: np.ndarray
+    year: np.ndarray
+    strata: list[Stratum]
+    unit: np.ndarray
+    units: list[EstimationUnit]
+    n_panels: int = 1
 
     @property
     def n_plots(self) -> int:
-        return len(self.plots)
+        return len(self.rows)
+
+    @property
+    def last(self) -> np.ndarray:
+        """Each plot's last membership, which gives its adjustment factors and YEAR."""
+        _, first = np.unique(self.plot[::-1], return_index=True)
+        return len(self.plot) - 1 - first
+
+
+def _assignments(db: ForestDatabase, evals: Sequence[Evaluation]) -> tuple[np.ndarray, ...]:
+    """The group's assignment rows in walk order (evaluation, then table order).
+
+    Also returns each row's evaluation position in ``evals``, its year (its
+    INVYR, else its plot's) and whether a year is known.
+    """
+    view = db.columns
+    codes, cns = view.column(ASSIGNMENTS, "STRATUM_CN")
+    position = {ev.evalid: i for i, ev in enumerate(evals)}
+    ev = np.array([position.get(db.eval_of_stratum(cn), -1) for cn in cns], dtype=np.intp)
+    ev = ev[codes[:-1]]
+    rows = np.flatnonzero(ev >= 0)
+    rows = rows[np.argsort(ev[rows], kind="stable")]
+    (own, own_years), (plot, plot_years) = (view.column(ASSIGNMENTS, "INVYR"),
+                                            view.column("PLOT", "INVYR"))
+    own, plot = own[rows], plot[view.plot_rows(ASSIGNMENTS)[rows]]
+    years = [np.array([0 if v is None else v for v in values], dtype=np.int64)
+             for values in (own_years, plot_years)]
+    year = np.where(own != 0, years[0][own], years[1][plot])
+    return rows, ev[rows], year, (own != 0) | (plot != 0)
 
 
 def build_sample(
     db: ForestDatabase,
     evals: Sequence[Evaluation],
-    years: Iterable[int] | None = None,
+    years: Sequence[int] | None = None,
 ) -> Sample:
     """Assemble the stratified sample for an evaluation group.
 
-    ``years`` restricts to specific measurement panels (assignment INVYR,
-    falling back to plot INVYR).  Assignments pointing at plots missing from
-    the database are a hard error: a sampled plot the estimator cannot see
-    would silently bias every mean.  So is a plot assigned more than once
-    in one evaluation, which would count it twice in n and n_h.
+    Without ``years`` the sample has one panel holding every assignment.
+    With the group's sorted panel ``years``, an assignment sits in the panel
+    of its year (assignment INVYR, falling back to plot INVYR) and one whose
+    year is off the axis is dropped.  Assignments pointing at plots missing
+    from the database are a hard error: a sampled plot the estimator cannot
+    see would silently bias every mean.  So is a plot assigned more than
+    once in one evaluation, which would count it twice in n and n_h.
     """
-    year_set = set(years) if years is not None else None
-    plots: dict[str, PlotRecord] = {}
-    stratum_of: dict[str, Stratum] = {}
-    panel_years: dict[str, int] = {}
-    per_unit: dict[str, dict[str, list[str]]] = {}
+    view = db.columns
+    rows, ev, year, _ = _assignments(db, evals)
+    plot_row = view.plot_rows(ASSIGNMENTS)[rows]
+    stratum_code, stratum_cns = view.column(ASSIGNMENTS, "STRATUM_CN")
+    stratum_code = stratum_code[rows]
+    plt, plt_cns = view.column(ASSIGNMENTS, "PLT_CN")
+    visit = ev * len(plt_cns) + plt[rows]
+    _, first, inverse = np.unique(visit, return_index=True, return_inverse=True)
+    repeat = first[inverse] != np.arange(len(rows))
+    bad = np.flatnonzero(repeat | (plot_row < 0))
+    if len(bad):
+        i = bad[0]
+        evalid, cn = evals[ev[i]].evalid, plt_cns[plt[rows[i]]]
+        if repeat[i]:
+            strata = [stratum_cns[c] for c in stratum_code[inverse == inverse[i]]]
+            raise EstimationError(
+                f"evaluation {evalid} assigns plot {cn} more than once "
+                f"(strata {', '.join(strata)}); a plot needs one stratum per evaluation"
+            )
+        raise EstimationError(f"evaluation {evalid} assigns missing plot {cn}")
 
-    for ev in evals:
-        assignments = db.assignments_by_eval.get(ev.evalid, ())
-        assigned: set[str] = set()
-        for assgn in assignments:
-            if assgn.plt_cn in assigned:
-                strata = [a.stratum_cn for a in assignments if a.plt_cn == assgn.plt_cn]
-                raise EstimationError(
-                    f"evaluation {ev.evalid} assigns plot {assgn.plt_cn} more than once "
-                    f"(strata {', '.join(strata)}); a plot needs one stratum per evaluation"
-                )
-            assigned.add(assgn.plt_cn)
-            stratum = db.stratum_by_cn.get(assgn.stratum_cn)
-            if stratum is None:
-                raise EstimationError(
-                    f"assignment references unknown stratum {assgn.stratum_cn}"
-                )
-            plot = db.plot_by_cn.get(assgn.plt_cn)
-            if plot is None:
-                raise EstimationError(
-                    f"evaluation {ev.evalid} assigns missing plot {assgn.plt_cn}"
-                )
-            year = assgn.invyr if assgn.invyr is not None else plot.invyr
-            if year_set is not None and year not in year_set:
-                continue
-            plots[plot.cn] = plot
-            stratum_of[plot.cn] = stratum
-            panel_years[plot.cn] = year
-            per_unit.setdefault(stratum.estn_unit_cn, {}).setdefault(
-                stratum.cn, []
-            ).append(plot.cn)
-
-    ordered = sorted(plots.values(), key=lambda p: p.cn)
-    index = {p.cn: i for i, p in enumerate(ordered)}
-
-    units: list[UnitSlice] = []
-    for ev in evals:
-        for unit in db.units_by_eval.get(ev.evalid, ()):
-            stratum_map = per_unit.get(unit.cn)
-            if not stratum_map:
-                log.warning(
-                    "estimation unit %s has no sampled plots in this selection; skipped",
-                    unit.cn,
-                )
-                continue
-            if unit.area_used is None:
-                raise EstimationError(f"estimation unit {unit.cn} lacks AREA_USED")
-            strata = []
-            for stratum in sorted(
-                db.strata_by_unit.get(unit.cn, ()), key=lambda s: s.cn
-            ):
-                cns = stratum_map.get(stratum.cn, [])
-                idx = np.array(sorted(index[cn] for cn in cns), dtype=np.intp)
-                strata.append((stratum, idx))
-            n = sum(len(idx) for _, idx in strata)
-            units.append(UnitSlice(unit.cn, unit.area_used, strata, n))
-    return Sample(ordered, units, stratum_of, panel_years)
-
-
-def _unit_terms(unit: UnitSlice) -> list[tuple[Stratum, np.ndarray, float]]:
-    """Present strata with weights renormalized when some have no plots."""
-    present = [(st, idx) for st, idx in unit.strata if len(idx) > 0]
-    dropped = len(unit.strata) - len(present)
-    weights = []
-    for st, _ in present:
-        if st.weight is None:
-            raise EstimationError(f"stratum {st.cn} lacks STRATUM_WGT")
-        weights.append(st.weight)
-    wsum = sum(weights)
-    if wsum <= 0:
-        raise EstimationError(f"estimation unit {unit.cn} has no positive stratum weight")
-    if dropped:
-        log.warning(
-            "unit %s: %d stratum(s) with no plots in selection; weights renormalized",
-            unit.cn, dropped,
+    if years is None:
+        panel = np.zeros(len(rows), dtype=np.intp)
+    else:
+        axis = np.asarray(years, dtype=np.int64)
+        panel = np.minimum(np.searchsorted(axis, year), len(axis) - 1)
+        keep = axis[panel] == year
+        plot_row, stratum_code, panel, year = (
+            a[keep] for a in (plot_row, stratum_code, panel, year)
         )
-    return [(st, idx, w / wsum) for (st, idx), w in zip(present, weights)]
+
+    by_cn = view.order("PLOT", ("cn",))
+    sample_rows = by_cn[np.isin(by_cn, plot_row)]
+    pos = np.zeros(len(db.plots), dtype=np.intp)
+    pos[sample_rows] = np.arange(len(sample_rows))
+
+    units = [u for ev in evals for u in db.units_by_eval.get(ev.evalid, ())]
+    strata = [(st, i) for i, u in enumerate(units)
+              for st in sorted(db.strata_by_unit.get(u.cn, ()), key=lambda s: s.cn)]
+    index = {st.cn: h for h, (st, _) in reversed(list(enumerate(strata)))}
+    stratum = np.array([index.get(cn, -1) for cn in stratum_cns], dtype=np.intp)[stratum_code]
+    unit = np.array([i for _, i in strata], dtype=np.intp)
+
+    n_panels = 1 if years is None else len(years)
+    cells = np.bincount(panel * len(units) + unit[stratum], minlength=n_panels * len(units))
+    for u in np.flatnonzero(cells.reshape(n_panels, len(units)).any(axis=0)).tolist():
+        if units[u].area_used is None:
+            raise EstimationError(f"estimation unit {units[u].cn} lacks AREA_USED")
+    empty = int(np.count_nonzero(cells == 0))
+    if empty:
+        log.warning(
+            "%d of %d (estimation unit, panel) cells have no sampled plots in this "
+            "selection; skipped", empty, len(cells),
+        )
+    return Sample(sample_rows, pos[plot_row], stratum, panel, year, [st for st, _ in strata],
+                  unit, units, n_panels)
 
 
 class _Strata:
-    """A sample's strata: plot memberships and the estimator's constants.
+    """A sample's cells and the estimator's constants.
 
-    Strata are numbered in unit order, then in stratum order.  Stratum h
-    carries n_h, its total weight A * W_h and its variance weight, which
-    turns a sum of squared deviations into the stratum's share of the
-    variance.  A plot sits in one stratum per evaluation; overlapping
-    evaluations can put it in several, and each membership counts.
+    A cell is one (panel, stratum) pair holding plots, numbered panel by
+    panel, then in unit and stratum order.  Each panel is its own sample:
+    cell c carries n_h, its total weight A * W_h and its variance weight,
+    with W_h renormalized over the strata of its unit that hold plots in
+    that panel and n the unit's plots in that panel.  A plot sits in one
+    stratum per evaluation; overlapping evaluations can put it in several,
+    and each membership counts.
     """
 
     def __init__(self, sample: Sample):
-        members, sizes, area_w, var_w = [], [], [], []
-        for unit in sample.units:
-            terms = _unit_terms(unit)
-            n = sum(len(idx) for _, idx, _ in terms)
-            for st, idx, w in terms:
-                n_h = len(idx)
-                if n_h == 1:
-                    log.debug("stratum %s has a single plot; its variance term is 0", st.cn)
-                members.append(idx)
-                sizes.append(n_h)
-                area_w.append(unit.area * w)
-                var_w.append(
-                    unit.area ** 2 / n * (n_h / n) * (w + (1.0 - w) / n) / (n_h - 1)
-                    if n_h > 1 else 0.0
-                )
-        self.n_plots, self.n_strata = sample.n_plots, len(sizes)
-        self.n_h = np.array(sizes, dtype=float)
-        self.area_w, self.var_w = np.array(area_w), np.array(var_w)
-        plot = np.concatenate(members) if members else np.zeros(0, dtype=np.intp)
-        order = np.argsort(plot, kind="stable")
-        self._stratum = np.repeat(np.arange(self.n_strata), sizes)[order]
-        self._count = np.bincount(plot, minlength=self.n_plots)
+        n_panels, n_strata, n_units = sample.n_panels, len(sample.strata), len(sample.units)
+        code = sample.panel * n_strata + sample.stratum
+        sizes = np.bincount(code, minlength=n_panels * n_strata)
+        cells = np.flatnonzero(sizes)
+        self.panel, h = np.divmod(cells, n_strata)
+        weight = np.array([np.nan if st.weight is None else st.weight
+                           for st in sample.strata], dtype=float)[h]
+        missing = np.flatnonzero(np.isnan(weight))
+        if len(missing):
+            raise EstimationError(f"stratum {sample.strata[h[missing[0]]].cn} lacks STRATUM_WGT")
+        unit = sample.unit[h]
+        cell_unit = self.panel * n_units + unit
+        wsum = np.bincount(cell_unit, weight, minlength=n_panels * n_units)
+        n = np.bincount(cell_unit, sizes[cells], minlength=n_panels * n_units)
+        used = np.flatnonzero(n)
+        bad = used[wsum[used] <= 0]
+        if len(bad):
+            raise EstimationError(
+                f"estimation unit {sample.units[bad[0] % n_units].cn} has no positive "
+                "stratum weight"
+            )
+        dropped = (np.bincount(sample.unit, minlength=n_units)[used % n_units]
+                   - np.bincount(cell_unit, minlength=n_panels * n_units)[used])
+        if dropped.any():
+            log.warning(
+                "%d (stratum, panel) cells with no plots in %d (estimation unit, panel) "
+                "cells; weights renormalized", dropped.sum(), np.count_nonzero(dropped),
+            )
+        self.n_h = sizes[cells].astype(float)
+        if (self.n_h == 1).any():
+            log.debug("%d single-plot cells; their variance terms are 0", sum(self.n_h == 1))
+        w, n = weight / wsum[cell_unit], n[cell_unit]
+        area = np.array([np.nan if u.area_used is None else u.area_used
+                         for u in sample.units], dtype=float)[unit]
+        self.area_w = area * w
+        self.var_w = np.where(
+            self.n_h > 1,
+            area ** 2 / n * (self.n_h / n) * (w + (1.0 - w) / n) / np.maximum(self.n_h - 1, 1),
+            0.0,
+        )
+        self.n_cells, self.n_panels = len(cells), n_panels
+        edges = np.searchsorted(self.panel, np.arange(n_panels + 1)).tolist()
+        self.bounds = list(zip(edges, edges[1:]))  # each panel's cells
+        visits = np.unique(sample.plot * n_panels + sample.panel)
+        self.n_plots = np.bincount(visits % n_panels, minlength=n_panels)
+        order = np.argsort(sample.plot, kind="stable")
+        self._cell = np.searchsorted(cells, code)[order]
+        self._count = np.bincount(sample.plot, minlength=sample.n_plots)
         self._first = np.cumsum(self._count) - self._count
 
     def expand(self, plot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(entry, stratum) pairs, one per stratum membership of each entry's plot."""
+        """(entry, cell) pairs, one per membership of each entry's plot."""
         reps = self._count[plot]
         entry = np.repeat(np.arange(len(plot)), reps)
         within = np.arange(len(entry)) - np.repeat(np.cumsum(reps) - reps, reps)
-        return entry, self._stratum[self._first[plot[entry]] + within]
+        return entry, self._cell[self._first[plot[entry]] + within]
+
+
+@dataclass
+class PanelTotals:
+    """One variable's totals per (key, panel); arrays are keys x panels (x columns).
+
+    ``nonzero`` counts each panel's plots with a non-zero value (in any
+    column for ``any_nonzero``) and ``present`` marks the panels where a key
+    has an entry.
+    """
+
+    keys: list[tuple]
+    total: np.ndarray
+    variance: np.ndarray
+    nonzero: np.ndarray
+    any_nonzero: np.ndarray
+    present: np.ndarray
 
 
 class _Cells:
-    """One variable's entries, summed per (key, stratum) cell.
+    """One variable's entries, summed per (key, cell).
 
     Entries are (key, plot, row of values) with at most one per (key, plot);
     a plot without an entry holds zeros.  Cell sums take one ``np.bincount``
-    per column over ``key * H + stratum``, which totals every key at once.
+    per column over ``key * cells + cell``, which totals every key at once,
+    and each panel's total is the sum over its cells.
     """
 
     def __init__(self, strata: _Strata, key: np.ndarray, plot: np.ndarray,
                  values: np.ndarray, n_keys: int):
         self.strata, self.n_keys = strata, n_keys
-        self.nonzero = np.column_stack(
-            [np.bincount(key, col != 0, minlength=n_keys) for col in values.T]
-        ).astype(int)
-        self.any_nonzero = np.bincount(key, (values != 0).any(axis=1), minlength=n_keys)
+        n_panels = strata.n_panels
         entry, self.stratum = strata.expand(plot)
         self.key, self.plot, self.x = key[entry], plot[entry], values[entry]
-        self.cell = self.key * strata.n_strata + self.stratum
+        self.cell = self.key * strata.n_cells + self.stratum
         n_h = np.tile(strata.n_h, n_keys)
         self.absent = n_h - np.bincount(self.cell, minlength=len(n_h))
         self.mean = self._sum(self.x) / n_h[:, None]
+        visit = np.unique(entry * n_panels + strata.panel[self.stratum])
+        seen, panel = np.divmod(visit, n_panels)
+        flags = values[seen] != 0
+        counts = self._by_panel(key[seen] * n_panels + panel,
+                                [*flags.T, flags.any(axis=1), np.ones(len(seen))])
+        self.nonzero, self.any_nonzero = counts[..., :-2], counts[..., -2]
+        self.present = counts[..., -1] > 0
 
     def _sum(self, per_entry: np.ndarray) -> np.ndarray:
-        size = self.n_keys * self.strata.n_strata
+        size = self.n_keys * self.strata.n_cells
         return np.column_stack(
             [np.bincount(self.cell, col, minlength=size) for col in per_entry.T]
         )
 
-    def _over_strata(self, per_cell: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        shaped = per_cell.reshape(self.n_keys, self.strata.n_strata, per_cell.shape[1])
-        return (shaped * weights[:, None]).sum(axis=1)
+    def _by_panel(self, at: np.ndarray, columns) -> np.ndarray:
+        """Sums over ``key * panels + panel`` positions, shaped keys x panels x columns."""
+        size = self.n_keys * self.strata.n_panels
+        return np.column_stack(
+            [np.bincount(at, col, minlength=size) for col in columns]
+        ).reshape(self.n_keys, self.strata.n_panels, len(columns))
 
-    def estimates(self) -> list[list[TotalEstimate]]:
-        """One TotalEstimate per key and column.
+    def _over_strata(self, per_cell: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Each panel's weighted sum over its cells, keys x panels x columns."""
+        cells = self.strata.n_cells
+        shaped = per_cell.reshape(self.n_keys, cells, per_cell.shape[1]) * weights[:, None]
+        return np.stack([shaped[:, a:b].sum(axis=1) for a, b in self.strata.bounds], axis=1)
+
+    def estimates(self, keys: list[tuple]) -> PanelTotals:
+        """Every key's totals and variances per panel and column.
 
         Per cell, the sum of (x - xbar)^2 over all n_h plots is the sum over
         the entries plus (n_h - entries) * xbar^2 for the plots without one.
         """
         dev = self.x - self.mean[self.cell]
         squares = self._sum(dev * dev) + self.absent[:, None] * self.mean ** 2
-        rows = zip(
-            self._over_strata(self.mean, self.strata.area_w).tolist(),
-            self._over_strata(squares, self.strata.var_w).tolist(),
-            self.nonzero.tolist(),
-        )
-        n = self.strata.n_plots
-        return [[TotalEstimate(t, v, z, n) for t, v, z in zip(*row)] for row in rows]
+        return PanelTotals(keys, self._over_strata(self.mean, self.strata.area_w),
+                           self._over_strata(squares, self.strata.var_w),
+                           self.nonzero.astype(int), self.any_nonzero.astype(int), self.present)
 
     def covariances(self, y: np.ndarray, y_mean: np.ndarray) -> np.ndarray:
-        """Covariances with another variable's totals, keys x columns.
+        """Covariances with another variable's totals, keys x panels x columns.
 
-        ``y`` and ``y_mean`` are that variable's plot value and stratum mean
-        at each expanded entry.  Per cell, the sum of (x - xbar)(y - ybar) is
+        ``y`` and ``y_mean`` are that variable's plot value and cell mean at
+        each expanded entry.  Per cell, the sum of (x - xbar)(y - ybar) is
         the sum of x (y - ybar) over the entries, as y's deviations sum to 0.
         """
         products = self._sum(self.x * (y - y_mean)[:, None])
         return self._over_strata(products, self.strata.var_w)
 
-    def mean_at(self, key: np.ndarray, stratum: np.ndarray) -> np.ndarray:
-        """Column-0 stratum mean at each (key, stratum); 0 for a negative key."""
+    def mean_at(self, key: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """Column-0 cell mean at each (key, cell); 0 for a negative key."""
         if not self.n_keys:
             return np.zeros(len(key))
-        cell = np.where(key >= 0, key, 0) * self.strata.n_strata + stratum
-        return np.where(key >= 0, self.mean[cell, 0], 0.0)
+        at = np.where(key >= 0, key, 0) * self.strata.n_cells + cell
+        return np.where(key >= 0, self.mean[at, 0], 0.0)
+
+
+def _combine(per_panel: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """keys x panels x columns weighted by rows x panels: rows x keys x columns."""
+    return (per_panel[None] * weights[:, None, :, None]).sum(axis=2)
 
 
 def _series(values: np.ndarray, strata: _Strata) -> _Cells:
@@ -347,16 +417,28 @@ def _series(values: np.ndarray, strata: _Strata) -> _Cells:
     return _Cells(strata, np.zeros(n, dtype=np.intp), np.arange(n), values[:, None], 1)
 
 
-def post_stratified_total(values: np.ndarray, sample: Sample) -> TotalEstimate:
-    """Estimate the population total of per-plot ``values`` (docstring formula)."""
-    return _series(values, _Strata(sample)).estimates()[0][0]
+def post_stratified_total(
+    values: np.ndarray, sample: Sample, weights: Sequence[float] = (1.0,)
+) -> TotalEstimate:
+    """Estimate the population total of per-plot ``values`` (docstring formula).
+
+    Panels combine as sum_p w_p * Y_p with variance sum_p w_p^2 * v_p, where
+    ``weights`` holds w_p, one per panel.
+    """
+    strata, w = _Strata(sample), np.array([weights], dtype=float)
+    est = _series(values, strata).estimates([()])
+    return TotalEstimate(float(_combine(est.total, w)[0, 0, 0]),
+                         float(_combine(est.variance, w * w)[0, 0, 0]),
+                         int(est.nonzero.sum()), int(strata.n_plots.sum()))
 
 
-def post_stratified_covariance(x: np.ndarray, y: np.ndarray, sample: Sample) -> float:
+def post_stratified_covariance(
+    x: np.ndarray, y: np.ndarray, sample: Sample, weights: Sequence[float] = (1.0,)
+) -> float:
     """Covariance of two totals over the same sample, combined like variances."""
-    strata = _Strata(sample)
+    strata, w = _Strata(sample), np.array([weights], dtype=float)
     xc, yc = _series(x, strata), _series(y, strata)
-    return float(xc.covariances(y[xc.plot], yc.mean[xc.cell, 0])[0, 0])
+    return float(_combine(xc.covariances(y[xc.plot], yc.mean[xc.cell, 0]), w * w)[0, 0, 0])
 
 
 def ratio_estimate(
@@ -470,7 +552,7 @@ class Records:
 
 @dataclass(frozen=True)
 class Note:
-    """A per-pass log line counting the sample's flagged plots (or conditions)."""
+    """A log line counting the sample's flagged plots (or conditions)."""
 
     level: int
     message: str  # formatted with the count
@@ -486,6 +568,7 @@ class Plan:
     den_area: Records | None = None
     den_tree: Records | None = None
     reduce: Callable[["Bundle"], np.ndarray] | None = None  # per-entry values (diversity)
+    species: Records | None = None  # abundance per (group, SPCD) for pooled indices
     notes: tuple[Note, ...] = ()
     species_decoration: dict[int, tuple[str | None, str | None]] | None = None
     nplots_cols: tuple[tuple[str, str], ...] = ()  # (label, "num" | "den")
@@ -504,7 +587,8 @@ class Plan:
 
 # --------------------------------------------------------------------------
 # Pass computation: gather one sample's rows into (key, plot) entries, then
-# total every group and component in one call of the stratified kernel.
+# total every group, component and panel in one call of the stratified
+# kernel; panel weights combine the totals into output rows.
 # --------------------------------------------------------------------------
 
 
@@ -547,6 +631,7 @@ class Bundle:
     num: Entries
     den_area: Entries
     den_tree: Entries
+    species: Entries
     area_of: np.ndarray
     tree_of: np.ndarray
 
@@ -574,17 +659,15 @@ def _gather(rec: Records | None, pos: np.ndarray, factors: np.ndarray, width: in
 def make_bundle(db: ForestDatabase, plan: Plan, sample: Sample) -> Bundle:
     """Gather one sample's rows of every variable of a plan into entries.
 
-    Each plan note logs one line with the number of its items in the sample.
+    A row takes the adjustment factors of its plot's last stratum
+    assignment.  Each plan note logs one line with the number of its items
+    in the sample.
     """
     pos = np.full(len(db.plots) + 1, -1, dtype=np.intp)  # slot -1: rows without a plot
-    rows = np.array([db.columns.plot_row[p.cn] for p in sample.plots], dtype=np.intp)
-    pos[rows] = np.arange(sample.n_plots)
-    by_stratum = {
-        st.cn: [st.adjustment(c) for c in ADJUST_CLASSES] for st in sample.stratum_of.values()
-    }
-    factors = np.array(
-        [by_stratum[sample.stratum_of[p.cn].cn] for p in sample.plots], dtype=float
-    ).reshape(sample.n_plots, len(ADJUST_CLASSES))
+    pos[sample.rows] = np.arange(sample.n_plots)
+    adjust = np.array([[st.adjustment(c) for c in ADJUST_CLASSES] for st in sample.strata],
+                      dtype=float).reshape(-1, len(ADJUST_CLASSES))
+    factors = adjust[sample.stratum[sample.last]]
     for note in plan.notes:
         count = int(np.count_nonzero(pos[note.plots] >= 0))
         if count:
@@ -592,9 +675,10 @@ def make_bundle(db: ForestDatabase, plan: Plan, sample: Sample) -> Bundle:
     num = _gather(plan.num, pos, factors, len(plan.components))
     den_area = _gather(plan.den_area, pos, factors, 1)
     den_tree = _gather(plan.den_tree, pos, factors, 1)
+    species = _gather(plan.species, pos, factors, 1)
     area_index, tree_index = ({gk: i for i, gk in enumerate(e.keys)} for e in (den_area, den_tree))
     bundle = Bundle(
-        num, den_area, den_tree,
+        num, den_area, den_tree, species,
         np.array([area_index.get(plan.area_projection(gk), -1) for gk in num.keys], dtype=np.intp),
         np.array([tree_index.get(gk, -1) for gk in num.keys], dtype=np.intp),
     )
@@ -605,28 +689,26 @@ def make_bundle(db: ForestDatabase, plan: Plan, sample: Sample) -> Bundle:
 
 @dataclass
 class PassTotals:
-    """Stratified totals of one pass, keyed by group."""
+    """Stratified totals of one pass per (key, panel), before panel weighting."""
 
-    universe: list[tuple]
-    comp: dict[tuple, list[TotalEstimate]]
-    cov: dict[tuple, list[float]]
-    den_area: dict[tuple, TotalEstimate]
-    den_tree: dict[tuple, TotalEstimate]
-    num_plots_nonzero: dict[tuple, int]
-    n_plots: int
+    num: PanelTotals
+    cov: np.ndarray  # numerator keys x panels x components
+    den_area: PanelTotals
+    den_tree: PanelTotals
+    species: PanelTotals
+    n_plots: np.ndarray  # per panel
 
 
-def compute_pass(db: ForestDatabase, plan: Plan, sample: Sample) -> PassTotals:
-    """Run one full estimation pass over a sample.
+def compute_pass(db: ForestDatabase, plan: Plan, sample: Sample) -> PassTotals | None:
+    """Run one full estimation pass over a sample; None when it has no rows.
 
     The sample's rows become entries, one per (group, plot) with rows; the
-    stratified kernel then totals every group and component at once.
+    stratified kernel then totals every group, component and panel at once.
     """
-    n = sample.n_plots
     bundle = make_bundle(db, plan, sample)
     num, den_area, den_tree = bundle.num, bundle.den_area, bundle.den_tree
     if not (num.keys or den_area.keys or den_tree.keys):
-        return PassTotals([], {}, {}, {}, {}, {}, n)  # no totals, so no stratum checks
+        return None  # no totals, so no stratum checks
 
     strata = _Strata(sample)
     x = num.cells(strata)
@@ -634,68 +716,71 @@ def compute_pass(db: ForestDatabase, plan: Plan, sample: Sample) -> PassTotals:
     for entries, den_of in ((den_area, bundle.area_of), (den_tree, bundle.tree_of)):
         cells, key = entries.cells(strata), den_of[x.key]
         covs.append(x.covariances(entries.at(key, x.plot), cells.mean_at(key, x.stratum)))
-        dens.append(dict(zip(entries.keys, (e[0] for e in cells.estimates()))))
+        dens.append(cells.estimates(entries.keys))
     den = np.array([c.den for c in plan.components])
-    cov = np.where(den == "area", covs[0], np.where(den == "trees", covs[1], 0.0)).tolist()
-    return PassTotals(
-        universe=sorted(num.keys, key=_group_sort_key(plan)),
-        comp=dict(zip(num.keys, x.estimates())),
-        cov=dict(zip(num.keys, cov)),
-        den_area=dens[0],
-        den_tree=dens[1],
-        num_plots_nonzero=dict(zip(num.keys, x.any_nonzero.astype(int).tolist())),
-        n_plots=n,
-    )
+    cov = np.where(den == "area", covs[0], np.where(den == "trees", covs[1], 0.0))
+    return PassTotals(x.estimates(num.keys), cov, *dens,
+                      bundle.species.cells(strata).estimates(bundle.species.keys),
+                      strata.n_plots)
 
 
-def _combine_totals_list(
-    totals: Sequence[TotalEstimate], weights: Sequence[float]
-) -> TotalEstimate:
-    return TotalEstimate(
-        total=combine_totals([t.total for t in totals], weights),
-        variance=combine_variances([t.variance for t in totals], weights),
-        n_nonzero=sum(t.n_nonzero for t in totals),
-        n_plots=sum(t.n_plots for t in totals),
-    )
+@dataclass
+class GroupTotals:
+    """The totals behind one set of output rows, keyed by group."""
+
+    universe: list[tuple]
+    comp: dict[tuple, list[TotalEstimate]]
+    cov: dict[tuple, list[float]]
+    den_area: dict[tuple, TotalEstimate]
+    den_tree: dict[tuple, TotalEstimate]
+    num_plots_nonzero: dict[tuple, int]
+    pooled: dict[tuple, list[float]]  # species abundance totals per group
 
 
-def combine_passes(
-    plan: Plan, passes: Sequence[PassTotals], weights: Sequence[float]
-) -> PassTotals:
-    """Weighted combination of per-panel totals into one set of totals.
+def combine_passes(plan: Plan, totals: PassTotals, weights: np.ndarray) -> list[GroupTotals]:
+    """Weighted combination of a pass's panels: one GroupTotals per row of ``weights``.
 
-    A group absent from a panel contributes an exact zero total with zero
-    variance for that panel (its plots all observed zero).
+    ``weights`` is rows x panels.  Totals combine as sum_p w_p * Y_p and
+    variances and covariances as sum_p w_p^2 * v_p; panels are independent
+    samples.  A row covers the panels it weights: its groups are those with
+    an entry there and its plot counts sum over them.  A group absent from
+    a panel contributes an exact zero total with zero variance.
     """
-    universe = sorted({gk for pt in passes for gk in pt.universe}, key=_group_sort_key(plan))
-    columns = range(len(plan.components))
+    weights = np.asarray(weights, dtype=float)
+    used, squared = weights != 0, weights * weights
+    n_plots = (used * totals.n_plots).sum(axis=1).tolist()
 
-    def mix(name: str, pick) -> dict:
-        """One combined entry per key of the ``name`` dicts of the passes."""
-        keys = {k for pt in passes for k in getattr(pt, name)}
-        return {k: pick([getattr(pt, name).get(k) for pt in passes]) for k in keys}
+    def mix(t: PanelTotals) -> list[list[list[TotalEstimate]]]:
+        """Per row, per key, one TotalEstimate per column."""
+        parts = (_combine(t.total, weights), _combine(t.variance, squared),
+                 _combine(t.nonzero, used))
+        return [[[TotalEstimate(*z, n) for z in zip(*cols)] for cols in zip(*row)]
+                for *row, n in zip(*(part.tolist() for part in parts), n_plots)]
 
-    def total(found: list) -> TotalEstimate:
-        return _combine_totals_list([
-            t or TotalEstimate(0.0, 0.0, 0, pt.n_plots) for t, pt in zip(found, passes)
-        ], weights)
-
-    return PassTotals(
-        universe=universe,
-        comp=mix("comp", lambda found: [
-            total([row and row[i] for row in found]) for i in columns
-        ]),
-        cov=mix("cov", lambda found: [
-            combine_variances([row[i] if row else 0.0 for row in found], weights)
-            for i in columns
-        ]),
-        den_area=mix("den_area", total),
-        den_tree=mix("den_tree", total),
-        num_plots_nonzero={
-            gk: sum(pt.num_plots_nonzero.get(gk, 0) for pt in passes) for gk in universe
-        },
-        n_plots=sum(pt.n_plots for pt in passes),
-    )
+    keys, sort_key = totals.num.keys, _group_sort_key(plan)
+    present = _combine(totals.num.present[..., None], used)[..., 0] > 0
+    comp, den_area, den_tree = mix(totals.num), mix(totals.den_area), mix(totals.den_tree)
+    cov = _combine(totals.cov, squared).tolist()
+    nonzero = _combine(totals.num.any_nonzero[..., None], used)[..., 0].tolist()
+    species = totals.species.keys
+    species_key = _group_sort_key(plan, (GroupCol("SPCD", "tree", "species"),))
+    order = sorted(range(len(species)), key=lambda i: species_key(species[i]))
+    abundance = _combine(totals.species.total, weights)[..., 0].tolist()
+    out = []
+    for r in range(len(weights)):
+        pooled: dict[tuple, list[float]] = {}
+        for i in order:
+            pooled.setdefault(species[i][:-1], []).append(max(abundance[r][i], 0.0))
+        out.append(GroupTotals(
+            universe=sorted((k for k, ok in zip(keys, present[r]) if ok), key=sort_key),
+            comp=dict(zip(keys, comp[r])),
+            cov=dict(zip(keys, cov[r])),
+            den_area={k: e[0] for k, e in zip(totals.den_area.keys, den_area[r])},
+            den_tree={k: e[0] for k, e in zip(totals.den_tree.keys, den_tree[r])},
+            num_plots_nonzero=dict(zip(keys, nonzero[r])),
+            pooled=pooled,
+        ))
+    return out
 
 
 def _class_lower_bound(label: str) -> float | None:
@@ -710,8 +795,8 @@ def _class_lower_bound(label: str) -> float | None:
     return None
 
 
-def _group_sort_key(plan: Plan):
-    cols = plan.group_cols
+def _group_sort_key(plan: Plan, extra: tuple[GroupCol, ...] = ()):
+    cols = plan.group_cols + extra
 
     def value_key(col: GroupCol, v):
         if v is None:
@@ -734,10 +819,20 @@ def _group_sort_key(plan: Plan):
     return key
 
 
+def _shannon(abundances: Sequence[float]) -> tuple[float, int, float]:
+    """(H, S, Eh) from raw abundance values (zeros ignored)."""
+    positive = [a for a in abundances if a > 0.0]
+    total = sum(positive)
+    if total <= 0.0:
+        return 0.0, 0, 0.0
+    h = 0.0 - sum(p * math.log(p) for p in (a / total for a in positive))  # never -0.0
+    return h, len(positive), h / math.log(len(positive)) if len(positive) > 1 else 0.0
+
+
 def rows_from_totals(
-    plan: Plan, totals: PassTotals, year: int | None, lam: float | None
+    plan: Plan, totals: GroupTotals, year: int | None, lam: float | None
 ) -> list[dict]:
-    """Render one pass (or combined pass) into output rows."""
+    """Render one set of group totals into output rows."""
     rows = []
     for gk in totals.universe:
         row: dict[str, object] = {}
@@ -773,6 +868,9 @@ def rows_from_totals(
                 row[label] = totals.num_plots_nonzero.get(gk, 0)
             else:
                 row[label] = den_area.n_nonzero
+        if plan.species is not None:
+            pooled = _shannon(totals.pooled.get(gk, ()))
+            row.update(zip(("H_POOLED", "S_POOLED", "Eh_POOLED"), pooled))
         rows.append(row)
     return rows
 
@@ -825,24 +923,15 @@ def group_report_year(evals: Sequence[Evaluation]) -> int:
     )
 
 
-def _most_recent_groups(
-    groups: list[list[Evaluation]],
-) -> list[list[Evaluation]]:
-    """Per state, keep only the evaluation(s) of the latest report year."""
-    latest: dict[int | None, int] = {}
-    for group in groups:
-        year = group_report_year(group)
-        for ev in group:
-            st = ev.statecd
-            if st not in latest or year > latest[st]:
-                latest[st] = year
-    kept: list[list[Evaluation]] = []
-    for group in groups:
-        year = group_report_year(group)
-        subset = [ev for ev in group if latest.get(ev.statecd) == year]
-        if subset:
-            kept.append(subset)
-    return kept
+def _most_recent_groups(groups: list[list[Evaluation]]) -> list[list[Evaluation]]:
+    """Per state, keep only the evaluation(s) of the latest report year.
+
+    ``groups`` come in report-year order, as :func:`select_family_evals` gives them.
+    """
+    latest = {ev.statecd: group_report_year(group) for group in groups for ev in group}
+    kept = ([ev for ev in group if latest[ev.statecd] == group_report_year(group)]
+            for group in groups)
+    return [subset for subset in kept if subset]
 
 
 def _panel_years(db: ForestDatabase, evals: Sequence[Evaluation]) -> list[int]:
@@ -853,19 +942,12 @@ def _panel_years(db: ForestDatabase, evals: Sequence[Evaluation]) -> list[int]:
     renormalization); otherwise the observed assignment years stand in.
     """
     years: set[int] = set()
-    observed: set[int] = set()
     for ev in evals:
         if ev.start_invyr is not None and ev.end_invyr is not None:
             years.update(range(ev.start_invyr, ev.end_invyr + 1))
-        for assgn in db.assignments_by_eval.get(ev.evalid, ()):
-            if assgn.invyr is not None:
-                observed.add(assgn.invyr)
-            else:
-                plot = db.plot_by_cn.get(assgn.plt_cn)
-                if plot is not None:
-                    observed.add(plot.invyr)
     if not years:
-        years = observed
+        _, _, year, known = _assignments(db, evals)
+        years = set(year[known].tolist())
     if not years:
         raise EstimationError(
             f"evaluation {evals[0].evalid} has no panel years (no assignments)"
@@ -875,52 +957,47 @@ def _panel_years(db: ForestDatabase, evals: Sequence[Evaluation]) -> list[int]:
 
 def method_passes(
     db: ForestDatabase,
-    plans: Sequence[Plan],
+    plan: Plan,
     type_sets: Sequence[frozenset[str]],
     family: str,
     method: str,
     lambdas: Sequence[float] = (DEFAULT_LAMBDA,),
 ):
-    """Yield (year, lambda-or-None, [PassTotals per plan]) for output rows.
+    """Yield (year, lambda-or-None, GroupTotals) for output rows.
 
-    TI pools all panels of each evaluation group into one pass.  ANNUAL
-    estimates each observed panel of the most recent evaluation per state.
-    The moving averages estimate every panel, then combine with the method's
-    weights; EMA repeats the combination for each requested lambda.
+    Each evaluation group is one pass.  TI pools all its panels into one.
+    The other methods put every assignment on the group's panel-year axis
+    and weight the panels: ANNUAL takes each panel with plots alone (for
+    the most recent evaluation per state), the moving averages combine the
+    panels with the method's weights, once per EMA lambda.
     """
     method = method.upper()
     groups = select_family_evals(db, type_sets, family)
-
-    def run(evals, year=None) -> list[PassTotals] | None:
-        """One pass per plan; None for a panel without plots."""
-        sample = build_sample(db, evals, None if year is None else [year])
-        if year is not None and sample.n_plots == 0:
-            return None
-        return [compute_pass(db, plan, sample) for plan in plans]
-
-    if method == "TI":
-        for evals in groups:
-            yield group_report_year(evals), None, run(evals)
-        return
     if method == "ANNUAL":
-        for evals in _most_recent_groups(groups):
-            for year in _panel_years(db, evals):
-                totals = run(evals, year)
-                if totals is not None:
-                    yield year, None, totals
-        return
+        groups = _most_recent_groups(groups)
     for evals in groups:
-        years = _panel_years(db, evals)
-        per_panel = [run(evals, year) for year in years]
-        present = [p is not None for p in per_panel]
-        kept = [p for p in per_panel if p is not None]
-        for lam in list(lambdas) if method == "EMA" else [None]:
-            weights = present_weights(panel_weights(method, len(years), lam), present)
-            weights = [w for w, ok in zip(weights, present) if ok]
-            yield group_report_year(evals), lam, [
-                combine_passes(plan, [p[i] for p in kept], weights)
-                for i, plan in enumerate(plans)
-            ]
+        years = None if method == "TI" else _panel_years(db, evals)
+        sample = build_sample(db, evals, years)
+        present = np.bincount(sample.panel, minlength=sample.n_panels) > 0
+        if years is None:
+            labels, weights = [(group_report_year(evals), None)], np.ones((1, 1))
+        elif method == "ANNUAL":
+            labels = [(year, None) for year, ok in zip(years, present) if ok]
+            weights = np.eye(len(years))[present]
+        else:
+            lams = list(lambdas) if method == "EMA" else [None]
+            labels = [(group_report_year(evals), lam) for lam in lams]
+            weights = np.array([
+                present_weights(panel_weights(method, len(years), lam), present.tolist())
+                for lam in lams
+            ])
+            if not present.all():
+                log.warning("missing panel(s): renormalizing weights over %d of %d panels",
+                            present.sum(), len(years))
+        totals = compute_pass(db, plan, sample)
+        if totals is not None:
+            for (year, lam), row in zip(labels, combine_passes(plan, totals, weights)):
+                yield year, lam, row
 
 
 # --------------------------------------------------------------------------

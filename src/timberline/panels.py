@@ -17,11 +17,13 @@ Combined estimates treat panels as independent samples:
 
     total    = sum_p w_p * Y_p
     variance = sum_p w_p**2 * v_p
+
+The estimation core applies these weights to its per-panel totals
+(:func:`timberline.core.combine_passes`).
 """
 
 from __future__ import annotations
 
-import logging
 from typing import Sequence
 
 from .errors import EstimationError, UsageError
@@ -31,11 +33,7 @@ __all__ = [
     "panel_weights",
     "normalize_lambdas",
     "present_weights",
-    "combine_totals",
-    "combine_variances",
 ]
-
-log = logging.getLogger("timberline.panels")
 
 DEFAULT_LAMBDA = 0.5
 
@@ -45,8 +43,7 @@ METHODS = ("TI", "ANNUAL", "SMA", "LMA", "EMA")
 def panel_weights(method: str, n_panels: int, lam: float | None = None) -> list[float] | None:
     """Weights over panels 1..N for a method; None for TI and ANNUAL.
 
-    TI and ANNUAL run different pipelines (pooling and per-panel estimation)
-    and have no combination weights.
+    TI pools every panel and ANNUAL weights one panel at a time.
     """
     method = method.upper()
     if method not in METHODS:
@@ -83,8 +80,7 @@ def present_weights(weights: Sequence[float], present: Sequence[bool]) -> list[f
     """Renormalize weights over panels that actually have plots.
 
     A panel with no measured plots cannot contribute; its weight is spread
-    over the remaining panels so the total stays 1.  Logged as a diagnostic
-    because it changes the estimator's temporal footprint.
+    over the remaining panels so the total stays 1.
     """
     if len(weights) != len(present):
         raise EstimationError("panel weight/presence length mismatch")
@@ -93,17 +89,4 @@ def present_weights(weights: Sequence[float], present: Sequence[bool]) -> list[f
         raise EstimationError("no panels with measured plots")
     if all(present):
         return list(weights)
-    log.warning(
-        "missing panel(s): renormalizing weights over %d of %d panels",
-        sum(present), len(present),
-    )
     return [w / kept if ok else 0.0 for w, ok in zip(weights, present)]
-
-
-def combine_totals(values: Sequence[float], weights: Sequence[float]) -> float:
-    return float(sum(w * v for w, v in zip(weights, values)))
-
-
-def combine_variances(variances: Sequence[float], weights: Sequence[float]) -> float:
-    # Panels are independent samples, so cross-panel covariance is zero.
-    return float(sum(w * w * v for w, v in zip(weights, variances)))

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 import timberline as tl
-from timberline.core import Sample, UnitSlice, post_stratified_total
+from timberline.core import Sample, post_stratified_total
 from timberline.errors import EstimationError
-from timberline.model import Stratum
+from timberline.model import EstimationUnit, Stratum
 from timberline.oracle import brute_force_estimate, compare_tables
 from timberline.panels import panel_weights
 from timberline.synth import (
@@ -67,8 +67,9 @@ def test_single_stratum_variance_reduction():
         area = rng.uniform(100.0, 5000.0)
         values = np.array([rng.uniform(-20.0, 50.0) for _ in range(n)])
         stratum = Stratum(f"S{trial}", "U", 1.0, 1.0, 1.0)
-        unit = UnitSlice("U", area, [(stratum, np.arange(n))], n)
-        sample = Sample([], [unit], {}, {})
+        plots, zeros = np.arange(n), np.zeros(n, dtype=np.intp)
+        sample = Sample(plots, plots, zeros, zeros, zeros, [stratum], zeros[:1],
+                        [EstimationUnit("U", 1, area)])
         est = post_stratified_total(values, sample)
         want_var = area * area * statistics.variance(values.tolist()) / n
         assert est.total == pytest.approx(area * float(values.mean()), rel=1e-12)

@@ -12,8 +12,9 @@ import random
 import pytest
 
 import timberline as tl
+from timberline import core
 from timberline.errors import EstimationError, UsageError
-from timberline.model import ForestDatabase
+from timberline.model import EstimationUnit, ForestDatabase, Stratum
 from timberline.synth import random_database
 
 
@@ -265,6 +266,43 @@ def test_method_point_estimates_order(synth_panel):
     ema = tl.tpa(synth_panel, method="EMA", lambdas=(0.5,)).rows[0]["TPA"]
     annual = tl.tpa(synth_panel, method="ANNUAL").rows[-1]["TPA"]
     assert sma < lma < ema < annual
+
+
+@pytest.mark.parametrize("request_kw, n_rows", [
+    ({"method": "EMA", "lambdas": (0.3, 0.5, 0.7)}, 3),
+    ({"method": "SMA"}, 1),
+    ({"method": "ANNUAL"}, 5),
+])
+def test_panel_methods_take_one_pass_per_group(synth_panel, monkeypatch, request_kw, n_rows):
+    calls = []
+    for name in ("make_bundle", "compute_pass"):
+        def counted(*args, _name=name, _original=getattr(core, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(core, name, counted)
+    assert len(tl.tpa(synth_panel, **request_kw)) == n_rows
+    assert sorted(calls) == ["compute_pass", "make_bundle"]
+
+
+def test_panel_warnings_log_once_per_group(synth_panel, caplog):
+    """An unmeasured panel, a unit without plots and a stratum without plots."""
+    ev = dataclasses.replace(synth_panel.evaluations[0], start_invyr=2013)
+    db = ForestDatabase(
+        plots=synth_panel.plots, conds=synth_panel.conds, trees=synth_panel.trees,
+        evaluations=[ev], estn_units=synth_panel.estn_units + (EstimationUnit("U2", ev.evalid, 5.0),),
+        strata=synth_panel.strata + (Stratum("S2", "U91851", 0.5), Stratum("S3", "U2", 1.0)),
+        assignments=synth_panel.assignments, species=synth_panel.species,
+    )
+    with caplog.at_level(logging.INFO, logger="timberline"):
+        tl.tpa(db, method="EMA", lambdas=(0.3, 0.7))
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+        "7 of 12 (estimation unit, panel) cells have no sampled plots in this selection; "
+        "skipped",
+        "missing panel(s): renormalizing weights over 5 of 6 panels",
+        "5 (stratum, panel) cells with no plots in 5 (estimation unit, panel) cells; "
+        "weights renormalized",
+    ]
 
 
 # ---------------------------------------------------------------------------

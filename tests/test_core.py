@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timberline import core
 from timberline.core import (
     Sample,
     TotalEstimate,
-    UnitSlice,
-    _unit_terms,
     build_sample,
     make_classes,
     post_stratified_covariance,
@@ -71,13 +70,14 @@ def _sample(weights, plot_strata, **kw):
 
 
 def test_sample_counts_and_order():
-    s = _sample([0.6, 0.4], {"P3": 0, "P1": 0, "P2": 1})
+    db = _db([0.6, 0.4], {"P3": 0, "P1": 0, "P2": 1})
+    s = build_sample(db, db.evaluations)
     assert s.n_plots == 3
     # plots held in global cn order; strata ordered by cn within the unit
-    assert [p.cn for p in s.plots] == ["P1", "P2", "P3"]
-    unit = s.units[0]
-    assert [st.cn for st, _ in unit.strata] == ["S0", "S1"]
-    assert [list(idx) for _, idx in unit.strata] == [[0, 2], [1]]
+    assert [db.plots[r].cn for r in s.rows] == ["P1", "P2", "P3"]
+    assert [st.cn for st in s.strata] == ["S0", "S1"]
+    assert [sorted(s.plot[s.stratum == h]) for h in range(2)] == [[0, 2], [1]]
+    assert s.panel.tolist() == [0, 0, 0]
 
 
 def test_assignment_to_unknown_stratum_dropped_and_reported():
@@ -196,109 +196,121 @@ def test_covariance_sign_tracks_association():
 log = logging.getLogger("timberline.core")
 
 
-def _reference_total(values: np.ndarray, sample: Sample) -> TotalEstimate:
-    """The per-unit, per-stratum loop the stratified kernel replaced."""
+def _panel_units(sample: Sample, p: int):
+    """Per unit with plots in panel p: (area, [(weight, plot indices)]) of its present strata."""
+    for u, unit in enumerate(sample.units):
+        present = []
+        for h, st in enumerate(sample.strata):
+            idx = sample.plot[(sample.panel == p) & (sample.stratum == h)]
+            if sample.unit[h] == u and len(idx):
+                present.append((st, np.sort(idx)))
+        if present:
+            wsum = sum(st.weight for st, _ in present)
+            yield unit.area_used, [(st.weight / wsum, idx) for st, idx in present]
+
+
+def _reference_total(values: np.ndarray, sample: Sample, weights) -> TotalEstimate:
+    """Per-panel, per-unit, per-stratum loops; panels combine as sum w_p T_p, sum w_p^2 V_p."""
     total = 0.0
     variance = 0.0
-    for unit in sample.units:
-        terms = _unit_terms(unit)
-        n = sum(len(idx) for _, idx, _ in terms)
-        acc = 0.0
-        for st, idx, w in terms:
-            vals = values[idx]
-            n_h = len(idx)
-            mean = float(vals.mean())
-            if n_h > 1:
-                s2 = float(vals.var(ddof=1))
-            else:
-                s2 = 0.0
-                log.debug("stratum %s has a single plot; its variance term is 0", st.cn)
-            total += unit.area * w * mean
-            acc += (n_h / n) * s2 * (w + (1.0 - w) / n)
-        variance += (unit.area ** 2 / n) * acc
-    return TotalEstimate(
-        total, variance, int(np.count_nonzero(values)), len(values)
-    )
+    nonzero = plots = 0
+    for p, w_p in enumerate(weights):
+        seen = np.unique(sample.plot[sample.panel == p])
+        nonzero += int(np.count_nonzero(values[seen]))
+        plots += len(seen)
+        for area, terms in _panel_units(sample, p):
+            n = sum(len(idx) for _, idx in terms)
+            acc = 0.0
+            for w, idx in terms:
+                vals = values[idx]
+                n_h = len(idx)
+                s2 = float(vals.var(ddof=1)) if n_h > 1 else 0.0
+                total += w_p * area * w * float(vals.mean())
+                acc += (n_h / n) * s2 * (w + (1.0 - w) / n)
+            variance += w_p * w_p * (area ** 2 / n) * acc
+    return TotalEstimate(total, variance, nonzero, plots)
 
 
-def _reference_covariance(x: np.ndarray, y: np.ndarray, sample: Sample) -> float:
-    """The per-unit, per-stratum covariance loop the stratified kernel replaced."""
+def _reference_covariance(x: np.ndarray, y: np.ndarray, sample: Sample, weights) -> float:
+    """The per-panel, per-unit, per-stratum covariance loop."""
     cov = 0.0
-    for unit in sample.units:
-        terms = _unit_terms(unit)
-        n = sum(len(idx) for _, idx, _ in terms)
-        acc = 0.0
-        for _, idx, w in terms:
-            n_h = len(idx)
-            if n_h > 1:
-                xv = x[idx]
-                yv = y[idx]
-                s_xy = float(((xv - xv.mean()) * (yv - yv.mean())).sum() / (n_h - 1))
-            else:
-                s_xy = 0.0
-            acc += (n_h / n) * s_xy * (w + (1.0 - w) / n)
-        cov += (unit.area ** 2 / n) * acc
+    for p, w_p in enumerate(weights):
+        for area, terms in _panel_units(sample, p):
+            n = sum(len(idx) for _, idx in terms)
+            acc = 0.0
+            for w, idx in terms:
+                n_h = len(idx)
+                if n_h > 1:
+                    xv = x[idx]
+                    yv = y[idx]
+                    s_xy = float(((xv - xv.mean()) * (yv - yv.mean())).sum() / (n_h - 1))
+                else:
+                    s_xy = 0.0
+                acc += (n_h / n) * s_xy * (w + (1.0 - w) / n)
+            cov += w_p * w_p * (area ** 2 / n) * acc
     return cov
 
 
 @st.composite
 def _stratified_samples(draw):
-    """A sample of 1-3 units with 1-4 strata each, and two sparse plot series.
+    """A sample of 1-3 units with 1-4 strata each on 1-4 panels, two sparse plot
+    series and the panel weights.
 
-    Strata may be empty (weights renormalize) or hold one plot.  Most
-    samples partition the plots; the rest draw each stratum's plots with
-    replacement, so a plot can sit in several strata or in none, as
-    duplicate or dangling assignments allow.
+    A stratum may be empty in some panels (weights renormalize) or hold one
+    plot, and a whole panel may be empty.  Most samples give each plot at
+    most one membership; the rest draw each (stratum, panel)'s plots with
+    replacement, so a plot can sit in several strata and panels or in none,
+    as duplicate or dangling assignments allow.
     """
     n_plots = draw(st.integers(1, 24))
+    n_panels = draw(st.integers(1, 4))
     partition = draw(st.booleans())
     order = draw(st.permutations(range(n_plots)))
-    plots = [
-        PlotRecord(cn=f"P{i:02d}", statecd=9, plot=i, invyr=2018, lat=41.0,
-                   lon=-72.0, remper=None, plot_status_cd=1, designcd=1)
-        for i in range(n_plots)
-    ]
-    units = []
+    strata, unit, units, members = [], [], [], []
     for u in range(draw(st.integers(1, 3))):
-        strata = []
+        units.append(EstimationUnit(cn=f"U{u}", evalid=1, area_used=draw(st.floats(1.0, 1e6))))
         for h in range(draw(st.integers(1, 4))):
-            if partition:
-                size = draw(st.integers(0, min(6, len(order))))
-                members, order = order[:size], order[size:]
-            else:
-                members = draw(st.lists(st.integers(0, n_plots - 1), max_size=6))
-            weight = draw(st.floats(0.01, 1.0))
-            stratum = Stratum(cn=f"S{u}{h}", estn_unit_cn=f"U{u}", weight=weight,
-                              adj_subp=1.0, adj_micr=1.0, adj_macr=1.0)
-            strata.append((stratum, np.array(sorted(members), dtype=np.intp)))
-        if not any(len(idx) for _, idx in strata):
-            strata[0] = (strata[0][0], np.array([0], dtype=np.intp))
-        area = draw(st.floats(1.0, 1e6))
-        units.append(UnitSlice(f"U{u}", area, strata, sum(len(i) for _, i in strata)))
+            strata.append(Stratum(cn=f"S{u}{h}", estn_unit_cn=f"U{u}",
+                                  weight=draw(st.floats(0.01, 1.0)),
+                                  adj_subp=1.0, adj_micr=1.0, adj_macr=1.0))
+            unit.append(u)
+            for p in range(n_panels):
+                if partition:
+                    size = draw(st.integers(0, min(4, len(order))))
+                    plots, order = order[:size], order[size:]
+                else:
+                    plots = draw(st.lists(st.integers(0, n_plots - 1), max_size=4))
+                members += [(i, len(strata) - 1, p) for i in plots]
+    plot, stratum, panel = (np.array(a, dtype=np.intp).reshape(-1)
+                            for a in zip(*members or [(0, 0, 0)]))
+    sample = Sample(np.arange(n_plots), plot, stratum, panel, np.zeros_like(plot), strata,
+                    np.array(unit, dtype=np.intp), units, n_panels)
     values = st.one_of(st.just(0.0), st.floats(-1e4, 1e4))
     x = np.array(draw(st.lists(values, min_size=n_plots, max_size=n_plots)))
     y = np.array(draw(st.lists(values, min_size=n_plots, max_size=n_plots)))
-    return Sample(plots, units, {}, {}), x, y
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n_panels, max_size=n_panels))
+    return sample, x, y, weights
 
 
 @settings(max_examples=300, deadline=None)
 @given(_stratified_samples())
 def test_kernel_matches_per_stratum_loops(case):
-    sample, x, y = case
+    sample, x, y, weights = case
     # Summation order differs, so values agree to 1e-12 relative, with an
     # absolute floor at 1e-12 of the largest possible term for results that
     # cancel to nearly zero.
     big = max(float(np.abs(np.concatenate([x, y])).max()), 1.0)
-    area = sum(unit.area for unit in sample.units)
-    want, got = _reference_total(x, sample), post_stratified_total(x, sample)
+    area = sum(unit.area_used for unit in sample.units) * sample.n_panels
+    want = _reference_total(x, sample, weights)
+    got = post_stratified_total(x, sample, weights)
     assert (got.n_nonzero, got.n_plots) == (want.n_nonzero, want.n_plots)
     assert math.isclose(got.total, want.total, rel_tol=1e-12, abs_tol=1e-12 * area * big)
     assert math.isclose(
         got.variance, want.variance, rel_tol=1e-12, abs_tol=1e-12 * (area * big) ** 2
     )
     assert math.isclose(
-        post_stratified_covariance(x, y, sample),
-        _reference_covariance(x, y, sample),
+        post_stratified_covariance(x, y, sample, weights),
+        _reference_covariance(x, y, sample, weights),
         rel_tol=1e-12,
         abs_tol=1e-12 * (area * big) ** 2,
     )

@@ -6,8 +6,6 @@ import pytest
 
 from timberline.errors import UsageError
 from timberline.panels import (
-    combine_totals,
-    combine_variances,
     normalize_lambdas,
     panel_weights,
     present_weights,
@@ -72,17 +70,6 @@ def test_present_weights_all_absent_raises():
 
     with pytest.raises(EstimationError):
         present_weights([0.5, 0.5], [False, False])
-
-
-def test_combine_totals_and_variances():
-    totals = [10.0, 20.0, 30.0]
-    variances = [1.0, 4.0, 9.0]
-    w = [0.2, 0.3, 0.5]
-    assert combine_totals(totals, w) == pytest.approx(0.2 * 10 + 0.3 * 20 + 0.5 * 30)
-    # independent panels: var(sum w_i X_i) = sum w_i^2 var(X_i)
-    assert combine_variances(variances, w) == pytest.approx(
-        0.04 * 1 + 0.09 * 4 + 0.25 * 9
-    )
 
 
 def test_normalize_lambdas_sorts_and_dedupes():
