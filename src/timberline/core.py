@@ -8,9 +8,9 @@ strata h carrying weight W_h and n_h plots with sample mean ybar_h and
 sample variance s2_h:
 
     total    Y = A * sum_h W_h * ybar_h
-    variance v = (A^2 / n) * [ sum_h W_h * n_h * s2_h / n
-                               + (1/n) * sum_h (1 - W_h) * (n_h/n) * s2_h ]
+    variance v = (A^2 / n) * sum_h (W_h + (1 - W_h) / n) * s2_h
 
+(Bechtold and Patterson 2005, GTR SRS-80, with v(ybar_h) = s2_h / n_h).
 With one stratum this collapses to the simple-random-sampling form
 v = A^2 * s2 / n.  Per-acre attributes are ratios of two such totals, with
 
@@ -293,7 +293,7 @@ class _Strata:
         self.area_w = area * w
         self.var_w = np.where(
             self.n_h > 1,
-            area ** 2 / n * (self.n_h / n) * (w + (1.0 - w) / n) / np.maximum(self.n_h - 1, 1),
+            area ** 2 / n * (w + (1.0 - w) / n) / np.maximum(self.n_h - 1, 1),
             0.0,
         )
         self.n_cells, self.n_panels = len(cells), n_panels

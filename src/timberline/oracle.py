@@ -417,7 +417,11 @@ def _collect_sample(db: ForestDatabase, evals, years=None) -> _OSample:
 
 
 def _stat_total(values: Mapping[str, float], sample: _OSample):
-    """(total, variance, n_nonzero, n_plots) of per-plot values."""
+    """(total, variance, n_nonzero, n_plots) of per-plot values.
+
+    Per unit, v = A^2/n * [sum_h W_h n_h v(ybar_h) + sum_h (1 - W_h) (n_h/n) v(ybar_h)]
+    with v(ybar_h) = s2_h / n_h (Bechtold and Patterson 2005, GTR SRS-80).
+    """
     total = 0.0
     variance = 0.0
     for unit, strata in sample.units:
@@ -440,8 +444,9 @@ def _stat_total(values: Mapping[str, float], sample: _OSample):
                 s2 = sum((v - mean) ** 2 for v in vals) / (n_h - 1)
             else:
                 s2 = 0.0
+            v_mean = s2 / n_h  # v(ybar_h), the variance of the stratum mean
             total += unit.area_used * w * mean
-            acc += (n_h / n) * s2 * (w + (1.0 - w) / n)
+            acc += w * n_h * v_mean + (1.0 - w) * (n_h / n) * v_mean
         variance += (unit.area_used ** 2 / n) * acc
     nnz = sum(1 for p in sample.plots if values.get(p.cn, 0.0) != 0.0)
     return total, variance, nnz, len(sample.plots)
@@ -465,7 +470,8 @@ def _stat_cov(xs: Mapping[str, float], ys: Mapping[str, float], sample: _OSample
                 sxy = sum((a - mx) * (b - my) for a, b in zip(xv, yv)) / (n_h - 1)
             else:
                 sxy = 0.0
-            acc += (n_h / n) * sxy * (w + (1.0 - w) / n)
+            c_mean = sxy / n_h  # cov(xbar_h, ybar_h)
+            acc += w * n_h * c_mean + (1.0 - w) * (n_h / n) * c_mean
         cov += (unit.area_used ** 2 / n) * acc
     return cov
 

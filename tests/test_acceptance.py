@@ -77,6 +77,36 @@ def test_single_stratum_variance_reduction():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("weights, n", [
+    ((0.7, 0.3), 100),
+    ((0.4, 0.3, 0.2, 0.1), 100),
+    ((0.25, 0.2, 0.15, 0.12, 0.1, 0.08, 0.06, 0.04), 200),
+])
+def test_post_stratified_variance_monte_carlo(weights, n):
+    """Mean reported variance matches the replicate variance of the total.
+
+    Each plot falls in stratum h with probability W_h, as post-stratification
+    assumes, so n_h varies between replicates.
+    """
+    start = time.perf_counter()
+    rng = np.random.default_rng(20050601 + len(weights))
+    h_count = len(weights)
+    means, sds = 10.0 * np.arange(1, h_count + 1), 2.0 + 3.0 * np.arange(h_count)
+    strata = [Stratum(f"S{h}", "U", w, 1.0, 1.0, 1.0) for h, w in enumerate(weights)]
+    units, unit, plots = [EstimationUnit("U", 1, 1000.0)], np.zeros(h_count, dtype=np.intp), np.arange(n)
+    totals, reported = [], []
+    for _ in range(3000):
+        stratum = rng.choice(h_count, size=n, p=weights)
+        zeros = np.zeros(n, dtype=np.intp)
+        sample = Sample(plots, plots, stratum, zeros, zeros, strata, unit, units)
+        est = post_stratified_total(rng.normal(means[stratum], sds[stratum]), sample)
+        totals.append(est.total)
+        reported.append(est.variance)
+    ratio = statistics.fmean(reported) / statistics.variance(totals)
+    assert abs(ratio - 1.0) < 0.15, f"{h_count} strata: variance ratio {ratio:.3f}"
+    assert time.perf_counter() - start < 60.0
+
+
 def test_engine_matches_reference_on_random_databases():
     start = time.perf_counter()
     for seed in range(50):

@@ -156,16 +156,16 @@ def test_two_strata_total_hand_value():
     s = _sample([0.6, 0.4], {"P1": 0, "P2": 0, "P3": 1, "P4": 1})
     est = post_stratified_total(np.array([10.0, 20.0, 0.0, 40.0]), s)
     assert est.total == pytest.approx(17000.0)
-    # v = (A^2/n) * sum_h (n_h/n) s2_h (w_h + (1-w_h)/n)
-    acc = (2 / 4) * 50.0 * (0.6 + 0.4 / 4) + (2 / 4) * 800.0 * (0.4 + 0.6 / 4)
-    assert est.variance == pytest.approx(1000.0**2 / 4.0 * acc)
+    # v = (A^2/n) [sum_h w_h n_h v_h + sum_h (1-w_h) (n_h/n) v_h], v_h = s2_h / n_h:
+    # v_A = 25, v_B = 400; 0.6*2*25 + 0.4*2*400 = 350; 0.4*.5*25 + 0.6*.5*400 = 125
+    assert est.variance == pytest.approx(1000.0**2 / 4.0 * 475.0)
 
 
 def test_singleton_stratum_contributes_zero_variance():
     s = _sample([0.7, 0.3], {"P1": 0, "P2": 0, "P3": 1})
     est = post_stratified_total(np.array([10.0, 20.0, 99.0]), s)
-    acc = (2 / 3) * 50.0 * (0.7 + 0.3 / 3)  # singleton stratum adds nothing
-    assert est.variance == pytest.approx(1000.0**2 / 3.0 * acc)
+    # v_h = 50 / 2 = 25: 0.7*2*25 + 0.3*(2/3)*25 = 40; the singleton adds nothing
+    assert est.variance == pytest.approx(1000.0**2 / 3.0 * 40.0)
 
 
 def test_missing_stratum_weight_raises_at_estimation():
@@ -226,7 +226,7 @@ def _reference_total(values: np.ndarray, sample: Sample, weights) -> TotalEstima
                 n_h = len(idx)
                 s2 = float(vals.var(ddof=1)) if n_h > 1 else 0.0
                 total += w_p * area * w * float(vals.mean())
-                acc += (n_h / n) * s2 * (w + (1.0 - w) / n)
+                acc += s2 * (w + (1.0 - w) / n)
             variance += w_p * w_p * (area ** 2 / n) * acc
     return TotalEstimate(total, variance, nonzero, plots)
 
@@ -246,7 +246,7 @@ def _reference_covariance(x: np.ndarray, y: np.ndarray, sample: Sample, weights)
                     s_xy = float(((xv - xv.mean()) * (yv - yv.mean())).sum() / (n_h - 1))
                 else:
                     s_xy = 0.0
-                acc += (n_h / n) * s_xy * (w + (1.0 - w) / n)
+                acc += s_xy * (w + (1.0 - w) / n)
             cov += w_p * w_p * (area ** 2 / n) * acc
     return cov
 
