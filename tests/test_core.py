@@ -80,6 +80,26 @@ def test_sample_counts_and_order():
     assert s.panel.tolist() == [0, 0, 0]
 
 
+def test_plot_in_two_evaluations_takes_its_last_assignment():
+    """Each membership counts; adjustment factors and YEAR follow the last one."""
+    db = _db([1.0], {"P1": 0, "P2": 0})
+    ev = Evaluation(evalid=2, statecd=9, eval_typ="VOL", report_year=2018,
+                    start_invyr=2017, end_invyr=2018)
+    stratum = Stratum(cn="T0", estn_unit_cn="U2", weight=1.0, adj_subp=2.0)
+    db = ForestDatabase(
+        plots=db.plots, evaluations=db.evaluations + (ev,),
+        estn_units=db.estn_units + (EstimationUnit(cn="U2", evalid=2, area_used=500.0),),
+        strata=db.strata + (stratum,),
+        assignments=db.assignments + (StratumAssignment("P1", "T0", 2017),),
+    )
+    s = build_sample(db, db.evaluations)
+    assert (s.n_plots, len(s.plot)) == (2, 3)
+    assert [s.strata[h].cn for h in s.stratum[s.last]] == ["T0", "S0"]
+    assert s.year[s.last].tolist() == [2017, 2018]
+    panels = build_sample(db, db.evaluations, [2017, 2018])
+    assert sorted(zip(panels.plot.tolist(), panels.panel.tolist())) == [(0, 0), (0, 1), (1, 1)]
+
+
 def test_assignment_to_unknown_stratum_dropped_and_reported():
     # the index cannot route such an assignment to any evaluation; it is
     # invisible to sampling and surfaces through validate_integrity instead
