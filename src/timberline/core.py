@@ -119,12 +119,10 @@ ASSIGNMENTS = "POP_PLOT_STRATUM_ASSGN"
 class Sample:
     """The plots of one evaluation group, stratified along a panel axis.
 
-    ``rows`` are the sampled plots' rows in ``db.plots``, in CN order; every
-    estimator walks them in this order, which is what makes output
-    independent of record order.  Each kept stratum assignment is one
-    membership: sample plot ``plot[m]`` sits in stratum ``strata[stratum[m]]``
-    during panel ``panel[m]``, measured in ``year[m]``.  Stratum h belongs to
-    estimation unit ``units[unit[h]]``.
+    ``rows`` are the plots' rows in ``db.plots`` in CN order, which makes
+    output independent of record order.  Each kept stratum assignment is a
+    membership m: plot ``plot[m]`` in stratum ``strata[stratum[m]]`` (of unit
+    ``units[unit[h]]``) during panel ``panel[m]``, measured in ``year[m]``.
     """
 
     rows: np.ndarray
@@ -149,10 +147,10 @@ class Sample:
 
 
 def _assignments(db: ForestDatabase, evals: Sequence[Evaluation]) -> tuple[np.ndarray, ...]:
-    """The group's assignment rows in walk order (evaluation, then table order).
+    """The group's assignment rows in walk order: evaluation, then table order.
 
-    Also returns each row's evaluation position in ``evals``, its year (its
-    INVYR, else its plot's) and whether a year is known.
+    Also each row's position in ``evals``, its year (INVYR, else its plot's)
+    and whether a year is known.
     """
     view = db.columns
     codes, cns = view.column(ASSIGNMENTS, "STRATUM_CN")
@@ -233,12 +231,9 @@ def build_sample(
     for u in np.flatnonzero(cells.reshape(n_panels, len(units)).any(axis=0)).tolist():
         if units[u].area_used is None:
             raise EstimationError(f"estimation unit {units[u].cn} lacks AREA_USED")
-    empty = int(np.count_nonzero(cells == 0))
-    if empty:
-        log.warning(
-            "%d of %d (estimation unit, panel) cells have no sampled plots in this "
-            "selection; skipped", empty, len(cells),
-        )
+    if (cells == 0).any():
+        log.warning("%d of %d (estimation unit, panel) cells have no sampled plots in this "
+                    "selection; skipped", np.count_nonzero(cells == 0), len(cells))
     return Sample(sample_rows, pos[plot_row], stratum, panel, year, [st for st, _ in strata],
                   unit, units, n_panels)
 
@@ -280,10 +275,8 @@ class _Strata:
         dropped = (np.bincount(sample.unit, minlength=n_units)[used % n_units]
                    - np.bincount(cell_unit, minlength=n_panels * n_units)[used])
         if dropped.any():
-            log.warning(
-                "%d (stratum, panel) cells with no plots in %d (estimation unit, panel) "
-                "cells; weights renormalized", dropped.sum(), np.count_nonzero(dropped),
-            )
+            log.warning("%d (stratum, panel) cells with no plots in %d (estimation unit, "
+                        "panel) cells; weights renormalized", sum(dropped), sum(dropped > 0))
         self.n_h = sizes[cells].astype(float)
         if (self.n_h == 1).any():
             log.debug("%d single-plot cells; their variance terms are 0", sum(self.n_h == 1))
@@ -711,17 +704,21 @@ def compute_pass(db: ForestDatabase, plan: Plan, sample: Sample) -> PassTotals |
         return None  # no totals, so no stratum checks
 
     strata = _Strata(sample)
-    x = num.cells(strata)
-    covs, dens = [], []
-    for entries, den_of in ((den_area, bundle.area_of), (den_tree, bundle.tree_of)):
-        cells, key = entries.cells(strata), den_of[x.key]
-        covs.append(x.covariances(entries.at(key, x.plot), cells.mean_at(key, x.stratum)))
-        dens.append(cells.estimates(entries.keys))
-    den = np.array([c.den for c in plan.components])
-    cov = np.where(den == "area", covs[0], np.where(den == "trees", covs[1], 0.0))
-    return PassTotals(x.estimates(num.keys), cov, *dens,
-                      bundle.species.cells(strata).estimates(bundle.species.keys),
-                      strata.n_plots)
+    x, den = num.cells(strata), np.array([c.den for c in plan.components])
+    cov = np.zeros((x.n_keys, strata.n_panels, len(den)))
+    empty = np.zeros((0, strata.n_panels, 1))
+    totals = [PanelTotals([], empty, empty, empty, empty[..., 0], empty[..., 0] > 0)] * 3
+    variables = ((den_area, bundle.area_of), (den_tree, bundle.tree_of), (bundle.species, None))
+    for i, (entries, den_of) in enumerate(variables):
+        if not entries.keys:  # all zero: skip the kernel's fixed cost
+            continue
+        cells = entries.cells(strata)
+        totals[i] = cells.estimates(entries.keys)
+        if den_of is not None:
+            key, kind = den_of[x.key], den == ("area", "trees")[i]
+            y, y_mean = entries.at(key, x.plot), cells.mean_at(key, x.stratum)
+            cov[..., kind] = x.covariances(y, y_mean)[..., kind]
+    return PassTotals(x.estimates(num.keys), cov, *totals, strata.n_plots)
 
 
 @dataclass
