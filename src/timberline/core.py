@@ -121,7 +121,7 @@ class Sample:
 
     ``rows`` are the plots' rows in ``db.plots`` in CN order, which makes
     output independent of record order.  Each kept stratum assignment is a
-    membership m: plot ``plot[m]`` in stratum ``strata[stratum[m]]`` (of unit
+    membership m: plot ``plot[m]`` in stratum h = ``stratum[m]`` (of unit
     ``units[unit[h]]``) during panel ``panel[m]``, measured in ``year[m]``.
     """
 

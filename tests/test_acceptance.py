@@ -93,7 +93,8 @@ def test_post_stratified_variance_monte_carlo(weights, n):
     h_count = len(weights)
     means, sds = 10.0 * np.arange(1, h_count + 1), 2.0 + 3.0 * np.arange(h_count)
     strata = [Stratum(f"S{h}", "U", w, 1.0, 1.0, 1.0) for h, w in enumerate(weights)]
-    units, unit, plots = [EstimationUnit("U", 1, 1000.0)], np.zeros(h_count, dtype=np.intp), np.arange(n)
+    units, unit = [EstimationUnit("U", 1, 1000.0)], np.zeros(h_count, dtype=np.intp)
+    plots = np.arange(n)
     totals, reported = [], []
     for _ in range(3000):
         stratum = rng.choice(h_count, size=n, p=weights)

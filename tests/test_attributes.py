@@ -290,7 +290,8 @@ def test_panel_warnings_log_once_per_group(synth_panel, caplog):
     ev = dataclasses.replace(synth_panel.evaluations[0], start_invyr=2013)
     db = ForestDatabase(
         plots=synth_panel.plots, conds=synth_panel.conds, trees=synth_panel.trees,
-        evaluations=[ev], estn_units=synth_panel.estn_units + (EstimationUnit("U2", ev.evalid, 5.0),),
+        evaluations=[ev],
+        estn_units=synth_panel.estn_units + (EstimationUnit("U2", ev.evalid, 5.0),),
         strata=synth_panel.strata + (Stratum("S2", "U91851", 0.5), Stratum("S3", "U2", 1.0)),
         assignments=synth_panel.assignments, species=synth_panel.species,
     )
