@@ -188,14 +188,13 @@ def build_sample(
     plot_row = view.plot_rows(ASSIGNMENTS)[rows]
     stratum_code, stratum_cns = view.column(ASSIGNMENTS, "STRATUM_CN")
     stratum_code = stratum_code[rows]
-    plt, plt_cns = view.column(ASSIGNMENTS, "PLT_CN")
-    visit = ev * len(plt_cns) + plt[rows]
+    visit = ev * (len(db.plots) + 1) + plot_row + 1  # all missing plots share row -1
     _, first, inverse = np.unique(visit, return_index=True, return_inverse=True)
     repeat = first[inverse] != np.arange(len(rows))
     bad = np.flatnonzero(repeat | (plot_row < 0))
-    if len(bad):
+    if len(bad):  # the first missing plot is always bad before any repeat of row -1
         i = bad[0]
-        evalid, cn = evals[ev[i]].evalid, plt_cns[plt[rows[i]]]
+        evalid, cn = evals[ev[i]].evalid, db.assignments[rows[i]].plt_cn
         if repeat[i]:
             strata = [stratum_cns[c] for c in stratum_code[inverse == inverse[i]]]
             raise EstimationError(

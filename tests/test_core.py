@@ -120,14 +120,15 @@ def test_assignment_to_unknown_stratum_dropped_and_reported():
 def test_assignment_to_missing_plot_raises():
     db = _db([1.0], {"P1": 0})
     assigns = list(db.assignments) + [
-        StratumAssignment(plt_cn="GHOST", stratum_cn="S0", invyr=2018)
+        StratumAssignment(plt_cn="GHOST", stratum_cn="S0", invyr=2018),
+        StratumAssignment(plt_cn="GHOST2", stratum_cn="S0", invyr=2018),
     ]
     bad = ForestDatabase(
         plots=db.plots, conds=[], trees=[], seedlings=[], dwm=[], invasives=[],
         evaluations=db.evaluations, estn_units=db.estn_units, strata=db.strata,
         assignments=assigns, species=[], states=("CT",),
     )
-    with pytest.raises(EstimationError, match="GHOST"):
+    with pytest.raises(EstimationError, match="evaluation 1 assigns missing plot GHOST$"):
         build_sample(bad, bad.evaluations)
 
 
