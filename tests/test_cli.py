@@ -147,3 +147,33 @@ def test_duplicate_assignment_exits_1_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"assigns plot {first.plt_cn} more than once" in err
     assert "Traceback" not in err
+
+
+def _polys_file(tmp_path, corner):
+    ring = [[-74.0, 41.0], [-72.75, 41.0], corner, [-74.0, 42.0], [-74.0, 41.0]]
+    path = tmp_path / "polys.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "id": "west", "properties": {},
+         "geometry": {"type": "Polygon", "coordinates": [ring]}},
+    ]}))
+    return str(path)
+
+
+def test_polys_altitude_is_ignored(tmp_path, capsys):
+    assert main(["tpa", "--db", SYNTH1, "--polys", _polys_file(tmp_path, [-72.75, 42.0])]) == 0
+    flat = capsys.readouterr().out
+    assert main(["tpa", "--db", SYNTH1,
+                 "--polys", _polys_file(tmp_path, [-72.75, 42.0, 120.0])]) == 0
+    assert capsys.readouterr().out == flat
+
+
+@pytest.mark.parametrize("corner, problem", [
+    ([-72.75, 42.0, 0.0, 0.0], "is not [lon, lat] or [lon, lat, alt]"),
+    ([-72.75, "a"], "has a non-numeric coordinate"),
+    ([-72.75, float("nan")], "has a non-finite coordinate"),
+])
+def test_bad_polygon_position_exits_1_without_traceback(tmp_path, capsys, corner, problem):
+    assert main(["tpa", "--db", SYNTH1, "--polys", _polys_file(tmp_path, corner)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "feature 0: position" in err and problem in err
