@@ -57,10 +57,11 @@ from .model import (
     TABLES,
     ForestDatabase,
     factorize,
+    recode,
 )
 from .panels import METHODS, normalize_lambdas
 from .spatial import emit_spatial
-from .spatial import assign_plots as _assign_plots
+from .spatial import plot_owners
 
 __all__ = [
     "EstimatorRequest",
@@ -196,20 +197,20 @@ def _namespace(
 # domain column.
 # --------------------------------------------------------------------------
 
-_WALK_ORDER = {"TREE": ("plt_cn", "cn"), "COND": ("plt_cn", "condid")}
+_WALK_ORDER = {"TREE": ("PLT_CN", "CN"), "COND": ("PLT_CN", "CONDID")}
 
 
 class _Frame:
     def __init__(self, db: ForestDatabase, table: str, layer_of: Mapping[str, str]):
         view = db.columns
-        own = np.arange(len(view.records(table)))
+        own = np.arange(len(db.table(table)))
         self.view, self.layer_of, self.n = view, layer_of, len(own)
         self.tables = {"record": table, "cond": "COND", "plot": "PLOT"}
         self.joins = {"plot": view.plot_rows(table)}
         self.joins["cond"] = own if table == "COND" else view.cond_rows(table)
         if table != "COND":
             self.joins["record"] = own
-        self.order = view.order(table, _WALK_ORDER.get(table, ("plt_cn",)))
+        self.order = view.order(table, _WALK_ORDER.get(table, ("PLT_CN",)))
 
     def select(self, keep: np.ndarray) -> "_Frame":
         """The kept rows in walk order: plot CN, then the table's order in a plot."""
@@ -233,7 +234,12 @@ class _Frame:
 
     def num(self, name: str, layer: str | None = None) -> np.ndarray:
         """The column as floats, null read as 0."""
-        return self.map(lambda v: 0.0 if v is None else v, name, layer, float)
+        layer = layer or self.layer_of.get(name)
+        if layer not in self.joins:
+            return np.zeros(self.n)
+        values = self.view.floats(self.tables[layer], name)[self.joins[layer]]
+        values[np.isnan(values)] = 0.0
+        return values
 
 
 def _in_domain(dom, frame: _Frame) -> np.ndarray:
@@ -273,9 +279,7 @@ class _Ctx:
         )
         if fam.plot_gate is not None:
             self.area_ok &= self.conds.map(fam.plot_gate[1], fam.plot_gate[0], "plot")
-        if polys is not None:
-            codes, names = factorize(polys.get(p.cn) for p in db.plots)
-            self.poly = (np.append(codes, 0), names)
+        self.poly = polys
 
     def records(self, table: str, extra: Callable | None = None) -> _Frame:
         """The family's records on forest land inside every domain."""
@@ -670,6 +674,21 @@ def _components_for(fam: Family, req: EstimatorRequest) -> tuple[ComponentSpec, 
     return comps
 
 
+def _assign_plots(db: ForestDatabase, polys) -> tuple[np.ndarray, list]:
+    """Each plot row's polygon id as codes (plus a null slot) and their values.
+
+    Plots sharing a CN share the polygon of the last of them inside one.
+    """
+    view = db.columns
+    owner = plot_owners(view.floats("PLOT", "LON")[:-1], view.floats("PLOT", "LAT")[:-1], polys)
+    codes, cns = view.column("PLOT", "CN")
+    inside = np.flatnonzero(owner >= 0)[::-1]
+    last = inside[np.unique(codes[inside], return_index=True)[1]]
+    by_cn = np.zeros(len(cns), dtype=np.intp)
+    by_cn[codes[last]] = owner[last] + 1
+    return recode(by_cn[codes[:-1]], [None, *(f.fid for f in polys)])
+
+
 def _build_plan(db: ForestDatabase, fam: Family, req: EstimatorRequest) -> Plan:
     kinds, layer_of = _namespace(db, fam.record_table)
     area_kinds, area_layers = _namespace(db, None)
@@ -685,7 +704,7 @@ def _build_plan(db: ForestDatabase, fam: Family, req: EstimatorRequest) -> Plan:
         decoration = {
             sp.spcd: (sp.common_name, sp.scientific_name) for sp in db.species
         }
-    polys = _assign_plots(db.plots, req.polys) if req.polys is not None else None
+    polys = _assign_plots(db, req.polys) if req.polys is not None else None
 
     ctx = _Ctx(db, fam, req, group_cols, layer_of, area_layers, domains, polys)
     return Plan(
@@ -800,7 +819,8 @@ def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable
     seen: set[tuple] = set()
     for evals in groups:
         sample = build_sample(db, evals)
-        cns = [db.plots[r].cn for r in sample.rows.tolist()]
+        codes, values = db.columns.column("PLOT", "CN")
+        cns = [values[c] for c in codes[sample.rows].tolist()]
         visits = list(zip(cns, sample.year[sample.last].tolist()))
         fresh = [visit not in seen for visit in visits]
         seen.update(visits)

@@ -9,6 +9,7 @@ terminal.  Exit codes: 0 success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
 from pathlib import Path
@@ -271,9 +272,18 @@ def _clip_options(args) -> ClipOptions | None:
     )
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError while writing ``path`` is a data error, reported without a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise TimberlineError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_text(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fp:
+        with _writing(args.output), open(args.output, "w", encoding="utf-8", newline="") as fp:
             fp.write(text)
     else:
         sys.stdout.write(text)
@@ -312,7 +322,8 @@ def _cmd_clip(args) -> int:
     db = _load(args)
     options = _clip_options(args)
     clipped = clip(db, options) if options else db
-    files = write_database(clipped, args.out)
+    with _writing(args.out):
+        files = write_database(clipped, args.out)
     print(
         f"wrote {len(files)} files ({len(clipped.plots)} plots, "
         f"{len(clipped.evaluations)} evaluations) to {args.out}",

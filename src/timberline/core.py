@@ -194,7 +194,8 @@ def build_sample(
     bad = np.flatnonzero(repeat | (plot_row < 0))
     if len(bad):  # the first missing plot is always bad before any repeat of row -1
         i = bad[0]
-        evalid, cn = evals[ev[i]].evalid, db.assignments[rows[i]].plt_cn
+        codes, cns = view.column(ASSIGNMENTS, "PLT_CN")
+        evalid, cn = evals[ev[i]].evalid, cns[codes[rows[i]]]
         if repeat[i]:
             strata = [stratum_cns[c] for c in stratum_code[inverse == inverse[i]]]
             raise EstimationError(
@@ -213,7 +214,7 @@ def build_sample(
             a[keep] for a in (plot_row, stratum_code, panel, year)
         )
 
-    by_cn = view.order("PLOT", ("cn",))
+    by_cn = view.order("PLOT", ("CN",))
     sample_rows = by_cn[np.isin(by_cn, plot_row)]
     pos = np.zeros(len(db.plots), dtype=np.intp)
     pos[sample_rows] = np.arange(len(sample_rows))

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .core import ASSIGNMENTS
 from .errors import EstimationError, UsageError
 from .model import Evaluation, ForestDatabase
-from .spatial import PolygonSet, assign_plots
+from .spatial import PolygonSet, plot_owners
 
 __all__ = ["ClipOptions", "find_evaluations", "clip"]
 
@@ -112,13 +115,25 @@ def _select_evaluations(db: ForestDatabase, options: ClipOptions) -> list[Evalua
     return chosen
 
 
+def _among(db: ForestDatabase, table: str, name: str, allowed: set) -> np.ndarray:
+    """Which rows of a table hold one of the allowed values in a column."""
+    codes, values = db.columns.column(table, name)
+    return np.array([v in allowed for v in values], dtype=bool)[codes[:-1]]
+
+
+def _values(db: ForestDatabase, table: str, name: str, rows: np.ndarray) -> set:
+    codes, values = db.columns.column(table, name)
+    return {values[c] for c in np.unique(codes[:-1][rows]).tolist()}
+
+
 def clip(db: ForestDatabase, options: ClipOptions | None = None, **kw) -> ForestDatabase:
     """A new database holding only what the selected evaluations need.
 
     Every output row exists in the input; nothing is fabricated or rescaled.
     With a mask, plots outside the polygons (or without coordinates) drop
     out along with their trees and assignments, while the population tables
-    keep their full stratum weights and unit areas.
+    keep their full stratum weights and unit areas.  Rows are selected by
+    masks over the columns and joins; no record is built for them.
     """
     if options is None:
         options = ClipOptions(**kw)
@@ -128,44 +143,42 @@ def clip(db: ForestDatabase, options: ClipOptions | None = None, **kw) -> Forest
 
     chosen = _select_evaluations(db, options)
     keep_evals = {ev.evalid for ev in chosen}
+    row_of = {id(ev): i for i, ev in enumerate(db.evaluations)}
+    view = db.columns
 
-    units = [u for u in db.estn_units if u.evalid in keep_evals]
-    unit_cns = {u.cn for u in units}
-    strata = [s for s in db.strata if s.estn_unit_cn in unit_cns]
-    stratum_cns = {s.cn for s in strata}
+    units = _among(db, "POP_ESTN_UNIT", "EVALID", keep_evals)
+    strata = _among(db, "POP_STRATUM", "ESTN_UNIT_CN", _values(db, "POP_ESTN_UNIT", "CN", units))
+    assignments = _among(db, ASSIGNMENTS, "STRATUM_CN", _values(db, "POP_STRATUM", "CN", strata))
 
-    assigned_plots: set[str] = set()
-    assignments = []
-    for a in db.assignments:
-        if a.stratum_cn in stratum_cns:
-            assignments.append(a)
-            assigned_plots.add(a.plt_cn)
-
-    keep_plots = {cn for cn in assigned_plots if cn in db.plot_by_cn}
+    # Plots are kept by CN: every plot row whose CN an assignment names.
+    cn_codes, cns = view.column("PLOT", "CN")
+    assigned = view.plot_rows(ASSIGNMENTS)[assignments]
+    keep_cn = np.zeros(len(cns), dtype=bool)
+    keep_cn[cn_codes[assigned[assigned >= 0]]] = True
     if options.mask is not None:
-        polys = _mask_polygons(options.mask)
-        inside = set(assign_plots(db.plots, polys))
-        keep_plots &= inside
-        assignments = [a for a in assignments if a.plt_cn in keep_plots]
+        lon, lat = view.floats("PLOT", "LON")[:-1], view.floats("PLOT", "LAT")[:-1]
+        inside = np.flatnonzero(plot_owners(lon, lat, _mask_polygons(options.mask)) >= 0)
+        in_cn = np.zeros(len(cns), dtype=bool)
+        in_cn[cn_codes[inside]] = True
+        keep_cn &= in_cn
+    keep_plot = np.append(keep_cn[cn_codes[:-1]], False)  # join row -1 reads False
+    if options.mask is not None:
+        assignments &= keep_plot[view.plot_rows(ASSIGNMENTS)]
 
-    plots = [p for p in db.plots if p.cn in keep_plots]
-    conds = [c for c in db.conds if c.plt_cn in keep_plots]
-    trees = [t for t in db.trees if t.plt_cn in keep_plots]
-    seedlings = [s for s in db.seedlings if s.plt_cn in keep_plots]
-    dwm = [d for d in db.dwm if d.plt_cn in keep_plots]
-    invasives = [i for i in db.invasives if i.plt_cn in keep_plots]
+    def plot_children(table: str):
+        return db.table(table).take(np.flatnonzero(keep_plot[view.plot_rows(table)]))
 
     return ForestDatabase(
-        plots=plots,
-        conds=conds,
-        trees=trees,
-        seedlings=seedlings,
-        dwm=dwm,
-        invasives=invasives,
-        evaluations=chosen,
-        estn_units=units,
-        strata=strata,
-        assignments=assignments,
+        plots=db.plots.take(np.flatnonzero(keep_plot[:-1])),
+        conds=plot_children("COND"),
+        trees=plot_children("TREE"),
+        seedlings=plot_children("SEEDLING"),
+        dwm=plot_children("COND_DWM_CALC"),
+        invasives=plot_children("INVASIVE_SUBPLOT_SPP"),
+        evaluations=db.evaluations.take(np.array([row_of[id(ev)] for ev in chosen], dtype=np.intp)),
+        estn_units=db.estn_units.take(np.flatnonzero(units)),
+        strata=db.strata.take(np.flatnonzero(strata)),
+        assignments=db.assignments.take(np.flatnonzero(assignments)),
         species=db.species,
         states=db.states,
     )

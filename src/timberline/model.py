@@ -1,26 +1,31 @@
 """Typed inventory tables and the in-memory database container.
 
 The package works from a fixed, documented subset of DataMart-style CSV
-columns.  Each table maps to a frozen dataclass; columns the loader does not
-recognize are preserved verbatim in a per-record ``extras`` mapping so they
-remain usable for grouping and domain filtering, and survive a write/load
-round trip.
+columns.  Each table has a record type, a frozen dataclass.  Columns the
+loader does not recognize are kept as trimmed text in extras columns (each
+record's ``extras`` mapping), so they remain usable for grouping and domain
+filtering and survive a write/load round trip.
 
-A :class:`ForestDatabase` holds every table as an immutable tuple plus the
-lookup indexes the estimators need.  Treat instances as read-only after
-construction; operations that "modify" a database (clipping, merging) build a
-new one.  ``db.columns`` is the same tables as factorised columns, built on
-first use, which the estimators read.
+A :class:`ForestDatabase` holds every table as a :class:`Table`.  Columns
+are the storage: the loader parses each CSV column straight into codes into
+its distinct values (floats into a float64 array), and the estimators,
+clipping and writing read those through ``db.columns``.  Records are a view
+derived on first use, for the reference estimator, the integrity report and
+tests; ``len`` of a table never builds them.  A database built from records
+derives its columns one at a time instead.  Treat instances as read-only
+after construction; operations that "modify" a database (clipping, merging)
+build a new one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,8 +44,10 @@ __all__ = [
     "StratumAssignment",
     "SpeciesRef",
     "ForestDatabase",
+    "Table",
     "ColumnView",
     "factorize",
+    "recode",
     "Violation",
     "validate_integrity",
     "derive_sizer",
@@ -407,6 +414,8 @@ TABLES: dict[str, TableSpec] = {
 _COLUMN_TO_ATTR: dict[type, dict[str, str]] = {
     spec.record: {c.name: c.attr for c in spec.columns} for spec in TABLES.values()
 }
+_FLOAT_COLUMNS = {spec.table: {c.name for c in spec.columns if c.kind == "float"}
+                  for spec in TABLES.values()}
 
 
 def record_value(rec, column: str):
@@ -419,11 +428,108 @@ def record_value(rec, column: str):
     return value if value not in (None, "") else None
 
 
-class ForestDatabase:
-    """All loaded tables for one or more states, with read-only indexes.
+class Table(Sequence):
+    """One table's rows, as columns and as records.
 
-    ``states`` records which state files the container represents; it drives
-    per-state output file naming and survives an empty database.
+    A table is built from one side and derives the other on first use:
+    the loader builds columns, and code that passes records (tests,
+    :mod:`timberline.synth`) gets its columns one at a time as they are
+    read.  ``len`` never builds records.
+
+    A column is either ``(codes, values)``, int32 codes into the column's
+    distinct values with ``values[0]`` None, or, for a float column, a
+    float64 array with NaN for null.  Both end with one extra null, so
+    gathering through a join row of -1 reads null.  ``extras``
+    names the columns the schema does not know, whose values are their
+    stripped text (an empty cell is null).
+    """
+
+    def __init__(self, spec: TableSpec, n: int, columns: dict | None = None,
+                 extras: Sequence[str] = (), records: tuple | None = None):
+        self.spec, self.n = spec, n if records is None else len(records)
+        self._columns = dict(columns or {})
+        self._from_records = records is not None
+        if records is not None:
+            self.records = records
+        else:
+            self.extras = tuple(extras)
+
+    @classmethod
+    def from_records(cls, spec: TableSpec, records: Iterable) -> "Table":
+        return cls(spec, 0, records=tuple(records))
+
+    @functools.cached_property
+    def extras(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(name for r in self.records for name in r.extras))
+
+    def column(self, name: str):
+        """The stored column, derived from the records on first use; None if unknown."""
+        col = self._columns.get(name)
+        if col is None and self._from_records:
+            attr = _COLUMN_TO_ATTR[self.spec.record].get(name)
+            if attr is not None:
+                raw = map(operator.attrgetter(attr), self.records)
+                if name in _FLOAT_COLUMNS[self.spec.table]:
+                    col = np.array([*raw, None], dtype=float)  # None reads NaN
+            elif name in self.extras:
+                raw = (r.extras.get(name) or None for r in self.records)
+            else:
+                return None
+            self._columns[name] = col = factorize(raw) if col is None else col
+        return col
+
+    @functools.cached_property
+    def records(self) -> tuple:
+        """The rows as records, in table order."""
+        def cells(name):
+            col = self._columns[name]
+            if isinstance(col, np.ndarray):
+                return [None if v != v else v for v in col[:-1].tolist()]  # NaN is null
+            codes, values = col
+            return list(map(values.__getitem__, codes[:-1].tolist()))
+
+        by_attr = {c.attr: c.name for c in self.spec.columns}
+        fields = [f.name for f in dataclasses.fields(self.spec.record) if f.name != "extras"]
+        if self.extras:
+            rows = zip(*map(cells, self.extras))
+            extras = [{k: v for k, v in zip(self.extras, row) if v is not None} for row in rows]
+        else:
+            extras = [{} for _ in range(self.n)]
+        return tuple(map(self.spec.record, *(cells(by_attr[f]) for f in fields), extras))
+
+    def take(self, rows: np.ndarray) -> "Table":
+        """A table of these rows, in this order; all of them in order is this table."""
+        if len(rows) == self.n and (rows == np.arange(self.n)).all():
+            return self
+        if self._from_records:
+            return Table.from_records(self.spec, map(self.records.__getitem__, rows.tolist()))
+        gather = np.append(rows, -1)  # and the trailing null
+        columns = {name: col[gather] if isinstance(col, np.ndarray) else (col[0][gather], col[1])
+                   for name, col in self._columns.items()}
+        return Table(self.spec, len(rows), columns, self.extras)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        return self.records[i]
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __add__(self, other) -> tuple:
+        return self.records + tuple(other)
+
+    def __radd__(self, other) -> tuple:
+        return tuple(other) + self.records
+
+
+class ForestDatabase:
+    """All loaded tables for one or more states.
+
+    Each table argument is a :class:`Table` or an iterable of records.
+    ``states`` records which state files the container represents; it
+    drives per-state output file naming and survives an empty database.
     """
 
     def __init__(
@@ -442,65 +548,34 @@ class ForestDatabase:
         species: Iterable[SpeciesRef] = (),
         states: Sequence[str] | None = None,
     ):
-        self.plots = tuple(plots)
-        self.conds = tuple(conds)
-        self.trees = tuple(trees)
-        self.seedlings = tuple(seedlings)
-        self.dwm = tuple(dwm)
-        self.invasives = tuple(invasives)
-        self.evaluations = tuple(evaluations)
-        self.estn_units = tuple(estn_units)
-        self.strata = tuple(strata)
-        self.assignments = tuple(assignments)
-        self.species = tuple(species)
+        given = locals()
+        self._tables: dict[str, Table] = {}
+        for spec in TABLES.values():
+            rows = given[spec.db_field]
+            if not (isinstance(rows, Table) and rows.spec is spec):
+                rows = Table.from_records(spec, rows)
+            self._tables[spec.table] = rows
         if states is None:
             seen = {p.statecd for p in self.plots} | {
                 e.statecd for e in self.evaluations if e.statecd is not None
             }
             states = sorted(FIPS_TO_ABBR.get(s, f"F{s}") for s in seen)
         self.states = tuple(states)
-        self._build_indexes()
 
-    # Per-plot record lists and the condition key index are built on first
-    # use: the integrity report and the reference estimator read them, the
-    # estimators read the column view instead.
-    conds_by_plot = functools.cached_property(lambda self: _by_plot(self.conds))
-    trees_by_plot = functools.cached_property(lambda self: _by_plot(self.trees))
-    seedlings_by_plot = functools.cached_property(lambda self: _by_plot(self.seedlings))
-    dwm_by_plot = functools.cached_property(lambda self: _by_plot(self.dwm))
-    invasives_by_plot = functools.cached_property(lambda self: _by_plot(self.invasives))
-    cond_by_key = functools.cached_property(
-        lambda self: {(c.plt_cn, c.condid): c for c in self.conds})
-
-    def _build_indexes(self) -> None:
-        self.plot_by_cn = {p.cn: p for p in self.plots}
-        self.eval_by_id = {e.evalid: e for e in self.evaluations}
-        self.unit_by_cn = {u.cn: u for u in self.estn_units}
-        self.units_by_eval: dict[int, list[EstimationUnit]] = {}
-        for u in self.estn_units:
-            self.units_by_eval.setdefault(u.evalid, []).append(u)
-        self.stratum_by_cn = {s.cn: s for s in self.strata}
-        self.strata_by_unit: dict[str, list[Stratum]] = {}
-        for s in self.strata:
-            self.strata_by_unit.setdefault(s.estn_unit_cn, []).append(s)
-
-        # Assignments keyed by the evaluation they reach through their stratum.
-        self.assignments_by_eval: dict[int, list[StratumAssignment]] = {}
-        for a in self.assignments:
-            stratum = self.stratum_by_cn.get(a.stratum_cn)
-            if stratum is None:
-                continue
-            unit = self.unit_by_cn.get(stratum.estn_unit_cn)
-            if unit is None:
-                continue
-            self.assignments_by_eval.setdefault(unit.evalid, []).append(a)
+    def table(self, name: str) -> Table:
+        return self._tables[name]
 
     @functools.cached_property
     def columns(self) -> "ColumnView":
         """The column view of this database's tables, built on first use."""
         return ColumnView(self)
 
-    # -- convenience -------------------------------------------------------
+    # Population-table indexes, built on first use (the tables are small).
+    unit_by_cn = functools.cached_property(lambda self: {u.cn: u for u in self.estn_units})
+    stratum_by_cn = functools.cached_property(lambda self: {s.cn: s for s in self.strata})
+    units_by_eval = functools.cached_property(lambda self: _group_by(self.estn_units, "evalid"))
+    strata_by_unit = functools.cached_property(
+        lambda self: _group_by(self.strata, "estn_unit_cn"))
 
     def eval_of_stratum(self, stratum_cn: str) -> int | None:
         stratum = self.stratum_by_cn.get(stratum_cn)
@@ -522,42 +597,58 @@ class ForestDatabase:
         return True
 
 
-def _by_plot(records: Iterable) -> dict[str, list]:
-    out: dict[str, list] = {}
+for _spec in TABLES.values():  # db.plots, db.trees, ...: the tables by field name
+    setattr(ForestDatabase, _spec.db_field, property(lambda self, t=_spec.table: self._tables[t]))
+
+
+def _group_by(records: Iterable, attr: str) -> dict:
+    out: dict = {}
     for r in records:
-        out.setdefault(r.plt_cn, []).append(r)
+        out.setdefault(getattr(r, attr), []).append(r)
     return out
 
 
-def factorize(values: Iterable, floats: bool = False) -> tuple[np.ndarray, list]:
-    """Codes into the distinct values, None first (code 0).
+def factorize(values: Iterable) -> tuple[np.ndarray, list]:
+    """Codes into the distinct values, None first (code 0), the rest in order of
+    first appearance; the codes end with one extra null code."""
+    values = list(values)
+    distinct = dict.fromkeys(values)
+    if len(distinct) == len(values) and None not in distinct:  # each value its own code
+        codes = np.arange(1, len(values) + 1, dtype=np.int32)
+    else:
+        distinct.pop(None, None)
+        index = dict(zip(distinct, range(1, len(distinct) + 1)))
+        index[None] = 0
+        codes = np.fromiter(map(index.__getitem__, values), np.int32, len(values))
+    return np.append(codes, np.int32(0)), [None, *distinct]
 
-    ``floats`` says every value is a float or None, so numpy can sort them.
+
+def recode(codes: np.ndarray, values: Sequence) -> tuple[np.ndarray, list]:
+    """``(codes, values)`` renumbered as :func:`factorize` numbers ``values[codes]``.
+
+    Equal values merge, they run in order of first appearance after None,
+    and the codes gain the trailing null code.
     """
-    if floats:
-        values = list(values)
-        number = np.array(values, dtype=float)  # None reads NaN
-        known = ~np.isnan(number)
-        _, first, codes = np.unique(number[known], return_index=True, return_inverse=True)
-        out = np.zeros(len(values), dtype=np.int32)
-        out[known] = codes.reshape(-1) + 1
-        return out, [None] + [values[i] for i in np.flatnonzero(known)[first].tolist()]
+    used, first = np.unique(codes, return_index=True)
     index: dict = {None: 0}
-    codes = np.fromiter((index.setdefault(v, len(index)) for v in values), np.int32)
-    return codes, list(index)
+    remap = np.zeros(len(values), dtype=np.int32)
+    for c in used[np.argsort(first)].tolist():
+        remap[c] = index.setdefault(values[c], len(index))
+    return np.append(remap[codes], np.int32(0)), list(index)
 
 
 class ColumnView:
-    """A database's tables as factorised columns, plus their joins.
+    """A database's columns in the one form the estimators read, plus joins.
 
     ``column(table, name)`` gives one code per row into the distinct values
     :func:`record_value` returns for that column (an extras ``''`` stays
     None), with ``values[0]`` always None.  The code array ends with one
     extra null code, so gathering it through a join row of -1 reads None.
-    Joins map each record to its plot's row in ``db.plots`` and its
-    condition's row in ``db.conds`` (-1 when there is none; duplicates
-    resolve like ``plot_by_cn`` and ``cond_by_key``, the last row wins).
-    Everything is built on first use and kept.
+    ``floats`` gives a numeric column as float64, NaN for null, with the
+    same trailing null.  Joins map each row to its plot's row in
+    ``db.plots`` and its condition's row in ``db.conds`` (-1 when there is
+    none; a duplicate key resolves to its last row).  Everything is built
+    from the stored columns on first use and kept.
     """
 
     def __init__(self, db: ForestDatabase):
@@ -569,56 +660,100 @@ class ColumnView:
             self._memo[key] = build()
         return self._memo[key]
 
-    def records(self, table: str) -> tuple:
-        return getattr(self.db, TABLES[table].db_field)
-
     def column(self, table: str, name: str) -> tuple[np.ndarray, list]:
+        col = self.db.table(table).column(name)
+        if isinstance(col, tuple):
+            return col
+
         def build():
-            records = self.records(table)
-            attr = _COLUMN_TO_ATTR[TABLES[table].record].get(name)
-            if attr is not None:
-                raw = map(operator.attrgetter(attr), records)
-            else:
-                raw = (r.extras.get(name) or None for r in records)
-            codes, distinct = factorize(raw, TABLES[table].column_kinds().get(name) == "float")
-            return np.append(codes, np.int32(0)), distinct
+            if col is None:
+                return np.zeros(len(self.db.table(table)) + 1, dtype=np.int32), [None]
+            known = np.flatnonzero(~np.isnan(col))
+            distinct, inverse = np.unique(col[known], return_inverse=True)
+            codes = np.zeros(len(col), dtype=np.int32)
+            codes[known] = inverse.reshape(-1) + 1
+            values = [None, *distinct.tolist()]
+            if 0.0 in distinct:  # 0.0 and -0.0 are one value: the first one's
+                values[np.searchsorted(distinct, 0.0) + 1] = col[np.argmax(col == 0.0)].item()
+            return codes, values
 
         return self._get(("column", table, name), build)
 
-    def order(self, table: str, attrs: tuple[str, ...]) -> np.ndarray:
-        """Row numbers sorted by these record attributes, ties in table order."""
-        def build():
-            records = self.records(table)
-            keys = [np.array(list(map(operator.attrgetter(a), records))) for a in attrs]
-            return np.lexsort(keys[::-1]).astype(np.intp)
+    def floats(self, table: str, name: str) -> np.ndarray:
+        col = self.db.table(table).column(name)
+        if isinstance(col, np.ndarray):
+            return col
 
-        return self._get(("order", table, attrs), build)
+        def build():
+            codes, values = self.column(table, name)
+            return np.array([np.nan if v is None else v for v in values], dtype=float)[codes]
+
+        return self._get(("floats", table, name), build)
+
+    def order(self, table: str, names: tuple[str, ...]) -> np.ndarray:
+        """Row numbers sorted by these columns' values, ties in table order."""
+        def build():
+            keys = []
+            for name in reversed(names):
+                codes, values = self.column(table, name)
+                rest = values[1:]
+                rank = np.arange(len(values))  # None first, then values already in order
+                if sorted(rest) != rest:
+                    rank[sorted(range(1, len(values)), key=values.__getitem__)] = np.arange(
+                        1, len(values))
+                keys.append(rank[codes[:-1]])
+            return np.lexsort(keys).astype(np.intp)
+
+        return self._get(("order", table, names), build)
 
     def extra_names(self, table: str) -> frozenset[str]:
+        """The extras columns holding a value in some row."""
         return self._get(("extras", table), lambda: frozenset(
-            name for r in self.records(table) for name in r.extras))
+            name for name in self.db.table(table).extras
+            if self.column(table, name)[0][:-1].any()))
 
-    @property
-    def plot_row(self) -> dict[str, int]:
-        return self._get(("plot_row",), lambda: _row_index(self.db.plots, "cn"))
+    def join(self, table: str, names: tuple[str, ...], target: str,
+             keys: tuple[str, ...]) -> np.ndarray:
+        """Each row's last row in ``target`` whose ``keys`` equal its ``names``, or -1.
 
-    def _join(self, table: str, rows: dict, *attrs: str) -> np.ndarray:
-        records = self.records(table)
-        found = map(rows.get, map(operator.attrgetter(*attrs), records), itertools.repeat(-1))
-        return np.fromiter(found, np.intp, len(records))
+        Each distinct value is looked up once and gathered through the codes.
+        """
+        def build():
+            if len(names) == 1:  # a row per distinct value, gathered through the codes
+                codes, values = self.column(table, names[0])
+                row_of = self._get(("rows", target, keys[0]), lambda: dict(zip(
+                    map(self.column(target, keys[0])[1].__getitem__,
+                        self.column(target, keys[0])[0][:-1].tolist()),
+                    itertools.count())))  # a repeated key keeps its last row
+                return np.fromiter(map(row_of.get, values, itertools.repeat(-1)), np.intp,
+                                   len(values))[codes[:-1]]
+            n, m = len(self.db.table(target)), len(self.db.table(table))
+            key, own = np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64)
+            found, size = np.ones(m, dtype=bool), 1
+            for name, key_name in zip(names, keys):
+                key_codes, key_values = self.column(target, key_name)
+                codes, values = self.column(table, name)
+                index = dict(zip(key_values, itertools.count()))
+                mapped = np.fromiter(map(index.get, values, itertools.repeat(-1)), np.int64,
+                                     len(values))[codes[:-1]]
+                found &= mapped >= 0
+                key = key * len(key_values) + key_codes[:-1]
+                own = own * len(key_values) + mapped
+                size *= len(key_values)
+            if size > 4 * (n + m):  # number sparse keys densely first
+                _, dense = np.unique(np.concatenate([key, own]), return_inverse=True)
+                key, own, size = dense[:n], dense[n:], n + m
+            last = np.full(size, -1, dtype=np.intp)
+            np.maximum.at(last, key, np.arange(n))
+            return np.where(found, last[np.where(found, own, 0)], -1)
+
+        return self._get(("join", table, names, target, keys), build)
 
     def plot_rows(self, table: str) -> np.ndarray:
-        return self._get(("plot_rows", table),
-                         lambda: self._join(table, self.plot_row, "plt_cn"))
+        return self.join(table, ("PLT_CN",), "PLOT", ("CN",))
 
     def cond_rows(self, table: str) -> np.ndarray:
-        return self._get(("cond_rows", table), lambda: self._join(
-            table, _row_index(self.db.conds, "plt_cn", "condid"), "plt_cn", "condid"))
-
-
-def _row_index(records: Sequence, *attrs: str) -> dict:
-    """Key -> row number; a duplicate key keeps its last row."""
-    return dict(zip(map(operator.attrgetter(*attrs), records), itertools.count()))
+        return self.join(table, ("PLT_CN", "CONDID"), "COND", ("PLT_CN", "CONDID"))
 
 
 # --------------------------------------------------------------------------
@@ -662,7 +797,7 @@ def validate_integrity(db: ForestDatabase) -> list[Violation]:
         if (c.plt_cn, c.condid) in seen_conds:
             out.append(Violation("COND", key, "duplicate (PLT_CN, CONDID)"))
         seen_conds.add((c.plt_cn, c.condid))
-        if c.plt_cn not in db.plot_by_cn:
+        if c.plt_cn not in seen_plots:
             out.append(Violation("COND", key, "cond->plot"))
         _check_range(out, "COND", key, "CONDPROP_UNADJ outside [0, 1]",
                      c.condprop_unadj, 0.0, 1.0)
@@ -674,9 +809,9 @@ def validate_integrity(db: ForestDatabase) -> list[Violation]:
 
     for t in db.trees:
         key = t.cn
-        if t.plt_cn not in db.plot_by_cn:
+        if t.plt_cn not in seen_plots:
             out.append(Violation("TREE", key, "tree->plot"))
-        elif (t.plt_cn, t.condid) not in db.cond_by_key:
+        elif (t.plt_cn, t.condid) not in seen_conds:
             out.append(Violation("TREE", key, "tree->cond"))
         if t.dia is not None and t.dia <= 0:
             out.append(Violation("TREE", key, "DIA not positive"))
@@ -692,9 +827,9 @@ def validate_integrity(db: ForestDatabase) -> list[Violation]:
 
     for i, s in enumerate(db.seedlings):
         key = f"{s.plt_cn}/{s.condid}#{i}"
-        if s.plt_cn not in db.plot_by_cn:
+        if s.plt_cn not in seen_plots:
             out.append(Violation("SEEDLING", key, "seedling->plot"))
-        elif (s.plt_cn, s.condid) not in db.cond_by_key:
+        elif (s.plt_cn, s.condid) not in seen_conds:
             out.append(Violation("SEEDLING", key, "seedling->cond"))
         if s.treecount is not None and s.treecount < 1:
             out.append(Violation("SEEDLING", key, "TREECOUNT < 1"))
@@ -705,9 +840,9 @@ def validate_integrity(db: ForestDatabase) -> list[Violation]:
         if (d.plt_cn, d.condid, d.fuel_type) in seen_dwm:
             out.append(Violation("COND_DWM_CALC", key, "duplicate fuel row"))
         seen_dwm.add((d.plt_cn, d.condid, d.fuel_type))
-        if d.plt_cn not in db.plot_by_cn:
+        if d.plt_cn not in seen_plots:
             out.append(Violation("COND_DWM_CALC", key, "dwm->plot"))
-        elif (d.plt_cn, d.condid) not in db.cond_by_key:
+        elif (d.plt_cn, d.condid) not in seen_conds:
             out.append(Violation("COND_DWM_CALC", key, "dwm->cond"))
         if d.fuel_type not in FUEL_TYPES:
             out.append(Violation("COND_DWM_CALC", key, "unknown FUEL_TYPE"))
@@ -718,9 +853,9 @@ def validate_integrity(db: ForestDatabase) -> list[Violation]:
 
     for i, r in enumerate(db.invasives):
         key = f"{r.plt_cn}/{r.condid}#{i}"
-        if r.plt_cn not in db.plot_by_cn:
+        if r.plt_cn not in seen_plots:
             out.append(Violation("INVASIVE_SUBPLOT_SPP", key, "invasive->plot"))
-        elif (r.plt_cn, r.condid) not in db.cond_by_key:
+        elif (r.plt_cn, r.condid) not in seen_conds:
             out.append(Violation("INVASIVE_SUBPLOT_SPP", key, "invasive->cond"))
         _check_range(out, "INVASIVE_SUBPLOT_SPP", key, "COVER_PCT outside [0, 100]",
                      r.cover_pct, 0.0, 100.0)
@@ -735,7 +870,7 @@ def validate_integrity(db: ForestDatabase) -> list[Violation]:
             out.append(Violation("POP_EVAL", key, "unknown EVAL_TYP"))
 
     for u in db.estn_units:
-        if u.evalid not in db.eval_by_id:
+        if u.evalid not in seen_evals:
             out.append(Violation("POP_ESTN_UNIT", u.cn, "unit->evaluation"))
         if u.area_used is not None and u.area_used <= 0:
             out.append(Violation("POP_ESTN_UNIT", u.cn, "AREA_USED not positive"))
@@ -757,7 +892,7 @@ def validate_integrity(db: ForestDatabase) -> list[Violation]:
     per_eval_plot: dict[tuple[int, str], int] = {}
     for a in db.assignments:
         key = f"{a.plt_cn}->{a.stratum_cn}"
-        if a.plt_cn not in db.plot_by_cn:
+        if a.plt_cn not in seen_plots:
             out.append(Violation("POP_PLOT_STRATUM_ASSGN", key, "assignment->plot"))
         if a.stratum_cn not in db.stratum_by_cn:
             out.append(Violation("POP_PLOT_STRATUM_ASSGN", key, "assignment->stratum"))

@@ -13,7 +13,9 @@ at most a few hundred plots.
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from collections.abc import Mapping
 
 from .domain import bind_domain
@@ -48,6 +50,53 @@ class OracleTable:
 
     def column(self, name):
         return [row.get(name) for row in self.rows]
+
+
+class _Indexes:
+    """Record lookups of one database, built on first use."""
+
+    def __init__(self, db: ForestDatabase):
+        self._db = weakref.ref(db)  # a strong one would keep the cache key alive
+
+    @property
+    def db(self) -> ForestDatabase:
+        return self._db()
+
+    @functools.cached_property
+    def plot_by_cn(self) -> dict:
+        return {p.cn: p for p in self.db.plots}
+
+    @functools.cached_property
+    def assignments_by_eval(self) -> dict:
+        """Assignments keyed by the evaluation they reach through their stratum."""
+        out: dict = {}
+        for a in self.db.assignments:
+            stratum = self.db.stratum_by_cn.get(a.stratum_cn)
+            unit = self.db.unit_by_cn.get(stratum.estn_unit_cn) if stratum else None
+            if unit is not None:
+                out.setdefault(unit.evalid, []).append(a)
+        return out
+
+    def _by_plot(self, records) -> dict:
+        out: dict = {}
+        for r in records:
+            out.setdefault(r.plt_cn, []).append(r)
+        return out
+
+    conds_by_plot = functools.cached_property(lambda self: self._by_plot(self.db.conds))
+    trees_by_plot = functools.cached_property(lambda self: self._by_plot(self.db.trees))
+    seedlings_by_plot = functools.cached_property(lambda self: self._by_plot(self.db.seedlings))
+    dwm_by_plot = functools.cached_property(lambda self: self._by_plot(self.db.dwm))
+    invasives_by_plot = functools.cached_property(lambda self: self._by_plot(self.db.invasives))
+
+
+_INDEXES: "weakref.WeakKeyDictionary[ForestDatabase, _Indexes]" = weakref.WeakKeyDictionary()
+
+
+def _indexes(db: ForestDatabase) -> _Indexes:
+    if db not in _INDEXES:
+        _INDEXES[db] = _Indexes(db)
+    return _INDEXES[db]
 
 
 # --------------------------------------------------------------------------
@@ -317,11 +366,11 @@ def _panel_axis(db: ForestDatabase, evals):
     for ev in evals:
         if ev.start_invyr is not None and ev.end_invyr is not None:
             years.update(range(ev.start_invyr, ev.end_invyr + 1))
-        for a in db.assignments_by_eval.get(ev.evalid, ()):
+        for a in _indexes(db).assignments_by_eval.get(ev.evalid, ()):
             if a.invyr is not None:
                 observed.add(a.invyr)
             else:
-                p = db.plot_by_cn.get(a.plt_cn)
+                p = _indexes(db).plot_by_cn.get(a.plt_cn)
                 if p is not None:
                     observed.add(p.invyr)
     if not years:
@@ -365,18 +414,18 @@ def _collect_sample(db: ForestDatabase, evals, years=None) -> _OSample:
     by_stratum: dict[str, list[str]] = {}
     for ev in evals:
         per_plot: dict[str, list[str]] = {}
-        for a in db.assignments_by_eval.get(ev.evalid, ()):
+        for a in _indexes(db).assignments_by_eval.get(ev.evalid, ()):
             per_plot.setdefault(a.plt_cn, []).append(a.stratum_cn)
         for cn, cns in per_plot.items():
             if len(cns) > 1:
                 raise EstimationError(
                     f"evaluation {ev.evalid} assigns plot {cn} to strata {', '.join(cns)}"
                 )
-        for a in db.assignments_by_eval.get(ev.evalid, ()):
+        for a in _indexes(db).assignments_by_eval.get(ev.evalid, ()):
             st = db.stratum_by_cn.get(a.stratum_cn)
             if st is None:
                 raise EstimationError(f"assignment references unknown stratum {a.stratum_cn}")
-            plot = db.plot_by_cn.get(a.plt_cn)
+            plot = _indexes(db).plot_by_cn.get(a.plt_cn)
             if plot is None:
                 raise EstimationError(f"assignment references unknown plot {a.plt_cn}")
             year = a.invyr if a.invyr is not None else plot.invyr
@@ -631,7 +680,7 @@ def _plot_values(ctx: _Ctx, plot, stratum) -> _PlotVals:
     db = ctx.db
     pv = _PlotVals()
     kind = ctx.fam["kind"]
-    conds = sorted(db.conds_by_plot.get(plot.cn, ()), key=lambda c: c.condid)
+    conds = sorted(_indexes(db).conds_by_plot.get(plot.cn, ()), key=lambda c: c.condid)
     cond_of = {c.condid: c for c in conds}
     adj_sub = stratum.adjustment(SUBPLOT)
 
@@ -660,7 +709,7 @@ def _plot_values(ctx: _Ctx, plot, stratum) -> _PlotVals:
             if not (_forested(cond) and area_ok(cond)):
                 continue
             pole = mature = late = 0.0
-            for t in db.trees_by_plot.get(plot.cn, ()):
+            for t in _indexes(db).trees_by_plot.get(plot.cn, ()):
                 if t.condid != cond.condid or t.statuscd != 1:
                     continue
                 if t.dia is None or t.dia < 5.0:
@@ -694,7 +743,7 @@ def _plot_values(ctx: _Ctx, plot, stratum) -> _PlotVals:
 
     if kind in ("tree", "diversity"):
         per_group: dict[tuple, dict] = {}
-        for t in sorted(db.trees_by_plot.get(plot.cn, ()), key=lambda t: t.cn):
+        for t in sorted(_indexes(db).trees_by_plot.get(plot.cn, ()), key=lambda t: t.cn):
             cond = cond_of.get(t.condid)
             if not _forested(cond):
                 continue
@@ -730,7 +779,7 @@ def _plot_values(ctx: _Ctx, plot, stratum) -> _PlotVals:
         remper = plot.remper
         if remper is None or remper <= 0:
             return pv
-        for t in sorted(db.trees_by_plot.get(plot.cn, ()), key=lambda t: t.cn):
+        for t in sorted(_indexes(db).trees_by_plot.get(plot.cn, ()), key=lambda t: t.cn):
             if t.component not in ("INGROWTH", "MORTALITY", "CUT"):
                 continue
             cond = cond_of.get(t.condid)
@@ -774,7 +823,7 @@ def _plot_values(ctx: _Ctx, plot, stratum) -> _PlotVals:
         remper = plot.remper
         if remper is None or remper <= 0:
             return pv
-        for t in sorted(db.trees_by_plot.get(plot.cn, ()), key=lambda t: t.cn):
+        for t in sorted(_indexes(db).trees_by_plot.get(plot.cn, ()), key=lambda t: t.cn):
             cond = cond_of.get(t.condid)
             if not _forested(cond):
                 continue
@@ -801,7 +850,7 @@ def _plot_values(ctx: _Ctx, plot, stratum) -> _PlotVals:
         return pv
 
     if kind == "dwm":
-        for rec in db.dwm_by_plot.get(plot.cn, ()):
+        for rec in _indexes(db).dwm_by_plot.get(plot.cn, ()):
             cond = cond_of.get(rec.condid)
             if not (_forested(cond) and area_ok(cond)):
                 continue
@@ -824,7 +873,7 @@ def _plot_values(ctx: _Ctx, plot, stratum) -> _PlotVals:
         if not sampled:
             pv.den_area.clear()
             return pv
-        for rec in db.invasives_by_plot.get(plot.cn, ()):
+        for rec in _indexes(db).invasives_by_plot.get(plot.cn, ()):
             cond = cond_of.get(rec.condid)
             if not (_forested(cond) and area_ok(cond)):
                 continue
@@ -836,7 +885,7 @@ def _plot_values(ctx: _Ctx, plot, stratum) -> _PlotVals:
 
     if kind == "seedling":
         adj_m = stratum.adjustment(MICROPLOT)
-        for s in db.seedlings_by_plot.get(plot.cn, ()):
+        for s in _indexes(db).seedlings_by_plot.get(plot.cn, ()):
             cond = cond_of.get(s.condid)
             if not (_forested(cond) and area_ok(cond)):
                 continue

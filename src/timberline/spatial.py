@@ -24,7 +24,7 @@ import numpy as np
 from .errors import GeometryError
 from .model import PlotRecord
 
-__all__ = ["PolygonFeature", "PolygonSet", "assign_plots", "emit_spatial"]
+__all__ = ["PolygonFeature", "PolygonSet", "assign_plots", "plot_owners", "emit_spatial"]
 
 Ring = tuple[tuple[float, float], ...]
 
@@ -151,14 +151,27 @@ def assign_plots(
 
     Plots with missing coordinates are skipped (they cannot intersect).
     """
-    located = [p for p in plots if p.lon is not None and p.lat is not None]
-    x = np.array([p.lon for p in located], dtype=float)
-    y = np.array([p.lat for p in located], dtype=float)
-    owner = np.full(len(located), -1)
+    plots = list(plots)
+    x = np.array([p.lon for p in plots], dtype=float)  # None reads NaN
+    y = np.array([p.lat for p in plots], dtype=float)
+    owner = plot_owners(x, y, polys).tolist()
+    return {p.cn: polys.features[k].fid for p, k in zip(plots, owner) if k >= 0}
+
+
+def plot_owners(x: np.ndarray, y: np.ndarray, polys: PolygonSet) -> np.ndarray:
+    """Index of the first feature containing each point (x, y), else -1.
+
+    A point with a NaN coordinate is in no feature.
+    """
+    owner = np.full(len(x), -1)
+    located = np.flatnonzero(~(np.isnan(x) | np.isnan(y)))
+    x, y = x[located], y[located]
+    found = np.full(len(located), -1)
     for k, feature in enumerate(polys):
-        free = np.flatnonzero(owner < 0)
-        owner[free[_inside(feature.rings, x[free], y[free])]] = k
-    return {p.cn: polys.features[k].fid for p, k in zip(located, owner.tolist()) if k >= 0}
+        free = np.flatnonzero(found < 0)
+        found[free[_inside(feature.rings, x[free], y[free])]] = k
+    owner[located] = found
+    return owner
 
 
 def _inside(rings: Sequence[Ring], x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -177,3 +177,49 @@ def test_bad_polygon_position_exits_1_without_traceback(tmp_path, capsys, corner
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "feature 0: position" in err and problem in err
+
+
+def test_clip_out_existing_file_exits_1_without_traceback(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    assert main(["clip", "--db", SYNTH1, "--most-recent", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot write {target}: File exists" in err
+    assert "Traceback" not in err
+
+
+def test_output_in_missing_directory_exits_1_without_traceback(tmp_path, capsys):
+    target = tmp_path / "missing" / "dir" / "x.csv"
+    assert main(["tpa", "--db", SYNTH1, "--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: cannot write {target}: No such file or directory" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_estimate_and_clip_commands_build_no_plot_records(tmp_path, monkeypatch, capsys):
+    from timberline import model
+
+    built = []
+    for cls in (model.PlotRecord, model.ConditionRecord, model.TreeRecord,
+                model.SeedlingRecord, model.DwmRecord, model.InvasiveRecord,
+                model.StratumAssignment):
+        def spy(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
+            built.append(_name)
+            _init(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    polys = _polys_file(tmp_path, [-72.75, 42.0])
+    for command in ("area", "biomass", "seedling", "dwm", "invasive", "standstruct"):
+        assert main([command, "--db", SYNTH_INV, "--most-recent"]) == 0
+    assert main(["tpa", "--db", SYNTH_INV, "--most-recent", "--by-species",
+                 "--by-size-class", "--polys", polys]) == 0
+    assert main(["clip", "--db", SYNTH_INV, "--most-recent", "--mask", polys,
+                 "--out", str(tmp_path / "clip")]) == 0
+    assert main(["clip", "--db", SYNTH_INV, "--most-recent",
+                 "--out", str(tmp_path / "clip2")]) == 0
+    assert built == []
+    assert len(tl.load_database(tmp_path / "clip2", ["CT"]).trees) > 0
+    assert built == []
+    list(tl.load_database(tmp_path / "clip2", ["CT"]).trees)  # the spy sees records
+    assert "TreeRecord" in built

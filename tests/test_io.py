@@ -238,7 +238,7 @@ def _tables(draw):
     present = [c for c in spec.columns if c.required]
     present += draw(st.lists(st.sampled_from(optional), unique=True)) if optional else []
     kinds = {c.name: c.kind for c in present}
-    # Repeated header names are allowed: the last copy of a column wins.
+    # A repeated header name, known or extra, fails the load.
     repeated = draw(st.lists(st.sampled_from(present), max_size=1))
     unknown = draw(st.lists(st.sampled_from(["ECOSUBCD", "EXTRA_B"]), max_size=3))
     names = draw(st.permutations([c.name for c in present + repeated] + unknown))
@@ -267,7 +267,12 @@ def test_column_loader_matches_record_loop(table, chunk_rows):
         path.write_text(text, encoding="utf-8")
         with mock.patch.object(tio, "CHUNK_ROWS", chunk_rows):
             got = _outcome(tio._read_table, path, spec)
-        assert got == _outcome(_reference_read_table, path, spec)
+        names = [h.strip().upper() for h in text.split("\r\n", 1)[0].split(",")]
+        repeat = next((n for i, n in enumerate(names) if n in names[:i]), None)
+        if repeat is None:
+            assert got == _outcome(_reference_read_table, path, spec)
+        else:
+            assert got == ("error", f"{path.name}: column {repeat} appears more than once")
 
 
 def test_bad_cell_past_first_chunk_reports_its_row(tmp_path):
@@ -377,3 +382,98 @@ def test_fetch_url_precedence(tmp_path, monkeypatch):
 def test_fetch_unknown_state(tmp_path):
     with pytest.raises(FetchError, match="unknown state"):
         fetch_state("XX", tmp_path, session=_Session({}))
+
+
+# ---------------------------------------------------------------------------
+# The column writer against the record writer it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_write_table(path, spec, rows):
+    """The per-record table writer that ``io._write_table`` replaced, kept as an oracle."""
+    rows = list(rows)
+    extra_names = sorted({name for r in rows for name in r.extras})
+    header = [c.name for c in spec.columns] + extra_names
+    with open(path, "w", newline="", encoding="utf-8") as fp:
+        writer = csv.writer(fp, lineterminator="\r\n")
+        writer.writerow(header)
+        for r in rows:
+            cells = [tio._format_cell(getattr(r, c.attr)) for c in spec.columns]
+            cells += [r.extras.get(name, "") for name in extra_names]
+            writer.writerow(cells)
+
+
+def _reference_write_database(db, directory):
+    """The per-record ``write_database``, grouping rows as it did."""
+    root = Path(directory)
+    root.mkdir(parents=True, exist_ok=True)
+    written = []
+    plot_state = {p.cn: model.FIPS_TO_ABBR[p.statecd] for p in db.plots}
+    eval_state = {e.evalid: model.FIPS_TO_ABBR[e.statecd] for e in db.evaluations}
+
+    def group(rows, state_of):
+        out = {st: [] for st in db.states}
+        for r in rows:
+            out[state_of(r)].append(r)
+        return out
+
+    groups = {"PLOT": group(db.plots, lambda p: plot_state[p.cn])}
+    for field in ("conds", "trees", "seedlings", "dwm", "invasives"):
+        groups[_BY_FIELD[field].table] = group(
+            getattr(db, field), lambda r: plot_state[r.plt_cn])
+    groups["POP_EVAL"] = group(db.evaluations, lambda e: eval_state[e.evalid])
+    groups["POP_ESTN_UNIT"] = group(db.estn_units, lambda u: eval_state[u.evalid])
+    groups["POP_STRATUM"] = group(
+        db.strata, lambda s: eval_state[db.unit_by_cn[s.estn_unit_cn].evalid])
+    groups["POP_PLOT_STRATUM_ASSGN"] = group(
+        db.assignments, lambda a: eval_state[db.eval_of_stratum(a.stratum_cn)])
+    for st in db.states:
+        for table, per_state in groups.items():
+            spec = model.TABLES[table]
+            if not per_state[st] and not spec.mandatory:
+                continue
+            _reference_write_table(root / f"{st}_{table}.csv", spec, per_state[st])
+            written.append(f"{st}_{table}.csv")
+    if db.species:
+        _reference_write_table(root / "REF_SPECIES.csv", model.REF_SPECIES_SPEC, db.species)
+        written.append("REF_SPECIES.csv")
+    return written
+
+
+_BY_FIELD = {spec.db_field: spec for spec in model.TABLES.values()}
+_SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 0.1, 123456.789, None])
+
+
+@st.composite
+def _write_case(draw):
+    db = random_database(draw(st.integers(0, 40)))
+    tables = {field: list(getattr(db, field)) for field in _BY_FIELD}
+    trees = tables["trees"]
+    for i in draw(st.lists(st.integers(0, max(len(trees) - 1, 0)), max_size=6)):
+        if trees:
+            extras = {"NOTE": draw(st.sampled_from(["a", "b c", "x,y", '"q"']))}
+            trees[i] = dataclasses.replace(trees[i], dia=draw(_SPECIAL_FLOATS),
+                                           volcfnet=draw(_SPECIAL_FLOATS), extras=extras)
+    if draw(st.booleans()):  # a plot CN twice, with a float that must keep its sign
+        twin = dataclasses.replace(tables["plots"][0], remper=-0.0)
+        tables["plots"].insert(draw(st.integers(0, len(tables["plots"]))), twin)
+    for field in draw(st.lists(st.sampled_from(["seedlings", "dwm", "invasives"]))):
+        tables[field] = []
+    return model.ForestDatabase(states=db.states, **tables)
+
+
+@settings(max_examples=40, deadline=None)
+@given(db=_write_case(), loaded=st.booleans())
+def test_column_writer_matches_record_writer(db, loaded):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        if loaded:  # the same rows as loaded columns, one file per state and table
+            write_database(db, root / "load")
+            back = load_database(root / "load", db.states)
+            assert back.same_contents(db)
+            db = back
+        got = write_database(db, root / "got")
+        want = _reference_write_database(db, root / "want")
+        assert got == want
+        for name in want:
+            assert (root / "got" / name).read_bytes() == (root / "want" / name).read_bytes()

@@ -62,15 +62,21 @@ def test_record_value_reads_fields_and_extras():
 
 def test_indexes_group_children_by_plot(synth1):
     db = synth1
-    assert set(db.plot_by_cn) == {"P1", "P2", "P3", "P4"}
-    assert [c.condid for c in db.conds_by_plot["P1"]] == [1]
-    assert {t.cn for t in db.trees_by_plot["P1"]} == {"T1", "T2"}
-    assert db.trees_by_plot.get("P3", []) == []
+
+    def plot_of(table):
+        return [db.plots[r].cn for r in db.columns.plot_rows(table)]
+
+    assert [p.cn for p in db.plots] == ["P1", "P2", "P3", "P4"]
+    assert [c.condid for c, cn in zip(db.conds, plot_of("COND")) if cn == "P1"] == [1]
+    assert {t.cn for t, cn in zip(db.trees, plot_of("TREE")) if cn == "P1"} == {"T1", "T2"}
+    assert "P3" not in plot_of("TREE")
+    assert [db.conds[r].cn for r in db.columns.cond_rows("TREE")] == [
+        f"C{t.plt_cn}-{t.condid}" for t in db.trees]
 
 
 def test_assignments_reach_evaluation_through_stratum(synth1):
     # assignment -> stratum -> unit -> evalid
-    assgn = synth1.assignments_by_eval[91801]
+    assgn = [a for a in synth1.assignments if synth1.eval_of_stratum(a.stratum_cn) == 91801]
     assert len(assgn) == 4
     assert {a.plt_cn for a in assgn} == {"P1", "P2", "P3", "P4"}
 
