@@ -44,7 +44,6 @@ from .core import (
     make_bundle,
     make_classes,
     method_passes,
-    rows_from_totals,
     select_family_evals,
 )
 from .domain import bind_domain
@@ -123,8 +122,9 @@ class EstimatorRequest:
     panel combination.  ``tidy=False`` pivots the multi-row families (dwm,
     standStruct) to one row per group with per-class columns.  ``variance``
     adds ``*_VAR`` columns holding the estimator variance alongside each
-    estimate (useful for comparing engines; off by default).  ``workers`` is
-    only checked (at least 1): estimation runs in one process.
+    estimate (useful for comparing engines; off by default).  ``by_plot``
+    returns raw per-plot values of the TI sample instead of estimates, so it
+    takes neither ``variance`` nor another panel method.
     """
 
     grp_by: tuple[str, ...] = ()
@@ -138,7 +138,6 @@ class EstimatorRequest:
     method: str = "TI"
     lambdas: tuple[float, ...] = (0.5,)
     tidy: bool = True
-    workers: int = 1
     variance: bool = False
     board_feet: bool = False
     basis: str = "BA"
@@ -616,6 +615,8 @@ def _validate(fam: Family, req: EstimatorRequest) -> None:
         problems.append(f"{fam.name} has no per-plot form")
     if req.by_plot and req.return_spatial:
         problems.append("per-plot output cannot be joined onto polygons")
+    if req.by_plot and req.variance:
+        problems.append("per-plot output has no variance")
     if req.return_spatial and req.polys is None:
         problems.append("spatial output needs polys")
     method = req.method.upper()
@@ -623,12 +624,12 @@ def _validate(fam: Family, req: EstimatorRequest) -> None:
         problems.append(
             f"unknown method {req.method!r} (choose from {', '.join(METHODS)})"
         )
+    elif req.by_plot and method != "TI":
+        problems.append(f"per-plot output pools all panels (TI); it takes no {method} method")
     if method == "EMA":
         for lam in req.lambdas:
             if not 0.0 < float(lam) < 1.0:
                 problems.append(f"lambda must be strictly between 0 and 1, got {lam}")
-    if req.workers < 1:
-        problems.append(f"workers must be at least 1, got {req.workers}")
     if req.board_feet and "boardFeet" not in fam.supports:
         problems.append(f"board-foot columns apply only to biomass, not {fam.name}")
     if req.basis != "BA" and "basis" not in fam.supports:
@@ -733,10 +734,7 @@ def _output_columns(fam: Family, req: EstimatorRequest, plan: Plan) -> list[str]
     if req.method.upper() == "EMA":
         cols.append("lambda")
     cols.append("YEAR")
-    for gc in plan.group_cols:
-        cols.append(gc.name)
-        if gc.origin == "species" and plan.species_decoration is not None:
-            cols.extend(("COMMON_NAME", "SCIENTIFIC_NAME"))
+    cols.extend(plan.group_names)
     for comp in _visible_components(plan):
         cols.append(comp.name)
         cols.append(comp.name + "_SE")
@@ -835,11 +833,7 @@ def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable
             if not fresh[i]:
                 continue
             row: dict[str, object] = {"YEAR": visits[i][1], "PLT_CN": visits[i][0]}
-            for gc, v in zip(plan.group_cols, num.keys[k]):
-                row[gc.name] = v
-                if gc.origin == "species" and plan.species_decoration is not None:
-                    names = plan.species_decoration.get(v, (None, None))
-                    row["COMMON_NAME"], row["SCIENTIFIC_NAME"] = names
+            row.update(plan.group_cells(num.keys[k]))
             for name, c in zip(comp_names, visible):
                 kind = plan.components[c].den
                 if kind == "none":
@@ -856,14 +850,7 @@ def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable
             tuple(repr(r.get(c.name)) for c in plan.group_cols),
         )
     )
-    cols = ["YEAR", "PLT_CN"]
-    for gc in plan.group_cols:
-        cols.append(gc.name)
-        if gc.origin == "species" and plan.species_decoration is not None:
-            cols.extend(("COMMON_NAME", "SCIENTIFIC_NAME"))
-    cols.extend(comp_names)
-    cols.append("nStems")
-    return EstimateTable(cols, rows)
+    return EstimateTable(["YEAR", "PLT_CN", *plan.group_names, *comp_names, "nStems"], rows)
 
 
 # --------------------------------------------------------------------------
@@ -879,11 +866,7 @@ def run_family(db: ForestDatabase, fam: Family, req: EstimatorRequest):
         return _by_plot_table(db, fam, plan)
 
     lambdas = normalize_lambdas(req.lambdas)
-    rows: list[dict] = []
-    for year, lam, totals in method_passes(
-        db, plan, fam.type_sets, fam.name, req.method, lambdas=lambdas
-    ):
-        rows.extend(rows_from_totals(plan, totals, year, lam))
+    rows = list(method_passes(db, plan, fam.type_sets, fam.name, req.method, lambdas=lambdas))
     rows.sort(key=lambda r: (r.get("lambda") or 0.0, r.get("YEAR") or 0))
 
     columns = _output_columns(fam, req, plan)

@@ -116,7 +116,8 @@ def _estimator_parent() -> argparse.ArgumentParser:
     g.add_argument(
         "--by-plot",
         action="store_true",
-        help="per-plot values instead of population estimates",
+        help="per-plot values of the TI sample instead of population estimates "
+        "(no --variance or other --method)",
     )
     g.add_argument(
         "--tree-domain", default=None, help='record filter, e.g. "DIA >= 10 & STATUSCD == 1"'
@@ -153,10 +154,6 @@ def _estimator_parent() -> argparse.ArgumentParser:
         dest="tidy",
         action="store_false",
         help="one row per group with per-class columns (dwm, standstruct)",
-    )
-    g.add_argument(
-        "--workers", type=int, default=1,
-        help="checked to be at least 1; estimation runs in one process",
     )
     g.add_argument(
         "--variance", action="store_true", help="add *_VAR variance columns"
@@ -390,7 +387,6 @@ def _cmd_estimate(args) -> int:
         method=args.method,
         lambdas=args.lambdas,
         tidy=args.tidy,
-        workers=args.workers,
         variance=args.variance,
         board_feet=args.board_feet,
         basis=args.basis,

@@ -41,9 +41,12 @@ Each panel is a sample of its own: W_h renormalizes over the strata with
 plots in that panel and n counts the unit's plots in it.  Panels are
 independent samples, so weights w_p combine the per-panel totals Y_p and
 variances v_p of one pass into sum_p w_p * Y_p with variance
-sum_p w_p^2 * v_p (:func:`combine_passes`).  TI is one panel of weight 1,
-SMA and LMA one row of weights, EMA one row per lambda and ANNUAL one
-single-panel row per panel with plots.
+sum_p w_p^2 * v_p.  TI is one panel of weight 1, SMA and LMA one row of
+weights, EMA one row per lambda and ANNUAL one single-panel row per panel
+with plots.  :func:`combine_passes` weights every group, component and
+row of weights at once, reads each group's denominators through the
+bundle's key indices, takes ratios and sampling errors elementwise over
+those arrays (NaN marks an undefined cell) and builds the output rows.
 """
 
 from __future__ import annotations
@@ -86,10 +89,8 @@ __all__ = [
     "make_bundle",
     "PanelTotals",
     "PassTotals",
-    "GroupTotals",
     "compute_pass",
     "combine_passes",
-    "rows_from_totals",
     "method_passes",
     "select_family_evals",
     "group_report_year",
@@ -107,9 +108,6 @@ class TotalEstimate:
     variance: float
     n_nonzero: int
     n_plots: int
-
-
-ZERO_TOTAL = TotalEstimate(0.0, 0.0, 0, 0)
 
 
 ASSIGNMENTS = "POP_PLOT_STRATUM_ASSGN"
@@ -435,46 +433,47 @@ def post_stratified_covariance(
 
 
 def ratio_estimate(
-    num: TotalEstimate, den: TotalEstimate, cov: float
-) -> tuple[float | None, float | None]:
-    """Per-unit ratio of two totals with its linearized variance.
+    num_total: np.ndarray, num_var: np.ndarray, den_total: np.ndarray, den_var: np.ndarray,
+    cov: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-unit ratios of totals with their linearized variances, elementwise.
 
-    A zero denominator yields (None, None): the cell exists but carries no
-    estimate.  Floating-point cancellation can push the variance a hair
+    A zero denominator yields NaN for both: the cell exists but carries no
+    estimate.  Floating-point cancellation can push a variance a hair
     negative when numerator and denominator are nearly proportional; within
     1e-9 of the term magnitudes it clamps to zero, beyond that it is an
-    internal error.
+    internal error.  The denominator is squared with C ``pow`` per element,
+    which rounds differently from ``x * x`` on some inputs.
     """
-    if den.total == 0:
-        return None, None
-    r = num.total / den.total
-    raw = num.variance + r * r * den.variance - 2.0 * r * cov
-    if raw < 0.0:
-        scale = num.variance + r * r * den.variance + 2.0 * abs(r * cov)
-        if -raw <= 1e-9 * max(scale, 1.0):
-            raw = 0.0
-        else:
-            raise EstimationError(
-                f"ratio variance went negative ({raw!r}); inputs are inconsistent"
-            )
-    return r, raw / (den.total ** 2)
+    den_total = np.asarray(den_total, dtype=float)
+    with np.errstate(all="ignore"):
+        r = np.where(den_total != 0, num_total / den_total, np.nan)
+        raw = num_var + r * r * den_var - 2.0 * r * cov
+        low = raw < 0.0
+        if low.any():
+            scale = num_var + r * r * den_var + 2.0 * np.abs(r * cov)
+            bad = low & (-raw > 1e-9 * np.maximum(scale, 1.0))
+            if bad.any():
+                raise EstimationError(f"ratio variance went negative ({float(raw[bad][0])!r}); "
+                                      "inputs are inconsistent")
+            raw = np.where(low, 0.0, raw)
+        square = np.array([d ** 2 for d in den_total.ravel().tolist()]).reshape(den_total.shape)
+        return r, raw / square
 
 
 def sampling_error_pct(
-    estimate: float | None, variance: float | None, n_nonzero: int
-) -> float | None:
-    """Relative standard error in percent; None when undefined.
+    estimate: np.ndarray, variance: np.ndarray, n_nonzero: np.ndarray
+) -> np.ndarray:
+    """Relative standard errors in percent, elementwise; NaN where undefined.
 
-    Present only when at least two plots carry a nonzero value and the
-    estimate itself is nonzero; an exactly zero variance reports 0.0.
+    Defined only when at least two plots carry a nonzero value and the
+    estimate is defined and nonzero; an exactly zero variance reports 0.0.
     """
-    if estimate is None or variance is None:
-        return None
-    if n_nonzero < 2 or estimate == 0:
-        return None
-    if variance == 0:
-        return 0.0
-    return 100.0 * math.sqrt(variance) / abs(estimate)
+    estimate, variance = np.asarray(estimate, dtype=float), np.asarray(variance, dtype=float)
+    with np.errstate(all="ignore"):
+        se = np.where(variance == 0, 0.0, 100.0 * np.sqrt(variance) / np.abs(estimate))
+    undefined = np.isnan(estimate) | (np.asarray(n_nonzero) < 2) | (estimate == 0)
+    return np.where(undefined, np.nan, se)
 
 
 def _fmt_class_number(x: float) -> str:
@@ -576,6 +575,21 @@ class Plan:
 
     def area_projection(self, gk: tuple) -> tuple:
         return tuple(gk[i] for i in self.area_positions)
+
+    def group_cells(self, gk: tuple) -> dict[str, object]:
+        """A group key's output cells, species names after a species column."""
+        cells: dict[str, object] = {}
+        for col, v in zip(self.group_cols, gk):
+            cells[col.name] = v
+            if col.origin == "species" and self.species_decoration is not None:
+                names = self.species_decoration.get(v, (None, None))
+                cells["COMMON_NAME"], cells["SCIENTIFIC_NAME"] = names
+        return cells
+
+    @property
+    def group_names(self) -> list[str]:
+        """The output columns of :meth:`group_cells`."""
+        return list(self.group_cells((None,) * len(self.group_cols)))
 
 
 # --------------------------------------------------------------------------
@@ -682,14 +696,19 @@ def make_bundle(db: ForestDatabase, plan: Plan, sample: Sample) -> Bundle:
 
 @dataclass
 class PassTotals:
-    """Stratified totals of one pass per (key, panel), before panel weighting."""
+    """Stratified totals of one pass per (key, panel), before panel weighting.
+
+    ``area_of`` and ``tree_of`` are the bundle's denominator key of each
+    numerator key (-1: none, read as a zero total).
+    """
 
     num: PanelTotals
     cov: np.ndarray  # numerator keys x panels x components
     den_area: PanelTotals
     den_tree: PanelTotals
     species: PanelTotals
-    n_plots: np.ndarray  # per panel
+    area_of: np.ndarray
+    tree_of: np.ndarray
 
 
 def compute_pass(db: ForestDatabase, plan: Plan, sample: Sample) -> PassTotals | None:
@@ -707,7 +726,8 @@ def compute_pass(db: ForestDatabase, plan: Plan, sample: Sample) -> PassTotals |
     x, den = num.cells(strata), np.array([c.den for c in plan.components])
     cov = np.zeros((x.n_keys, strata.n_panels, len(den)))
     empty = np.zeros((0, strata.n_panels, 1))
-    totals = [PanelTotals([], empty, empty, empty, empty[..., 0], empty[..., 0] > 0)] * 3
+    counts = empty.astype(int)  # plot counts stay integers
+    totals = [PanelTotals([], empty, empty, counts, counts[..., 0], counts[..., 0] > 0)] * 3
     variables = ((den_area, bundle.area_of), (den_tree, bundle.tree_of), (bundle.species, None))
     for i, (entries, den_of) in enumerate(variables):
         if not entries.keys:  # all zero: skip the kernel's fixed cost
@@ -718,66 +738,85 @@ def compute_pass(db: ForestDatabase, plan: Plan, sample: Sample) -> PassTotals |
             key, kind = den_of[x.key], den == ("area", "trees")[i]
             y, y_mean = entries.at(key, x.plot), cells.mean_at(key, x.stratum)
             cov[..., kind] = x.covariances(y, y_mean)[..., kind]
-    return PassTotals(x.estimates(num.keys), cov, *totals, strata.n_plots)
+    return PassTotals(x.estimates(num.keys), cov, *totals, bundle.area_of, bundle.tree_of)
 
 
-@dataclass
-class GroupTotals:
-    """The totals behind one set of output rows, keyed by group."""
+def combine_passes(
+    plan: Plan, totals: PassTotals, weights: np.ndarray, labels: Sequence[tuple]
+) -> list[dict]:
+    """Weighted combination of a pass's panels into output rows.
 
-    universe: list[tuple]
-    comp: dict[tuple, list[TotalEstimate]]
-    cov: dict[tuple, list[float]]
-    den_area: dict[tuple, TotalEstimate]
-    den_tree: dict[tuple, TotalEstimate]
-    num_plots_nonzero: dict[tuple, int]
-    pooled: dict[tuple, list[float]]  # species abundance totals per group
-
-
-def combine_passes(plan: Plan, totals: PassTotals, weights: np.ndarray) -> list[GroupTotals]:
-    """Weighted combination of a pass's panels: one GroupTotals per row of ``weights``.
-
-    ``weights`` is rows x panels.  Totals combine as sum_p w_p * Y_p and
+    ``weights`` is rows x panels, and ``labels`` gives each row of weights
+    its (year, lambda-or-None).  Totals combine as sum_p w_p * Y_p and
     variances and covariances as sum_p w_p^2 * v_p; panels are independent
-    samples.  A row covers the panels it weights: its groups are those with
-    an entry there and its plot counts sum over them.  A group absent from
-    a panel contributes an exact zero total with zero variance.
+    samples.  A row of weights covers the panels it weights: its groups are
+    those with an entry there, in group order, and its plot counts sum over
+    them.  A group absent from a panel contributes an exact zero total with
+    zero variance.
     """
     weights = np.asarray(weights, dtype=float)
     used, squared = weights != 0, weights * weights
-    n_plots = (used * totals.n_plots).sum(axis=1).tolist()
+    num, sort_key = totals.num, _group_sort_key(plan)
+    order = np.array(sorted(range(len(num.keys)), key=lambda i: sort_key(num.keys[i])),
+                     dtype=np.intp)
+    keys = [num.keys[i] for i in order.tolist()]
 
-    def mix(t: PanelTotals) -> list[list[list[TotalEstimate]]]:
-        """Per row, per key, one TotalEstimate per column."""
-        parts = (_combine(t.total, weights), _combine(t.variance, squared),
-                 _combine(t.nonzero, used))
-        return [[[TotalEstimate(*z, n) for z in zip(*cols)] for cols in zip(*row)]
-                for *row, n in zip(*(part.tolist() for part in parts), n_plots)]
+    def mix(per_panel: np.ndarray, w: np.ndarray, of: np.ndarray | None = None) -> np.ndarray:
+        """Combined rows x keys (x columns), keys in group order.
 
-    keys, sort_key = totals.num.keys, _group_sort_key(plan)
-    present = _combine(totals.num.present[..., None], used)[..., 0] > 0
-    comp, den_area, den_tree = mix(totals.num), mix(totals.den_area), mix(totals.den_tree)
-    cov = _combine(totals.cov, squared).tolist()
-    nonzero = _combine(totals.num.any_nonzero[..., None], used)[..., 0].tolist()
+        With ``of``, each key reads column 0 of its denominator key, -1 as 0.
+        """
+        per_key = _combine(per_panel, w)
+        if of is None:
+            return per_key[:, order]
+        zero = np.zeros((len(w), 1), dtype=per_key.dtype)
+        return np.concatenate([per_key[..., 0], zero], axis=1)[:, of[order]]
+
+    present = mix(num.present[..., None], used)[..., 0] > 0
+    visible = [c for c, comp in enumerate(plan.components)
+               if comp.name not in plan.hidden_components]
+    kinds = [plan.components[c].den for c in visible]
+    est, var = mix(num.total, weights)[..., visible], mix(num.variance, squared)[..., visible]
+    ratio = [i for i, kind in enumerate(kinds) if kind != "none"]
+    if ratio:
+        den = {"area": (totals.den_area, totals.area_of), "trees": (totals.den_tree, totals.tree_of)}
+        read = {kind: (mix(t.total, weights, of), mix(t.variance, squared, of))
+                for kind, (t, of) in den.items() if kind in kinds}
+        est[..., ratio], var[..., ratio] = ratio_estimate(
+            est[..., ratio], var[..., ratio],
+            *(np.stack([read[kinds[i]][j] for i in ratio], axis=-1) for j in (0, 1)),
+            mix(totals.cov, squared)[..., [visible[i] for i in ratio]],
+        )
+    se = sampling_error_pct(est, var, mix(num.nonzero, used)[..., visible])
+    est, se, var = (np.where(np.isnan(a), None, a).tolist() for a in (est, se, var))
+    counts = {"num": mix(num.any_nonzero[..., None], used)[..., 0].tolist(),
+              "den": mix(totals.den_area.nonzero, used, totals.area_of).tolist()}
+    names = [plan.components[c].name for c in visible]
+
     species = totals.species.keys
     species_key = _group_sort_key(plan, (GroupCol("SPCD", "tree", "species"),))
-    order = sorted(range(len(species)), key=lambda i: species_key(species[i]))
+    species_order = sorted(range(len(species)), key=lambda i: species_key(species[i]))
     abundance = _combine(totals.species.total, weights)[..., 0].tolist()
-    out = []
-    for r in range(len(weights)):
+    rows = []
+    for r, (year, lam) in enumerate(labels):
         pooled: dict[tuple, list[float]] = {}
-        for i in order:
+        for i in species_order:
             pooled.setdefault(species[i][:-1], []).append(max(abundance[r][i], 0.0))
-        out.append(GroupTotals(
-            universe=sorted((k for k, ok in zip(keys, present[r]) if ok), key=sort_key),
-            comp=dict(zip(keys, comp[r])),
-            cov=dict(zip(keys, cov[r])),
-            den_area={k: e[0] for k, e in zip(totals.den_area.keys, den_area[r])},
-            den_tree={k: e[0] for k, e in zip(totals.den_tree.keys, den_tree[r])},
-            num_plots_nonzero=dict(zip(keys, nonzero[r])),
-            pooled=pooled,
-        ))
-    return out
+        for k in np.flatnonzero(present[r]).tolist():
+            row: dict[str, object] = {} if lam is None else {"lambda": lam}
+            row["YEAR"] = year
+            row.update(plan.group_cells(keys[k]))
+            for name, e, s, v in zip(names, est[r][k], se[r][k], var[r][k]):
+                row[name], row[name + "_SE"] = e, s
+                if plan.emit_variance:
+                    row[name + "_VAR"] = v
+            for label, kind in plan.nplots_cols:
+                row[label] = counts[kind][r][k]
+            if plan.species is not None:
+                row.update(zip(("H_POOLED", "S_POOLED", "Eh_POOLED"),
+                               _shannon(pooled.get(keys[k], ()))))
+            rows.append(row)
+    return rows
 
 
 def _class_lower_bound(label: str) -> float | None:
@@ -824,52 +863,6 @@ def _shannon(abundances: Sequence[float]) -> tuple[float, int, float]:
         return 0.0, 0, 0.0
     h = 0.0 - sum(p * math.log(p) for p in (a / total for a in positive))  # never -0.0
     return h, len(positive), h / math.log(len(positive)) if len(positive) > 1 else 0.0
-
-
-def rows_from_totals(
-    plan: Plan, totals: GroupTotals, year: int | None, lam: float | None
-) -> list[dict]:
-    """Render one set of group totals into output rows."""
-    rows = []
-    for gk in totals.universe:
-        row: dict[str, object] = {}
-        if lam is not None:
-            row["lambda"] = lam
-        row["YEAR"] = year
-        for col, v in zip(plan.group_cols, gk):
-            row[col.name] = v
-            if col.origin == "species" and plan.species_decoration is not None:
-                names = plan.species_decoration.get(v, (None, None))
-                row["COMMON_NAME"], row["SCIENTIFIC_NAME"] = names
-        den_area = totals.den_area.get(plan.area_projection(gk), ZERO_TOTAL)
-        for ci, comp in enumerate(plan.components):
-            if comp.name in plan.hidden_components:
-                continue
-            num = totals.comp[gk][ci]
-            if comp.den == "none":
-                est: float | None = num.total
-                var: float | None = num.variance
-            else:
-                den = (
-                    den_area
-                    if comp.den == "area"
-                    else totals.den_tree.get(gk, ZERO_TOTAL)
-                )
-                est, var = ratio_estimate(num, den, totals.cov[gk][ci])
-            row[comp.name] = est
-            row[comp.name + "_SE"] = sampling_error_pct(est, var, num.n_nonzero)
-            if plan.emit_variance:
-                row[comp.name + "_VAR"] = var
-        for label, kind in plan.nplots_cols:
-            if kind == "num":
-                row[label] = totals.num_plots_nonzero.get(gk, 0)
-            else:
-                row[label] = den_area.n_nonzero
-        if plan.species is not None:
-            pooled = _shannon(totals.pooled.get(gk, ()))
-            row.update(zip(("H_POOLED", "S_POOLED", "Eh_POOLED"), pooled))
-        rows.append(row)
-    return rows
 
 
 # --------------------------------------------------------------------------
@@ -960,7 +953,7 @@ def method_passes(
     method: str,
     lambdas: Sequence[float] = (DEFAULT_LAMBDA,),
 ):
-    """Yield (year, lambda-or-None, GroupTotals) for output rows.
+    """Yield the output rows, one dict per (year, lambda-or-None, group).
 
     Each evaluation group is one pass.  TI pools all its panels into one.
     The other methods put every assignment on the group's panel-year axis
@@ -993,8 +986,7 @@ def method_passes(
                             present.sum(), len(years))
         totals = compute_pass(db, plan, sample)
         if totals is not None:
-            for (year, lam), row in zip(labels, combine_passes(plan, totals, weights)):
-                yield year, lam, row
+            yield from combine_passes(plan, totals, weights, labels)
 
 
 # --------------------------------------------------------------------------

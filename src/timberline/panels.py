@@ -18,8 +18,9 @@ Combined estimates treat panels as independent samples:
     total    = sum_p w_p * Y_p
     variance = sum_p w_p**2 * v_p
 
-The estimation core applies these weights to its per-panel totals
-(:func:`timberline.core.combine_passes`).
+:func:`timberline.core.combine_passes` applies these weights to a pass's
+per-panel totals, one row of weights at a time, and builds the output rows
+from the combined totals.
 """
 
 from __future__ import annotations

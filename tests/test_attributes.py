@@ -313,8 +313,19 @@ def test_panel_warnings_log_once_per_group(synth_panel, caplog):
 
 def test_usage_problems_reported_together(synth1):
     with pytest.raises(UsageError) as info:
-        tl.area(synth1, by_species=True, tree_domain="DIA > 5", workers=0)
+        tl.area(synth1, by_species=True, tree_domain="DIA > 5", method="BIENNIAL")
     assert len(info.value.problems) == 3
+
+
+def test_by_plot_takes_no_variance_or_panel_method(synth1):
+    with pytest.raises(UsageError) as info:
+        tl.tpa(synth1, by_plot=True, variance=True, method="EMA")
+    assert info.value.problems == [
+        "per-plot output has no variance",
+        "per-plot output pools all panels (TI); it takes no EMA method",
+    ]
+    for method in ("TI", "ti"):
+        assert len(tl.tpa(synth1, by_plot=True, method=method)) == 3
 
 
 def test_by_plot_layout(synth1):
@@ -335,12 +346,6 @@ def test_variance_columns_replace_se(synth1):
 def test_unknown_family_name(synth1):
     with pytest.raises(UsageError, match="unknown attribute family"):
         tl.estimate(synth1, "carbonCredits")
-
-
-def test_workers_do_not_change_output(synth_panel):
-    one = tl.tpa(synth_panel, method="EMA", lambdas=(0.25, 0.75), workers=1)
-    two = tl.tpa(synth_panel, method="EMA", lambdas=(0.25, 0.75), workers=2)
-    assert one.rows == two.rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Command-line interface, exercised through main() with fixture databases."""
 
 import json
-import os
 import shutil
 from pathlib import Path
 
@@ -65,12 +64,21 @@ def test_estimation_error_exit_1(capsys):
 
 
 def test_cli_and_engine_problems_merge(capsys):
-    # geojson without polygons (two CLI problems) + zero workers (engine problem)
-    rc = main(["tpa", "--db", SYNTH1, "--format", "geojson", "--workers", "0"])
+    # geojson without polygons (two CLI problems) + unknown method (engine problem)
+    rc = main(["tpa", "--db", SYNTH1, "--format", "geojson", "--method", "BIENNIAL"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 3
-    assert "workers" in err and "--polys" in err
+    assert "BIENNIAL" in err and "--polys" in err
+
+
+def test_by_plot_rejects_variance_and_panel_method(capsys):
+    rc = main(["tpa", "--db", SYNTH1, "--by-plot", "--variance"])
+    assert rc == 2
+    assert "per-plot output has no variance" in capsys.readouterr().err
+    rc = main(["tpa", "--db", SYNTH_PANEL, "--by-plot", "--method", "SMA"])
+    assert rc == 2
+    assert "takes no SMA method" in capsys.readouterr().err
 
 
 def test_validate_subcommand(capsys):
@@ -99,26 +107,6 @@ def test_clip_roundtrip(tmp_path, capsys):
 def test_fetch_rejects_unknown_state(capsys):
     assert main(["fetch", "XX"]) == 1
     assert "XX" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("workers", ["2", "8"])
-def test_workers_output_identical(workers, capsys):
-    args = ["tpa", "--db", SYNTH_PANEL, "--method", "EMA",
-            "--lambda", "0.3,0.7", "--variance"]
-    assert main(args + ["--workers", "1"]) == 0
-    base = capsys.readouterr().out
-    assert main(args + ["--workers", workers]) == 0
-    assert capsys.readouterr().out == base
-
-
-def test_workers_start_no_process(monkeypatch, synth_panel, capsys):
-    def no_fork():
-        raise AssertionError("estimation started a process")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    kw = {"method": "EMA", "lambdas": (0.3, 0.7), "variance": True}
-    assert tl.tpa(synth_panel, workers=64, **kw).rows == tl.tpa(synth_panel, **kw).rows
-    assert main(["tpa", "--db", SYNTH_PANEL, "--workers", "64"]) == 0
 
 
 def test_non_utf8_table_is_a_load_error(tmp_path, capsys):

@@ -337,56 +337,141 @@ def test_kernel_matches_per_stratum_loops(case):
     )
 
 
-# -- ratio_estimate --------------------------------------------------------
+# -- ratio_estimate and sampling_error_pct ---------------------------------
+# The scalar forms the elementwise functions replaced, kept as the
+# bit-for-bit reference: None marks an undefined cell, the square is
+# Python's ``**`` (C pow).
 
 
-def _tot(total, variance, nnz=2, n=4):
-    from timberline.core import TotalEstimate
+def _scalar_ratio(num_total, num_var, den_total, den_var, cov):
+    if den_total == 0:
+        return None, None
+    r = num_total / den_total
+    raw = num_var + r * r * den_var - 2.0 * r * cov
+    if raw < 0.0:
+        scale = num_var + r * r * den_var + 2.0 * abs(r * cov)
+        if -raw <= 1e-9 * max(scale, 1.0):
+            raw = 0.0
+        else:
+            raise EstimationError(f"ratio variance went negative ({raw!r})")
+    return r, raw / (den_total ** 2)
 
-    return TotalEstimate(total=total, variance=variance, n_nonzero=nnz, n_plots=n)
+
+def _scalar_se(estimate, variance, n_nonzero):
+    if estimate is None or variance is None:
+        return None
+    if n_nonzero < 2 or estimate == 0:
+        return None
+    if variance == 0:
+        return 0.0
+    return 100.0 * math.sqrt(variance) / abs(estimate)
+
+
+def _bits(values) -> list:
+    """Each value's exact bits, None for NaN."""
+    return [None if v is None or math.isnan(v) else float(v).hex() for v in values]
 
 
 def test_ratio_point_and_variance():
-    num = _tot(6000.0, 6.0e6)
-    den = _tot(1000.0, 0.0)
-    r, v = ratio_estimate(num, den, 0.0)
-    assert r == pytest.approx(6.0)
+    r, v = ratio_estimate(np.array([6000.0, 300.0]), np.array([6.0e6, 0.0]),
+                          np.array([1000.0, 100.0]), np.array([0.0, 0.0]), np.zeros(2))
+    assert r.tolist() == pytest.approx([6.0, 3.0])
     # var formula: (v_num - 2 r cov + r^2 v_den) / den_total^2
-    assert v == pytest.approx(6.0)
+    assert v.tolist() == pytest.approx([6.0, 0.0])
 
 
 def test_ratio_zero_denominator_is_undefined():
-    r, v = ratio_estimate(_tot(5.0, 1.0), _tot(0.0, 0.0), 0.0)
-    assert r is None and v is None
+    r, v = ratio_estimate(np.array([5.0, 5.0]), np.array([1.0, 1.0]),
+                          np.array([0.0, 2.0]), np.zeros(2), np.zeros(2))
+    assert np.isnan(r[0]) and np.isnan(v[0])
+    assert (r[1], v[1]) == (2.5, 0.25)
 
 
 def test_ratio_variance_negative_within_rounding_clamps_to_zero():
-    num = _tot(10.0, 4.0)
-    den = _tot(10.0, 4.0)
     # cov barely above the consistent value: raw = 4 - 2*4.000000000001 + 4 < 0
-    r, v = ratio_estimate(num, den, 4.0 + 1e-12)
-    assert r == pytest.approx(1.0)
-    assert v == 0.0
+    r, v = ratio_estimate(np.array([10.0]), np.array([4.0]), np.array([10.0]),
+                          np.array([4.0]), np.array([4.0 + 1e-12]))
+    assert r[0] == pytest.approx(1.0)
+    assert v[0] == 0.0
 
 
 def test_ratio_variance_truly_negative_raises():
     with pytest.raises(EstimationError):
-        ratio_estimate(_tot(10.0, 4.0), _tot(10.0, 4.0), 40.0)
+        ratio_estimate(np.array([6.0, 10.0]), np.array([1.0, 4.0]), np.array([3.0, 10.0]),
+                       np.array([0.0, 4.0]), np.array([0.0, 40.0]))
 
 
-# -- sampling_error_pct ----------------------------------------------------
+def test_ratio_squares_the_denominator_with_pow():
+    # x ** 2 and x * x round differently here; the output keeps x ** 2.
+    x = 3631.0701386299424
+    assert x ** 2 != x * x
+    _, v = ratio_estimate(np.array([x]), np.array([1.0]), np.array([x]), np.zeros(1),
+                          np.zeros(1))
+    assert v[0] == 1.0 / x ** 2 != 1.0 / (x * x)
 
 
 def test_sampling_error_basic():
-    assert sampling_error_pct(6.0, 6.0, 3) == pytest.approx(100 * math.sqrt(6) / 6)
+    se = sampling_error_pct(np.array([6.0, -2.0]), np.array([6.0, 1.0]), np.array([3, 2]))
+    assert se.tolist() == pytest.approx([100 * math.sqrt(6) / 6, 50.0])
 
 
 def test_sampling_error_undefined_cases():
-    assert sampling_error_pct(None, 1.0, 5) is None
-    assert sampling_error_pct(5.0, None, 5) is None
-    assert sampling_error_pct(5.0, 1.0, 1) is None  # one nonzero plot
-    assert sampling_error_pct(0.0, 1.0, 5) is None  # zero estimate
-    assert sampling_error_pct(5.0, 0.0, 5) == 0.0
+    se = sampling_error_pct(
+        np.array([np.nan, 5.0, 5.0, 0.0, 5.0]),
+        np.array([1.0, np.nan, 1.0, 1.0, 0.0]),
+        np.array([5, 5, 1, 5, 5]),  # one nonzero plot in the third cell
+    )
+    assert np.isnan(se[:4]).all()  # undefined estimate, variance, one plot, zero estimate
+    assert se[4] == 0.0
+
+
+@st.composite
+def _ratio_cells(draw):
+    """1-6 cells of (num total, num var, den total, den var, cov, nonzero plots).
+
+    Cells are consistent (|cov| at most the Cauchy-Schwarz bound), nearly
+    proportional (raw variance is rounding noise, clamped to zero) or
+    arbitrary (often a variance that is truly negative).  A nonzero
+    denominator stays at least 1e-3 in magnitude: the scalar form divides by
+    zero where its square underflows.
+    """
+    cells = []
+    for _ in range(draw(st.integers(1, 6))):
+        den = draw(st.one_of(st.just(0.0), st.just(3631.0701386299424),
+                             st.floats(1e-3, 1e6), st.floats(-1e6, -1e-3)))
+        den_var, r = draw(st.floats(0.0, 1e12)), draw(st.floats(-1e3, 1e3))
+        kind = draw(st.sampled_from(["consistent", "proportional", "arbitrary"]))
+        if kind == "proportional":
+            num, num_var, cov = r * den, r * r * den_var, r * den_var
+        else:
+            num, num_var = draw(st.floats(-1e6, 1e6)), draw(st.floats(0.0, 1e12))
+            bound = math.sqrt(num_var * den_var)
+            cov = draw(st.floats(-bound, bound) if kind == "consistent"
+                       else st.floats(-1e12, 1e12))
+        cells.append((num, num_var, den, den_var, cov, draw(st.integers(0, 3))))
+    return cells
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ratio_cells())
+def test_elementwise_forms_match_the_scalar_forms_bit_for_bit(cells):
+    columns = [np.array(c) for c in zip(*cells)]
+    try:
+        want = [_scalar_ratio(*cell[:5]) for cell in cells]
+    except EstimationError:
+        with pytest.raises(EstimationError):
+            ratio_estimate(*columns[:5])
+        return
+    r, v = ratio_estimate(*columns[:5])
+    assert _bits(r.tolist()) == _bits([w[0] for w in want])
+    assert _bits(v.tolist()) == _bits([w[1] for w in want])
+    se = sampling_error_pct(r, v, columns[5].astype(int))
+    assert _bits(se.tolist()) == _bits(
+        [_scalar_se(*w, cell[5]) for w, cell in zip(want, cells)])
+    # totals (no denominator) take the same sampling error
+    se = sampling_error_pct(columns[0], columns[1], columns[5].astype(int))
+    assert _bits(se.tolist()) == _bits(
+        [_scalar_se(cell[0], cell[1], cell[5]) for cell in cells])
 
 
 # -- make_classes ----------------------------------------------------------
