@@ -11,6 +11,8 @@ temporally-indifferent or annual panel combining.
     >>> tl.tpa(db, tree_domain="DIA >= 10")
 """
 
+import importlib
+
 from .attributes import (
     FAMILIES,
     EstimatorRequest,
@@ -41,9 +43,7 @@ from .errors import (
 from .evals import ClipOptions, clip, find_evaluations
 from .io import fetch_state, load_database, write_database
 from .model import ForestDatabase, validate_integrity
-from .oracle import brute_force_estimate, compare_tables
 from .spatial import PolygonSet
-from .synth import build_fixture, random_database
 
 __version__ = "0.3.1"
 
@@ -86,3 +86,22 @@ __all__ = [
     "random_database",
     "__version__",
 ]
+
+
+# The reference estimator and the synthetic databases are for testing; they
+# load on first use so that importing the package (and the CLI) skips them.
+_LAZY = {
+    "brute_force_estimate": "oracle",
+    "compare_tables": "oracle",
+    "build_fixture": "synth",
+    "random_database": "synth",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

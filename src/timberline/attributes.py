@@ -809,48 +809,64 @@ def _pivot_wide(
 
 
 def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable:
-    """Raw per-plot values: one row per plot visit (and group), no variance."""
+    """Raw per-plot values: one row per plot visit (and group), no variance.
+
+    A visit (plot CN, year) in several evaluation groups gives rows only in
+    the first.  Rows sort by year, plot CN and the repr of the group cells;
+    a ratio component is None where its denominator is not positive.
+    """
     visible = [i for i, c in enumerate(plan.components) if c.name not in plan.hidden_components]
-    comp_names = list(fam.byplot_names or [plan.components[i].name for i in visible])
-    groups = select_family_evals(db, fam.type_sets, fam.name)
-    rows: list[dict] = []
+    kinds = [plan.components[c].den for c in visible]
+    comp_names = list(fam.byplot_names or [plan.components[c].name for c in visible])
+    codes, cns = db.columns.column("PLOT", "CN")
+    keys: dict[tuple, int] = {}
     seen: set[tuple] = set()
-    for evals in groups:
+    parts = []  # per group and kept entry: year, CN code, key, count, component values
+    for evals in select_family_evals(db, fam.type_sets, fam.name):
         sample = build_sample(db, evals)
-        codes, values = db.columns.column("PLOT", "CN")
-        cns = [values[c] for c in codes[sample.rows].tolist()]
-        visits = list(zip(cns, sample.year[sample.last].tolist()))
-        fresh = [visit not in seen for visit in visits]
+        cn, year = codes[sample.rows], sample.year[sample.last]
+        visits = list(zip(cn.tolist(), year.tolist()))
+        fresh = np.array([visit not in seen for visit in visits], dtype=bool)
         seen.update(visits)
         bundle = make_bundle(db, plan, sample)
         num = bundle.num
-        dens = {
-            "area": bundle.den_area.at(bundle.area_of[num.key], num.plot).tolist(),
-            "trees": bundle.den_tree.at(bundle.tree_of[num.key], num.plot).tolist(),
-        }
-        entries = zip(num.key.tolist(), num.plot.tolist(), num.values.tolist(), num.count.tolist())
-        for e, (k, i, values, count) in enumerate(entries):
-            if not fresh[i]:
-                continue
-            row: dict[str, object] = {"YEAR": visits[i][1], "PLT_CN": visits[i][0]}
-            row.update(plan.group_cells(num.keys[k]))
-            for name, c in zip(comp_names, visible):
-                kind = plan.components[c].den
-                if kind == "none":
-                    row[name] = values[c]
-                else:
-                    den = dens[kind][e]
-                    row[name] = values[c] / den if den > 0 else None
-            row["nStems"] = count
-            rows.append(row)
-    rows.sort(
-        key=lambda r: (
-            r["YEAR"],
-            r["PLT_CN"],
-            tuple(repr(r.get(c.name)) for c in plan.group_cols),
-        )
-    )
-    return EstimateTable(["YEAR", "PLT_CN", *plan.group_names, *comp_names, "nStems"], rows)
+        keep = np.flatnonzero(fresh[num.plot])
+        key, plot = num.key[keep], num.plot[keep]
+        values = num.values[keep]
+        dens = {}  # per denominator kind: is it missing, and the divisor
+        for kind, entries, of in (("area", bundle.den_area, bundle.area_of),
+                                  ("trees", bundle.den_tree, bundle.tree_of)):
+            if kind in kinds:
+                den = entries.at(of[key], plot)
+                none = ~(den > 0)
+                dens[kind] = none, np.where(none, 1.0, den)
+        cols = []
+        for c, kind in zip(visible, kinds):
+            col = values[:, c]
+            if kind != "none":
+                none, den = dens[kind]
+                col = (col / den).astype(object)
+                col[none] = None
+            cols.append(col)
+        local = np.array([keys.setdefault(gk, len(keys)) for gk in num.keys], dtype=np.intp)
+        parts.append((year[plot], cn[plot], local[key], num.count[keep], *cols))
+
+    year, cn, key, count, *cols = (np.concatenate(p) for p in zip(*parts))
+    cn_rank = np.zeros(len(cns), dtype=np.intp)
+    present = np.unique(cn).tolist()
+    cn_rank[sorted(present, key=cns.__getitem__)] = np.arange(len(present))
+    reprs = [tuple(map(repr, gk)) for gk in keys]
+    slot = {r: i for i, r in enumerate(sorted(set(reprs)))}
+    key_rank = np.array([slot[r] for r in reprs], dtype=np.intp)
+    order = np.lexsort((key_rank[key], cn_rank[cn], year))
+
+    cells = [plan.group_cells(gk) for gk in keys]
+    group_cols = [np.array([c[name] for c in cells], dtype=object) for name in plan.group_names]
+    columns = ["YEAR", "PLT_CN", *plan.group_names, *comp_names, "nStems"]
+    table = zip(year[order].tolist(), map(cns.__getitem__, cn[order].tolist()),
+                *(c[key[order]].tolist() for c in group_cols), *(c[order].tolist() for c in cols),
+                count[order].tolist())
+    return EstimateTable(columns, [dict(zip(columns, row)) for row in table])
 
 
 # --------------------------------------------------------------------------

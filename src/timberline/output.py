@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from collections.abc import Sequence
 
@@ -20,35 +21,62 @@ __all__ = [
 ]
 
 
-def _file_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def table_to_csv(table) -> str:
-    """Render an estimate table as CSV text (full precision)."""
+    """Render an estimate table as CSV text (full precision).
+
+    The csv module writes None as an empty field and a float through its
+    repr, the shortest round-trip form.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_file_cell(row.get(c)) for c in table.columns])
+    writer.writerows([row.get(c) for c in table.columns] for row in table.rows)
     return buf.getvalue()
+
+
+# ``indent`` selects the pure-Python encoder.  So the C encoder writes the
+# rows with the indented layout's cell separator, and the row boundaries
+# and both ends are rewritten afterwards.  With ensure_ascii no encoded
+# string holds a raw newline, so "},\n      {" stands only between two rows
+# as long as every cell is a scalar.  Rows are encoded in blocks: a string
+# of the whole table would be copied twice more while it is rewritten.
+_CELL_SEP = ",\n      "
+_ROWS = json.JSONEncoder(separators=(_CELL_SEP, ": "), allow_nan=False, check_circular=False)
+_COLUMNS = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False)
+_NEXT_ROW = "\n    },\n    {\n      "
+_BLOCK = 1024
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _check_scalars(cells) -> None:
+    for kind in set(map(type, cells)) - _SCALARS:
+        if not issubclass(kind, (str, int, float)):
+            raise TypeError(f"table cell of type {kind.__name__} is not a scalar")
 
 
 def table_to_json(table) -> str:
     """Render an estimate table as a JSON document (full precision).
 
     The column list is carried explicitly since JSON objects do not
-    guarantee ordering to every consumer.
+    guarantee ordering to every consumer.  The bytes are those of
+    ``json.dumps(doc, indent=2, allow_nan=False)`` plus a newline.
     """
-    doc = {
-        "columns": list(table.columns),
-        "rows": [{c: row.get(c) for c in table.columns} for row in table.rows],
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    columns = list(table.columns)
+    rows = table.rows
+    if not all(map(tuple(columns).__eq__, map(tuple, rows))):
+        rows = [dict(zip(columns, map(row.get, columns))) for row in rows]
+    _check_scalars(itertools.chain.from_iterable(map(dict.values, rows)))
+    head = "[]" if not columns else "[\n    " + _COLUMNS.encode(columns)[1:-1] + "\n  ]"
+    head = '{\n  "columns": ' + head + ',\n  "rows": '
+    if not rows:
+        return head + "[]\n}\n"
+    if not columns:
+        return head + "[\n    " + ",\n    ".join(["{}"] * len(rows)) + "\n  ]\n}\n"
+    blocks = [_ROWS.encode(rows[i:i + _BLOCK])[2:-2].replace("}" + _CELL_SEP + "{", _NEXT_ROW)
+              for i in range(0, len(rows), _BLOCK)]
+    blocks[0] = head + "[\n    {\n      " + blocks[0]
+    blocks[-1] += "\n    }\n  ]\n}\n"
+    return _NEXT_ROW.join(blocks)
 
 
 def _pretty_cell(value) -> str:

@@ -17,6 +17,8 @@ import random
 import statistics
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import attributes
 from .model import (
     FUEL_TYPES,
@@ -596,6 +598,27 @@ def monte_carlo_bias_variance(
     return out
 
 
+def _randrange_draws(seed: int, n: int, count: int) -> np.ndarray:
+    """The first ``count`` values of ``random.Random(seed).randrange(n)``.
+
+    CPython draws randrange(n) as the top n.bit_length() bits of one 32-bit
+    Mersenne Twister output, rejecting values >= n.  numpy's MT19937 loaded
+    with the same state gives the same outputs, so the stream is drawn in
+    blocks instead of one call per index (for n below 2**32).
+    """
+    state = random.Random(seed).getstate()[1]
+    bits = np.random.MT19937()
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]}}
+    shift = 32 - n.bit_length()
+    out = np.zeros(0, dtype=np.int64)
+    while len(out) < count:
+        need = count - len(out)  # each draw is accepted with probability above 1/2
+        draws = (bits.random_raw(2 * need + 16) >> shift).astype(np.int64)
+        out = np.concatenate([out, draws[draws < n]])
+    return out[:count]
+
+
 def bootstrap_diff_ci(
     x, y, stat, n_boot: int = 1000, seed: int = 7, level: float = 0.95
 ) -> tuple[float, float]:
@@ -604,18 +627,15 @@ def bootstrap_diff_ci(
     ``x`` and ``y`` must be replicate-aligned sequences (same draws); each
     bootstrap iteration resamples replicate indices once and applies them
     to both, so the difference reflects the estimators, not the draws.
+    The resamples are those of ``rng.randrange(n)`` calls on
+    ``random.Random(seed)``, drawn at once.
     """
     if len(x) != len(y):
         raise ValueError("bootstrap inputs must be the same length")
     n = len(x)
-    rng = random.Random(seed)
-    diffs = []
-    for _ in range(n_boot):
-        idx = [rng.randrange(n) for _ in range(n)]
-        xs = [x[i] for i in idx]
-        ys = [y[i] for i in idx]
-        diffs.append(stat(xs) - stat(ys))
-    diffs.sort()
+    draws = _randrange_draws(seed, n, n * n_boot).reshape(n_boot, n).tolist()
+    diffs = sorted(stat(list(map(x.__getitem__, idx))) - stat(list(map(y.__getitem__, idx)))
+                   for idx in draws)
     alpha = (1.0 - level) / 2.0
     lo = diffs[max(0, math.floor(alpha * n_boot))]
     hi = diffs[min(n_boot - 1, math.ceil((1.0 - alpha) * n_boot) - 1)]

@@ -1,7 +1,12 @@
 """Command-line interface, exercised through main() with fixture databases."""
 
 import json
+import os
+import re
+import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -211,3 +216,41 @@ def test_estimate_and_clip_commands_build_no_plot_records(tmp_path, monkeypatch,
     assert built == []
     list(tl.load_database(tmp_path / "clip2", ["CT"]).trees)  # the spy sees records
     assert "TreeRecord" in built
+
+
+def test_cli_import_skips_the_oracle_and_the_synthetic_databases():
+    src = str(Path(tl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, timberline.cli; "
+            "print([m for m in ('timberline.oracle', 'timberline.synth') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    for name in tl.__all__:
+        assert getattr(tl, name) is not None, name
+    assert tl.brute_force_estimate.__module__ == "timberline.oracle"
+    assert tl.build_fixture.__module__ == "timberline.synth"
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        tl.nope  # noqa: B018
+
+
+def test_readme_per_plot_examples_run_as_written(capsys, monkeypatch):
+    root = Path(__file__).parents[1]
+    section = (root / "README.md").read_text(encoding="utf-8").split("## Per-plot output", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    shown = [line[2:] for line in code.splitlines() if line.startswith("# ")]
+    assert capsys.readouterr().out.splitlines() == shown
+
+    command = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    expected = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    argv = shlex.split(command)
+    assert argv[0] == "timberline"
+    monkeypatch.chdir(root)
+    assert main(argv[1:]) == 0
+    assert capsys.readouterr().out == expected

@@ -1,5 +1,7 @@
 """Synthetic fixtures, randomized databases, and Monte Carlo machinery."""
 
+import math
+import random
 import statistics
 
 import pytest
@@ -94,3 +96,29 @@ def test_bootstrap_ci_basics():
     assert lo == 0.0 and hi == 0.0
     with pytest.raises(ValueError, match="same length"):
         bootstrap_diff_ci(x, y[:-1], statistics.fmean)
+
+
+def reference_bootstrap_diff_ci(x, y, stat, n_boot=1000, seed=7, level=0.95):
+    """The one-randrange-per-index bootstrap that the block draws replaced."""
+    n = len(x)
+    rng = random.Random(seed)
+    diffs = []
+    for _ in range(n_boot):
+        idx = [rng.randrange(n) for _ in range(n)]
+        diffs.append(stat([x[i] for i in idx]) - stat([y[i] for i in idx]))
+    diffs.sort()
+    alpha = (1.0 - level) / 2.0
+    lo = diffs[max(0, math.floor(alpha * n_boot))]
+    hi = diffs[min(n_boot - 1, math.ceil((1.0 - alpha) * n_boot) - 1)]
+    return lo, hi
+
+
+@pytest.mark.parametrize("n, n_boot", [(1, 20), (2, 50), (7, 100), (64, 40), (1000, 12), (2000, 6)])
+@pytest.mark.parametrize("stat", [statistics.fmean, statistics.pvariance, statistics.median])
+@pytest.mark.parametrize("seed", [1, 4, 20180501])
+def test_bootstrap_ci_equals_the_reference(n, n_boot, stat, seed):
+    rng = random.Random(n)
+    x = tuple(rng.gauss(10.0, 2.0) for _ in range(n))
+    y = tuple(v + rng.gauss(0.5, 1.0) for v in x)
+    want = reference_bootstrap_diff_ci(x, y, stat, n_boot=n_boot, seed=seed, level=0.9)
+    assert bootstrap_diff_ci(x, y, stat, n_boot=n_boot, seed=seed, level=0.9) == want
