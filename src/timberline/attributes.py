@@ -41,6 +41,7 @@ from .core import (
     Plan,
     Records,
     build_sample,
+    dense,
     make_bundle,
     make_classes,
     method_passes,
@@ -265,7 +266,8 @@ class _Ctx:
     """What a family's value table reads: its rows, domains and group keys.
 
     ``area_ok`` marks the conditions on forest land inside the area domain
-    (and on plots the family's protocol sampled).
+    (and on plots the family's protocol sampled).  ``notes`` collects the
+    plan's counts of skipped records.
     """
 
     def __init__(self, db, fam, req, group_cols, layer_of, area_layers, domains, polys):
@@ -278,11 +280,13 @@ class _Ctx:
         )
         if fam.plot_gate is not None:
             self.area_ok &= self.conds.map(fam.plot_gate[1], fam.plot_gate[0], "plot")
-        self.poly = polys
+        self.poly, self.notes = polys, []
 
     def records(self, table: str, extra: Callable | None = None) -> _Frame:
         """The family's records on forest land inside every domain."""
         f = _Frame(self.db, table, self.layer_of)
+        self.notes.append(Note(logging.WARNING, f"%d {table} rows have no COND row for their "
+                               "(PLT_CN, CONDID); skipped", f.joins["plot"][f.joins["cond"] < 0]))
         keep = np.append(self.area_ok, False)[f.joins["cond"]]
         keep &= _in_domain(self.base, f) & _in_domain(self.tree, f)
         if extra is not None:
@@ -290,7 +294,11 @@ class _Ctx:
         return f.select(keep)
 
     def keys(self, f: _Frame, cols, family) -> tuple[np.ndarray, list[tuple]]:
-        """Group key code of each row, and the key tuples the codes index."""
+        """Group key code of each row, and the key tuples the codes index.
+
+        Each column adds a mixed-radix digit that :func:`dense` compacts, so
+        codes stay below rows x radix and count in ``np.unique(..., axis=0)`` order.
+        """
         columns = []
         for col in cols:
             if col.origin in ("record", "cond", "plot"):
@@ -306,13 +314,12 @@ class _Ctx:
                 columns.append((labels[codes], names))
             else:
                 columns.append(family)
-        if not columns:
-            return np.zeros(f.n, dtype=np.intp), [()]
-        rows, key = np.unique(
-            np.column_stack([codes for codes, _ in columns]), axis=0, return_inverse=True
-        )
-        names = [values for _, values in columns]
-        return key.reshape(-1), [tuple(v[c] for v, c in zip(names, r)) for r in rows.tolist()]
+        key, folded, parts = np.zeros(f.n, dtype=np.intp), [0], []
+        for codes, values in columns:
+            folded, key = dense(key * len(values) + codes, len(folded) * len(values))
+            parts = [p[folded // len(values)] for p in parts] + [folded % len(values)]
+        rows = zip(*(p.tolist() for p in parts)) if parts else [()]
+        return key, [tuple(v[c] for (_, v), c in zip(columns, r)) for r in rows]
 
     def rows(self, f: _Frame, weight, values, adjust: str | None = None,
              family=None, cols=None) -> Records:
@@ -332,8 +339,8 @@ class _Ctx:
         cols = [col for col in self.group_cols if col.level == "area"]
         return self.rows(f, f.num("CONDPROP_UNADJ", "cond"), [np.ones(f.n)], SUBPLOT, cols=cols)
 
-    def remper(self) -> tuple[np.ndarray, tuple[Note, ...]]:
-        """Which plots have a usable REMPER, and a note on the change plots without."""
+    def remper(self) -> np.ndarray:
+        """Which plots have a usable REMPER; notes the change plots without."""
         view = self.db.columns
         codes, values = view.column("PLOT", "REMPER")
         usable = np.array([v is not None and v > 0 for v in values])[codes]
@@ -341,10 +348,11 @@ class _Ctx:
         codes, values = view.column("TREE", "COMPONENT")
         changed = np.zeros(len(usable), dtype=bool)
         changed[plot[np.array([bool(v) for v in values])[codes[:-1]] & (plot >= 0)]] = True
-        return usable, (Note(
+        self.notes.append(Note(
             logging.WARNING, "%d plots have change records but no usable REMPER; skipped",
             np.flatnonzero(changed & ~usable),
-        ),)
+        ))
+        return usable
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +395,7 @@ _CHANGE_TPA = ("TPAGROW_UNADJ", "TPAMORT_UNADJ", "TPAREMV_UNADJ")
 
 def _grow_mort_values(ctx: _Ctx) -> dict:
     """Annualized recruitment / mortality / harvest expansions."""
-    usable, notes = ctx.remper()
+    usable = ctx.remper()
     f = ctx.records("TREE", lambda f: usable[f.joins["plot"]]
                     & f.map(_CHANGES.__contains__, "COMPONENT", "record"))
     remper = f.num("REMPER", "plot")
@@ -396,7 +404,7 @@ def _grow_mort_values(ctx: _Ctx) -> dict:
         / remper
         for name, tpa in zip(_CHANGES, _CHANGE_TPA)
     ]
-    return dict(num=ctx.rows(f, np.ones(f.n), values), den_area=ctx.area_den(), notes=notes)
+    return dict(num=ctx.rows(f, np.ones(f.n), values), den_area=ctx.area_den())
 
 
 def _vital_rates_values(ctx: _Ctx) -> dict:
@@ -406,7 +414,7 @@ def _vital_rates_values(ctx: _Ctx) -> dict:
     back-scaled from the current value by the squared diameter ratio —
     the same allometric shortcut used for the per-tree fixtures.
     """
-    usable, notes = ctx.remper()
+    usable = ctx.remper()
     f = ctx.records("TREE", lambda f: usable[f.joins["plot"]])
     remper, dia, prev = f.num("REMPER", "plot"), f.num("DIA"), f.num("PREVDIA")
     gx = np.where(f.map(lambda v: v is not None, "TPAGROW_UNADJ"),
@@ -420,7 +428,7 @@ def _vital_rates_values(ctx: _Ctx) -> dict:
     ]
     num = ctx.rows(f, gx, growth + growth)
     return dict(num=num, den_tree=dataclasses.replace(num, values=np.ones((f.n, 1))),
-                den_area=ctx.area_den(), notes=notes)
+                den_area=ctx.area_den())
 
 
 def _dwm_values(ctx: _Ctx) -> dict:
@@ -481,10 +489,10 @@ def _stand_struct_values(ctx: _Ctx) -> dict:
     f = ctx.conds.select(staged)
     num = ctx.rows(f, f.num("CONDPROP_UNADJ", "cond"), [np.full(f.n, 100.0)], SUBPLOT,
                    family=(codes[f.joins["cond"]], names))
-    note = Note(logging.INFO, "%d forested conditions have no live basal area; structural "
-                "stage undefined, conditions excluded",
-                ctx.conds.joins["plot"][ctx.area_ok & (codes[:-1] == 0)])
-    return dict(num=num, den_area=ctx.area_den(staged), notes=(note,))
+    ctx.notes.append(Note(logging.INFO, "%d forested conditions have no live basal area; "
+                          "structural stage undefined, conditions excluded",
+                          ctx.conds.joins["plot"][ctx.area_ok & (codes[:-1] == 0)]))
+    return dict(num=num, den_area=ctx.area_den(staged))
 
 
 def _diversity_values(ctx: _Ctx) -> dict:
@@ -501,7 +509,7 @@ def _diversity_values(ctx: _Ctx) -> dict:
 
     def reduce(bundle) -> np.ndarray:
         num, m = bundle.num, len(bundle.num.key)
-        pair, inverse = np.unique(num.entry * len(names) + species[num.rows], return_inverse=True)
+        pair, inverse = dense(num.entry * len(names) + species[num.rows], m * len(names))
         a = np.bincount(inverse, num.expand)
         entry = pair // len(names)
         e, a_pos = entry[a > 0], a[a > 0]
@@ -717,6 +725,7 @@ def _build_plan(db: ForestDatabase, fam: Family, req: EstimatorRequest) -> Plan:
         hidden_components=fam.hidden,
         emit_variance=req.variance,
         **fam.values(ctx),
+        notes=tuple(ctx.notes),  # after the values, which add them
     )
 
 
@@ -831,8 +840,7 @@ def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable
         bundle = make_bundle(db, plan, sample)
         num = bundle.num
         keep = np.flatnonzero(fresh[num.plot])
-        key, plot = num.key[keep], num.plot[keep]
-        values = num.values[keep]
+        key, plot, values = num.key[keep], num.plot[keep], num.values[keep]
         dens = {}  # per denominator kind: is it missing, and the divisor
         for kind, entries, of in (("area", bundle.den_area, bundle.area_of),
                                   ("trees", bundle.den_tree, bundle.tree_of)):
@@ -853,7 +861,7 @@ def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable
 
     year, cn, key, count, *cols = (np.concatenate(p) for p in zip(*parts))
     cn_rank = np.zeros(len(cns), dtype=np.intp)
-    present = np.unique(cn).tolist()
+    present = dense(cn, len(cns))[0].tolist()
     cn_rank[sorted(present, key=cns.__getitem__)] = np.arange(len(present))
     reprs = [tuple(map(repr, gk)) for gk in keys]
     slot = {r: i for i, r in enumerate(sorted(set(reprs)))}

@@ -100,6 +100,17 @@ __all__ = [
 log = logging.getLogger("timberline.core")
 
 
+def dense(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(code, return_inverse=True)`` for ints in ``[0, size)``.
+
+    A mask marks the codes present and its running count ranks them in
+    increasing order, as a sort would; past 8 codes per row, it sorts."""
+    if size > 8 * len(code):
+        return np.unique(code, return_inverse=True)
+    seen = np.bincount(code, minlength=size) > 0
+    return np.flatnonzero(seen).astype(code.dtype), np.cumsum(seen)[code] - 1
+
+
 @dataclass(frozen=True)
 class TotalEstimate:
     """A population total with its variance and plot bookkeeping."""
@@ -140,8 +151,9 @@ class Sample:
     @property
     def last(self) -> np.ndarray:
         """Each plot's last membership, which gives its adjustment factors and YEAR."""
-        _, first = np.unique(self.plot[::-1], return_index=True)
-        return len(self.plot) - 1 - first
+        last = np.zeros(self.n_plots, dtype=np.intp)
+        np.maximum.at(last, self.plot, np.arange(len(self.plot)))
+        return last
 
 
 def _assignments(db: ForestDatabase, evals: Sequence[Evaluation]) -> tuple[np.ndarray, ...]:
@@ -187,14 +199,15 @@ def build_sample(
     stratum_code, stratum_cns = view.column(ASSIGNMENTS, "STRATUM_CN")
     stratum_code = stratum_code[rows]
     visit = ev * (len(db.plots) + 1) + plot_row + 1  # all missing plots share row -1
-    _, first, inverse = np.unique(visit, return_index=True, return_inverse=True)
-    repeat = first[inverse] != np.arange(len(rows))
-    bad = np.flatnonzero(repeat | (plot_row < 0))
+    _, inverse = dense(visit, len(evals) * (len(db.plots) + 1))
+    first = np.full(len(rows), len(rows))
+    np.minimum.at(first, inverse, np.arange(len(rows)))
+    bad = np.flatnonzero((first[inverse] != np.arange(len(rows))) | (plot_row < 0))
     if len(bad):  # the first missing plot is always bad before any repeat of row -1
         i = bad[0]
         codes, cns = view.column(ASSIGNMENTS, "PLT_CN")
         evalid, cn = evals[ev[i]].evalid, cns[codes[rows[i]]]
-        if repeat[i]:
+        if first[inverse[i]] != i:
             strata = [stratum_cns[c] for c in stratum_code[inverse == inverse[i]]]
             raise EstimationError(
                 f"evaluation {evalid} assigns plot {cn} more than once "
@@ -290,7 +303,7 @@ class _Strata:
         self.n_cells, self.n_panels = len(cells), n_panels
         edges = np.searchsorted(self.panel, np.arange(n_panels + 1)).tolist()
         self.bounds = list(zip(edges, edges[1:]))  # each panel's cells
-        visits = np.unique(sample.plot * n_panels + sample.panel)
+        visits = dense(sample.plot * n_panels + sample.panel, sample.n_plots * n_panels)[0]
         self.n_plots = np.bincount(visits % n_panels, minlength=n_panels)
         order = np.argsort(sample.plot, kind="stable")
         self._cell = np.searchsorted(cells, code)[order]
@@ -341,7 +354,7 @@ class _Cells:
         n_h = np.tile(strata.n_h, n_keys)
         self.absent = n_h - np.bincount(self.cell, minlength=len(n_h))
         self.mean = self._sum(self.x) / n_h[:, None]
-        visit = np.unique(entry * n_panels + strata.panel[self.stratum])
+        visit = dense(entry * n_panels + strata.panel[self.stratum], len(plot) * n_panels)[0]
         seen, panel = np.divmod(visit, n_panels)
         flags = values[seen] != 0
         counts = self._by_panel(key[seen] * n_panels + panel,
@@ -603,7 +616,8 @@ class Plan:
 class Entries:
     """One variable's sample rows summed per (key, plot), sorted by key then plot.
 
-    Only (key, plot) pairs with at least one row are present.  ``rows``,
+    Only (key, plot) pairs with at least one row are present; :func:`dense`
+    counts them in the order ``np.unique`` sorts them in.  ``rows``,
     ``entry`` and ``expand`` describe the gathered rows themselves: their
     index in :class:`Records`, their entry and their weight times factor.
     """
@@ -654,8 +668,8 @@ def _gather(rec: Records | None, pos: np.ndarray, factors: np.ndarray, width: in
     plot = plot[rows]
     expand = rec.weight[rows] * factors[plot, rec.adjust[rows]]
     x = expand[:, None] * rec.values[rows]
-    cell, entry = np.unique(rec.key[rows] * n + plot, return_inverse=True)
-    present, key = np.unique(cell // n, return_inverse=True)
+    cell, entry = dense(rec.key[rows] * n + plot, len(rec.keys) * n)
+    present, key = dense(cell // n, len(rec.keys))
     values = np.column_stack(
         [np.bincount(entry, col, minlength=len(cell)) for col in x.T]
     ).reshape(len(cell), x.shape[1])
@@ -680,9 +694,8 @@ def make_bundle(db: ForestDatabase, plan: Plan, sample: Sample) -> Bundle:
         if count:
             log.log(note.level, note.message, count)
     num = _gather(plan.num, pos, factors, len(plan.components))
-    den_area = _gather(plan.den_area, pos, factors, 1)
-    den_tree = _gather(plan.den_tree, pos, factors, 1)
-    species = _gather(plan.species, pos, factors, 1)
+    den_area, den_tree, species = (_gather(rec, pos, factors, 1)
+                                   for rec in (plan.den_area, plan.den_tree, plan.species))
     area_index, tree_index = ({gk: i for i, gk in enumerate(e.keys)} for e in (den_area, den_tree))
     bundle = Bundle(
         num, den_area, den_tree, species,

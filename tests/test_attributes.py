@@ -462,3 +462,24 @@ def test_stageless_conditions_logged_once_per_pass(synth_inv, caplog):
     assert out.column("PERC_AREA") == [100.0]
     lines = [r.getMessage() for r in caplog.records if "live basal area" in r.getMessage()]
     assert len(lines) == 1 and lines[0].startswith("1 forested conditions")
+
+
+def test_records_without_a_condition_warn_with_a_count(synth1, caplog):
+    conds = [c for c in synth1.conds if c.plt_cn != "P2"]
+    db = ForestDatabase(
+        plots=synth1.plots, conds=conds, trees=synth1.trees,
+        evaluations=synth1.evaluations, estn_units=synth1.estn_units,
+        strata=synth1.strata, assignments=synth1.assignments, species=synth1.species,
+    )
+    orphans = sum(t.plt_cn == "P2" for t in synth1.trees)
+    for family in ("tpa", "diversity"):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="timberline"):
+            tl.estimate(db, family)
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert lines == [f"{orphans} TREE rows have no COND row for their (PLT_CN, CONDID); "
+                         "skipped"]
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="timberline"):
+        tl.tpa(synth1)
+    assert not [r for r in caplog.records if "COND row" in r.getMessage()]

@@ -28,6 +28,24 @@ def test_tpa_csv_stdout(capsys):
     assert lines[1].startswith("2018,6.0,")
 
 
+def test_trees_without_conditions_are_counted_on_stderr(tmp_path):
+    db = tmp_path / "db"
+    shutil.copytree(SYNTH1, db)
+    cond = db / "CT_COND.csv"
+    cond.write_text(cond.read_text().splitlines(keepends=True)[0])  # header only
+    src = str(Path(tl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "timberline.cli", "tpa", "--db", str(db)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.splitlines() == ["YEAR,TPA,TPA_SE,BAA,BAA_SE,nPlots_TREE,nPlots_AREA"]
+    assert done.stderr.splitlines() == [
+        "WARNING timberline.core: 4 TREE rows have no COND row for their (PLT_CN, CONDID); "
+        "skipped"
+    ]
+
+
 def test_states_inferred_from_filenames(capsys):
     # no --states: discovers CT from the CT_PLOT.csv prefix
     assert main(["area", "--db", SYNTH1]) == 0
