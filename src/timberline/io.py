@@ -335,9 +335,8 @@ def load_database(directory: str | os.PathLike, states: Sequence[str]) -> Forest
 
     tables = {}
     for spec in model.TABLES.values():
-        parts = files[spec.table]
-        tables[spec.db_field] = _concat(spec, parts) if parts else model.Table(
-            spec, 0, records=())
+        parts = files[spec.table] or [model.Table.from_records(spec, ())]
+        tables[spec.db_field] = _concat(spec, parts)
     # A shared species file plus per-state copies can repeat rows; keep one each.
     codes = tables["species"].column("SPCD")[0][:-1]
     first = np.unique(codes, return_index=True)[1]
@@ -404,7 +403,7 @@ def write_database(db: ForestDatabase, directory: str | os.PathLike) -> list[str
 
     def first_bad(table: str, state: np.ndarray):
         bad = np.flatnonzero(state < 0)
-        return db.table(table)[bad[0]] if len(bad) else None
+        return db.table(table).take(bad[:1])[0] if len(bad) else None
 
     plot_state = per_value("PLOT", "STATECD", FIPS_TO_ABBR.get)
     if (plot := first_bad("PLOT", plot_state)) is not None:

@@ -6,15 +6,15 @@ loader does not recognize are kept as trimmed text in extras columns (each
 record's ``extras`` mapping), so they remain usable for grouping and domain
 filtering and survive a write/load round trip.
 
-A :class:`ForestDatabase` holds every table as a :class:`Table`.  Columns
-are the storage: the loader parses each CSV column straight into codes into
-its distinct values (floats into a float64 array), and the estimators,
-clipping and writing read those through ``db.columns``.  Records are a view
-derived on first use, for the reference estimator, the integrity report and
-tests; ``len`` of a table never builds them.  A database built from records
-derives its columns one at a time instead.  Treat instances as read-only
-after construction; operations that "modify" a database (clipping, merging)
-build a new one.
+A :class:`ForestDatabase` holds every table as a :class:`Table`, and
+columns are its only storage: the loader parses each CSV column straight
+into codes into its distinct values (floats into a float64 array), and a
+table built from records builds all its columns at once.  The estimators,
+clipping, writing and the integrity report read ``db.columns``.  Records
+are a view, for the population tables, the reference estimator,
+:mod:`timberline.synth` and tests; ``len`` of a table never builds them.
+Treat instances as read-only after construction; operations that "modify"
+a database (clipping, merging) build a new one.
 """
 
 from __future__ import annotations
@@ -414,8 +414,6 @@ TABLES: dict[str, TableSpec] = {
 _COLUMN_TO_ATTR: dict[type, dict[str, str]] = {
     spec.record: {c.name: c.attr for c in spec.columns} for spec in TABLES.values()
 }
-_FLOAT_COLUMNS = {spec.table: {c.name for c in spec.columns if c.kind == "float"}
-                  for spec in TABLES.values()}
 
 
 def record_value(rec, column: str):
@@ -429,54 +427,45 @@ def record_value(rec, column: str):
 
 
 class Table(Sequence):
-    """One table's rows, as columns and as records.
-
-    A table is built from one side and derives the other on first use:
-    the loader builds columns, and code that passes records (tests,
-    :mod:`timberline.synth`) gets its columns one at a time as they are
-    read.  ``len`` never builds records.
+    """One table's rows, stored as columns; records are a view of them.
 
     A column is either ``(codes, values)``, int32 codes into the column's
     distinct values with ``values[0]`` None, or, for a float column, a
     float64 array with NaN for null.  Both end with one extra null, so
-    gathering through a join row of -1 reads null.  ``extras``
-    names the columns the schema does not know, whose values are their
-    stripped text (an empty cell is null).
+    gathering through a join row of -1 reads null.  ``extras`` names the
+    columns the schema does not know, whose values are their stripped text
+    (an empty cell is null).  Records not given to :meth:`from_records` are
+    built from the columns on first use; ``len`` never builds them.
     """
 
-    def __init__(self, spec: TableSpec, n: int, columns: dict | None = None,
-                 extras: Sequence[str] = (), records: tuple | None = None):
-        self.spec, self.n = spec, n if records is None else len(records)
-        self._columns = dict(columns or {})
-        self._from_records = records is not None
-        if records is not None:
-            self.records = records
-        else:
-            self.extras = tuple(extras)
+    def __init__(self, spec: TableSpec, n: int, columns: dict, extras: Sequence[str] = ()):
+        self.spec, self.n = spec, n
+        self._columns = columns
+        self.extras = tuple(extras)
 
     @classmethod
     def from_records(cls, spec: TableSpec, records: Iterable) -> "Table":
-        return cls(spec, 0, records=tuple(records))
-
-    @functools.cached_property
-    def extras(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(name for r in self.records for name in r.extras))
+        """A table of these records: every column built now, the records kept."""
+        records = tuple(records)
+        extras = tuple(dict.fromkeys(name for r in records for name in r.extras))
+        columns = {}
+        for c in spec.columns:
+            raw = list(map(operator.attrgetter(c.attr), records))
+            if c.kind != "float":
+                columns[c.name] = factorize(raw)
+            elif raw.count(None) == len(raw):  # numpy reads None slowly
+                columns[c.name] = np.full(len(raw) + 1, np.nan)
+            else:
+                columns[c.name] = np.array([*raw, None], dtype=float)  # None reads NaN
+        for name in extras:
+            columns[name] = factorize(r.extras.get(name) or None for r in records)
+        table = cls(spec, len(records), columns, extras)
+        table.records = records
+        return table
 
     def column(self, name: str):
-        """The stored column, derived from the records on first use; None if unknown."""
-        col = self._columns.get(name)
-        if col is None and self._from_records:
-            attr = _COLUMN_TO_ATTR[self.spec.record].get(name)
-            if attr is not None:
-                raw = map(operator.attrgetter(attr), self.records)
-                if name in _FLOAT_COLUMNS[self.spec.table]:
-                    col = np.array([*raw, None], dtype=float)  # None reads NaN
-            elif name in self.extras:
-                raw = (r.extras.get(name) or None for r in self.records)
-            else:
-                return None
-            self._columns[name] = col = factorize(raw) if col is None else col
-        return col
+        """The stored column; None if the table has no such column."""
+        return self._columns.get(name)
 
     @functools.cached_property
     def records(self) -> tuple:
@@ -501,8 +490,6 @@ class Table(Sequence):
         """A table of these rows, in this order; all of them in order is this table."""
         if len(rows) == self.n and (rows == np.arange(self.n)).all():
             return self
-        if self._from_records:
-            return Table.from_records(self.spec, map(self.records.__getitem__, rows.tolist()))
         gather = np.append(rows, -1)  # and the trailing null
         columns = {name: col[gather] if isinstance(col, np.ndarray) else (col[0][gather], col[1])
                    for name, col in self._columns.items()}
@@ -612,15 +599,18 @@ def factorize(values: Iterable) -> tuple[np.ndarray, list]:
     """Codes into the distinct values, None first (code 0), the rest in order of
     first appearance; the codes end with one extra null code."""
     values = list(values)
-    distinct = dict.fromkeys(values)
-    if len(distinct) == len(values) and None not in distinct:  # each value its own code
-        codes = np.arange(1, len(values) + 1, dtype=np.int32)
-    else:
-        distinct.pop(None, None)
-        index = dict(zip(distinct, range(1, len(distinct) + 1)))
-        index[None] = 0
-        codes = np.fromiter(map(index.__getitem__, values), np.int32, len(values))
-    return np.append(codes, np.int32(0)), [None, *distinct]
+    n, distinct = len(values), dict.fromkeys(values)
+    if len(distinct) == n and None not in distinct:  # each value its own code
+        codes = np.arange(1, n + 2, dtype=np.int32)
+        codes[n] = 0
+        return codes, [None, *distinct]
+    distinct.pop(None, None)
+    if not distinct:
+        return np.zeros(n + 1, dtype=np.int32), [None]
+    index = dict(zip(distinct, range(1, len(distinct) + 1)))
+    index[None] = 0
+    values.append(None)
+    return np.fromiter(map(index.__getitem__, values), np.int32, n + 1), [None, *distinct]
 
 
 def recode(codes: np.ndarray, values: Sequence) -> tuple[np.ndarray, list]:
@@ -771,147 +761,156 @@ class Violation:
         return f"{self.table}[{self.key}]: {self.rule}"
 
 
-def _check_range(out, table, key, rule, value, lo, hi) -> None:
-    if value is not None and not (lo <= value <= hi):
-        out.append(Violation(table, key, rule))
+def _groups(*codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group of equal code combinations, the groups numbered in order
+    of first appearance, and each group's first row."""
+    key = np.zeros(len(codes[0]), dtype=np.int64)
+    for c in codes:  # one mixed-radix code, renumbered densely after each column
+        _, first, key = np.unique(key * (int(c.max(initial=0)) + 1) + c,
+                                  return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[key], np.sort(first)
 
 
 def validate_integrity(db: ForestDatabase) -> list[Violation]:
-    """Check foreign keys, uniqueness, and value ranges; report, never raise."""
+    """Check foreign keys, uniqueness, and value ranges; report, never raise.
+
+    Every check reads ``db.columns``, and no table builds records.  Tables
+    are reported in a fixed order, each one's rows in table order and a
+    row's rules in a fixed order; a table's per-group sums follow its rows.
+    """
+    view = db.columns
     out: list[Violation] = []
 
-    seen_plots: set[str] = set()
-    for p in db.plots:
-        if p.cn in seen_plots:
-            out.append(Violation("PLOT", p.cn, "duplicate CN"))
-        seen_plots.add(p.cn)
-        _check_range(out, "PLOT", p.cn, "LAT outside [-90, 90]", p.lat, -90.0, 90.0)
-        _check_range(out, "PLOT", p.cn, "LON outside [-180, 180]", p.lon, -180.0, 180.0)
-        if p.remper is not None and p.remper <= 0:
-            out.append(Violation("PLOT", p.cn, "REMPER not positive"))
+    def codes(table, name):
+        return view.column(table, name)[0][:-1]
 
-    seen_conds: set[tuple[str, int]] = set()
-    prop_sum: dict[str, float] = {}
-    for c in db.conds:
-        key = f"{c.plt_cn}/{c.condid}"
-        if (c.plt_cn, c.condid) in seen_conds:
-            out.append(Violation("COND", key, "duplicate (PLT_CN, CONDID)"))
-        seen_conds.add((c.plt_cn, c.condid))
-        if c.plt_cn not in seen_plots:
-            out.append(Violation("COND", key, "cond->plot"))
-        _check_range(out, "COND", key, "CONDPROP_UNADJ outside [0, 1]",
-                     c.condprop_unadj, 0.0, 1.0)
-        if c.condprop_unadj is not None:
-            prop_sum[c.plt_cn] = prop_sum.get(c.plt_cn, 0.0) + c.condprop_unadj
-    for plt_cn, total in prop_sum.items():
-        if total > 1.0 + 1e-6:
-            out.append(Violation("COND", plt_cn, "sum CONDPROP_UNADJ > 1"))
+    def floats(table, name):
+        return view.floats(table, name)[:-1]
 
-    for t in db.trees:
-        key = t.cn
-        if t.plt_cn not in seen_plots:
-            out.append(Violation("TREE", key, "tree->plot"))
-        elif (t.plt_cn, t.condid) not in seen_conds:
-            out.append(Violation("TREE", key, "tree->cond"))
-        if t.dia is not None and t.dia <= 0:
-            out.append(Violation("TREE", key, "DIA not positive"))
-        if t.tpa_unadj is not None and t.tpa_unadj < 0:
-            out.append(Violation("TREE", key, "TPA_UNADJ negative"))
-        if t.dia is not None and t.sizer is not None:
-            if derive_sizer(t.dia) == MICROPLOT and t.sizer != MICROPLOT:
-                out.append(Violation("TREE", key, "SIZER inconsistent with DIA"))
-            if derive_sizer(t.dia) == SUBPLOT and t.sizer == MICROPLOT:
-                out.append(Violation("TREE", key, "SIZER inconsistent with DIA"))
-        if t.component is not None and t.component not in GRM_COMPONENTS:
-            out.append(Violation("TREE", key, "unknown COMPONENT"))
+    def per_value(table, name, test):
+        col, values = view.column(table, name)
+        return np.fromiter(map(test, values), bool, len(values))[col[:-1]]
 
-    for i, s in enumerate(db.seedlings):
-        key = f"{s.plt_cn}/{s.condid}#{i}"
-        if s.plt_cn not in seen_plots:
-            out.append(Violation("SEEDLING", key, "seedling->plot"))
-        elif (s.plt_cn, s.condid) not in seen_conds:
-            out.append(Violation("SEEDLING", key, "seedling->cond"))
-        if s.treecount is not None and s.treecount < 1:
-            out.append(Violation("SEEDLING", key, "TREECOUNT < 1"))
+    def repeats(table, *names):
+        """Whether each row's values of ``names`` appear together in an earlier row."""
+        group, first = _groups(*(codes(table, name) for name in names))
+        return first[group] != np.arange(len(group))
 
-    seen_dwm: set[tuple[str, int, str]] = set()
-    for d in db.dwm:
-        key = f"{d.plt_cn}/{d.condid}/{d.fuel_type}"
-        if (d.plt_cn, d.condid, d.fuel_type) in seen_dwm:
-            out.append(Violation("COND_DWM_CALC", key, "duplicate fuel row"))
-        seen_dwm.add((d.plt_cn, d.condid, d.fuel_type))
-        if d.plt_cn not in seen_plots:
-            out.append(Violation("COND_DWM_CALC", key, "dwm->plot"))
-        elif (d.plt_cn, d.condid) not in seen_conds:
-            out.append(Violation("COND_DWM_CALC", key, "dwm->cond"))
-        if d.fuel_type not in FUEL_TYPES:
-            out.append(Violation("COND_DWM_CALC", key, "unknown FUEL_TYPE"))
-        for v in (d.vol_acre, d.bio_acre, d.carb_acre):
-            if v is not None and v < 0:
-                out.append(Violation("COND_DWM_CALC", key, "negative per-acre value"))
-                break
+    def key(table, form, *names):
+        """A row's key: ``form`` filled with its values of ``names`` and its row number."""
+        cols = [view.column(table, name) for name in names]
+        return lambda row: form.format(*(values[col[row]] for col, values in cols), row=row)
 
-    for i, r in enumerate(db.invasives):
-        key = f"{r.plt_cn}/{r.condid}#{i}"
-        if r.plt_cn not in seen_plots:
-            out.append(Violation("INVASIVE_SUBPLOT_SPP", key, "invasive->plot"))
-        elif (r.plt_cn, r.condid) not in seen_conds:
-            out.append(Violation("INVASIVE_SUBPLOT_SPP", key, "invasive->cond"))
-        _check_range(out, "INVASIVE_SUBPLOT_SPP", key, "COVER_PCT outside [0, 100]",
-                     r.cover_pct, 0.0, 100.0)
+    def report(table, row_key, checks):
+        """A violation per (row, rule) flagged, row by row and a row's rules in order."""
+        rows, rules = np.nonzero(np.column_stack([mask for _, mask in checks]))
+        out.extend(Violation(table, row_key(row), checks[k][0])
+                   for row, k in zip(rows.tolist(), rules.tolist()))
 
-    seen_evals: set[int] = set()
-    for e in db.evaluations:
-        key = str(e.evalid)
-        if e.evalid in seen_evals:
-            out.append(Violation("POP_EVAL", key, "duplicate EVALID"))
-        seen_evals.add(e.evalid)
-        if e.eval_typ is not None and e.eval_typ not in EVAL_TYPES:
-            out.append(Violation("POP_EVAL", key, "unknown EVAL_TYP"))
+    def group_sums(table, by, x, rows, rule, bad, group_key):
+        """A violation per group of equal ``by`` codes among ``rows``, in order of
+        first appearance, whose count and sum of non-null ``x`` are ``bad``."""
+        group, first = _groups(*(c[rows] for c in by))
+        known = ~np.isnan(x[rows])
+        count = np.bincount(group[known], minlength=len(first))
+        total = np.bincount(group[known], weights=x[rows][known], minlength=len(first))
+        out.extend(Violation(table, group_key(row), rule) for row, n, s in zip(
+            rows[first].tolist(), count.tolist(), total.tolist()) if bad(n, s))
 
-    for u in db.estn_units:
-        if u.evalid not in seen_evals:
-            out.append(Violation("POP_ESTN_UNIT", u.cn, "unit->evaluation"))
-        if u.area_used is not None and u.area_used <= 0:
-            out.append(Violation("POP_ESTN_UNIT", u.cn, "AREA_USED not positive"))
+    def parents(table, child):
+        """The ``->plot`` and ``->cond`` checks of a table whose rows name a condition."""
+        no_plot = view.plot_rows(table) < 0
+        return [(f"{child}->plot", no_plot),
+                (f"{child}->cond", ~no_plot & (view.cond_rows(table) < 0))]
 
-    for s in db.strata:
-        if s.estn_unit_cn not in db.unit_by_cn:
-            out.append(Violation("POP_STRATUM", s.cn, "stratum->unit"))
-        if s.weight is not None and not (0.0 < s.weight <= 1.0):
-            out.append(Violation("POP_STRATUM", s.cn, "STRATUM_WGT outside (0, 1]"))
-        for adj in (s.adj_subp, s.adj_micr, s.adj_macr):
-            if adj is not None and adj <= 0:
-                out.append(Violation("POP_STRATUM", s.cn, "adjustment factor not positive"))
-                break
-    for unit_cn, strata in db.strata_by_unit.items():
-        weights = [s.weight for s in strata if s.weight is not None]
-        if weights and not math.isclose(sum(weights), 1.0, abs_tol=1e-9):
-            out.append(Violation("POP_STRATUM", unit_cn, "sum W_h != 1"))
+    report("PLOT", key("PLOT", "{}", "CN"), [
+        ("duplicate CN", repeats("PLOT", "CN")),
+        ("LAT outside [-90, 90]", np.abs(floats("PLOT", "LAT")) > 90.0),
+        ("LON outside [-180, 180]", np.abs(floats("PLOT", "LON")) > 180.0),
+        ("REMPER not positive", floats("PLOT", "REMPER") <= 0),
+    ])
 
-    per_eval_plot: dict[tuple[int, str], int] = {}
-    for a in db.assignments:
-        key = f"{a.plt_cn}->{a.stratum_cn}"
-        if a.plt_cn not in seen_plots:
-            out.append(Violation("POP_PLOT_STRATUM_ASSGN", key, "assignment->plot"))
-        if a.stratum_cn not in db.stratum_by_cn:
-            out.append(Violation("POP_PLOT_STRATUM_ASSGN", key, "assignment->stratum"))
-            continue
-        evalid = db.eval_of_stratum(a.stratum_cn)
-        if evalid is not None:
-            k = (evalid, a.plt_cn)
-            per_eval_plot[k] = per_eval_plot.get(k, 0) + 1
-    for (evalid, plt_cn), count in per_eval_plot.items():
-        if count > 1:
-            out.append(Violation(
-                "POP_PLOT_STRATUM_ASSGN", f"{evalid}/{plt_cn}",
-                "plot assigned to multiple strata in one evaluation",
-            ))
+    prop = floats("COND", "CONDPROP_UNADJ")
+    report("COND", key("COND", "{}/{}", "PLT_CN", "CONDID"), [
+        ("duplicate (PLT_CN, CONDID)", repeats("COND", "PLT_CN", "CONDID")),
+        ("cond->plot", view.plot_rows("COND") < 0),
+        ("CONDPROP_UNADJ outside [0, 1]", (prop < 0.0) | (prop > 1.0)),
+    ])
+    group_sums("COND", [codes("COND", "PLT_CN")], prop, np.flatnonzero(~np.isnan(prop)),
+               "sum CONDPROP_UNADJ > 1", lambda n, total: total > 1.0 + 1e-6,
+               key("COND", "{}", "PLT_CN"))
 
-    seen_spcd: set[int] = set()
-    for sp in db.species:
-        if sp.spcd in seen_spcd:
-            out.append(Violation("REF_SPECIES", str(sp.spcd), "duplicate SPCD"))
-        seen_spcd.add(sp.spcd)
+    dia = floats("TREE", "DIA")
+    micro = per_value("TREE", "SIZER", lambda v: v == MICROPLOT)
+    report("TREE", key("TREE", "{}", "CN"), [
+        *parents("TREE", "tree"),
+        ("DIA not positive", dia <= 0),
+        ("TPA_UNADJ negative", floats("TREE", "TPA_UNADJ") < 0),
+        ("SIZER inconsistent with DIA",  # derive_sizer's MICROPLOT below 5 in
+         ~np.isnan(dia) & (codes("TREE", "SIZER") != 0) & ((dia < 5.0) != micro)),
+        ("unknown COMPONENT",
+         per_value("TREE", "COMPONENT", lambda v: v is not None and v not in GRM_COMPONENTS)),
+    ])
 
+    report("SEEDLING", key("SEEDLING", "{}/{}#{row}", "PLT_CN", "CONDID"), [
+        *parents("SEEDLING", "seedling"),
+        ("TREECOUNT < 1", per_value("SEEDLING", "TREECOUNT", lambda v: v is not None and v < 1)),
+    ])
+
+    dwm = "COND_DWM_CALC"
+    report(dwm, key(dwm, "{}/{}/{}", "PLT_CN", "CONDID", "FUEL_TYPE"), [
+        ("duplicate fuel row", repeats(dwm, "PLT_CN", "CONDID", "FUEL_TYPE")),
+        *parents(dwm, "dwm"),
+        ("unknown FUEL_TYPE", per_value(dwm, "FUEL_TYPE", lambda v: v not in FUEL_TYPES)),
+        ("negative per-acre value", np.logical_or.reduce(
+            [floats(dwm, name) < 0 for name in ("VOL_ACRE", "BIO_ACRE", "CARB_ACRE")])),
+    ])
+
+    invasive = "INVASIVE_SUBPLOT_SPP"
+    cover = floats(invasive, "COVER_PCT")
+    report(invasive, key(invasive, "{}/{}#{row}", "PLT_CN", "CONDID"), [
+        *parents(invasive, "invasive"),
+        ("COVER_PCT outside [0, 100]", (cover < 0.0) | (cover > 100.0)),
+    ])
+
+    report("POP_EVAL", key("POP_EVAL", "{}", "EVALID"), [
+        ("duplicate EVALID", repeats("POP_EVAL", "EVALID")),
+        ("unknown EVAL_TYP",
+         per_value("POP_EVAL", "EVAL_TYP", lambda v: v is not None and v not in EVAL_TYPES)),
+    ])
+
+    report("POP_ESTN_UNIT", key("POP_ESTN_UNIT", "{}", "CN"), [
+        ("unit->evaluation", view.join("POP_ESTN_UNIT", ("EVALID",), "POP_EVAL", ("EVALID",)) < 0),
+        ("AREA_USED not positive", floats("POP_ESTN_UNIT", "AREA_USED") <= 0),
+    ])
+
+    unit_row = view.join("POP_STRATUM", ("ESTN_UNIT_CN",), "POP_ESTN_UNIT", ("CN",))
+    weight = floats("POP_STRATUM", "STRATUM_WGT")
+    report("POP_STRATUM", key("POP_STRATUM", "{}", "CN"), [
+        ("stratum->unit", unit_row < 0),
+        ("STRATUM_WGT outside (0, 1]", (weight <= 0.0) | (weight > 1.0)),
+        ("adjustment factor not positive", np.logical_or.reduce(
+            [floats("POP_STRATUM", f"ADJ_FACTOR_{size}") <= 0
+             for size in ("SUBP", "MICR", "MACR")])),
+    ])
+    group_sums("POP_STRATUM", [codes("POP_STRATUM", "ESTN_UNIT_CN")], weight,
+               np.arange(len(weight)), "sum W_h != 1",
+               lambda n, total: n and not math.isclose(total, 1.0, abs_tol=1e-9),
+               key("POP_STRATUM", "{}", "ESTN_UNIT_CN"))
+
+    assgn = "POP_PLOT_STRATUM_ASSGN"
+    stratum_row = view.join(assgn, ("STRATUM_CN",), "POP_STRATUM", ("CN",))
+    report(assgn, key(assgn, "{}->{}", "PLT_CN", "STRATUM_CN"), [
+        ("assignment->plot", view.plot_rows(assgn) < 0),
+        ("assignment->stratum", stratum_row < 0),
+    ])
+    evalid_codes, evalids = view.column("POP_ESTN_UNIT", "EVALID")
+    evalid = evalid_codes[np.append(unit_row, -1)[stratum_row]]  # -1 reads the null code 0
+    plt = key(assgn, "{}", "PLT_CN")
+    group_sums(assgn, [evalid, codes(assgn, "PLT_CN")], np.zeros(len(evalid)),
+               np.flatnonzero(evalid != 0), "plot assigned to multiple strata in one evaluation",
+               lambda n, total: n > 1, lambda row: f"{evalids[evalid[row]]}/{plt(row)}")
+
+    report("REF_SPECIES", key("REF_SPECIES", "{}", "SPCD"),
+           [("duplicate SPCD", repeats("REF_SPECIES", "SPCD"))])
     return out

@@ -272,3 +272,69 @@ def test_readme_per_plot_examples_run_as_written(capsys, monkeypatch):
     monkeypatch.chdir(root)
     assert main(argv[1:]) == 0
     assert capsys.readouterr().out == expected
+
+
+# Defects written into a copy of SYNTH-INV: (file, rows appended, {row: replacement}).
+_VALIDATE_DEFECTS = {
+    "CT_PLOT.csv": (["V1,9,21,2018,2018,41.45,-72.75,,,,1"],
+                    {2: "V2,9,22,2018,2018,95.0,-72.65,0.0,,,1"}),
+    "CT_COND.csv": (["CV1-2,V1,2,1,0.5,505,46,60", "CGHOST,GHOST,1,1,1.0,505,46,60"],
+                    {2: "CV2-1,V2,1,1,1.5,505,46,60"}),
+    "CT_TREE.csv": (["GT1,GHOST,1,1,316,8.0,6.0,SUBPLOT,,,,,,,,BOGUS,,,"],
+                    {1: "V1T1,V1,1,1,316,3.0,100.0,SUBPLOT,12.0,0.0,300.0,60.0,150.0,30.0,,,,,",
+                     2: "V2T1,V2,2,1,129,-1.0,50.0,SUBPLOT,,,,,,,,,,,"}),
+    "CT_SEEDLING.csv": ([], {1: "V1,1,316,0,74.97"}),
+    "CT_COND_DWM_CALC.csv": (["V1,1,1HR,1.5,0.8,0.4", "V2,1,XHR,-0.5,0.4,0.2"], {}),
+    "CT_INVASIVE_SUBPLOT_SPP.csv": (["V2,3,341,120.0"], {}),
+    "CT_POP_EVAL.csv": ([], {1: "91871,9,ZZZ,2018,2018,2018"}),
+    "CT_POP_ESTN_UNIT.csv": ([], {1: "U91871,91871,0.0"}),
+    "CT_POP_STRATUM.csv": ([], {1: "S91871-1,U91871,0.6,1.0,0.0,"}),
+    "CT_POP_PLOT_STRATUM_ASSGN.csv": (["V1,S91871-1,2018", "GHOST,S91871-9,2018"], {}),
+}
+
+_VALIDATE_GOLDEN = """\
+PLOT[V2]: LAT outside [-90, 90]
+PLOT[V2]: REMPER not positive
+PLOT[V1]: duplicate CN
+COND[V2/1]: CONDPROP_UNADJ outside [0, 1]
+COND[GHOST/1]: cond->plot
+COND[V1]: sum CONDPROP_UNADJ > 1
+COND[V2]: sum CONDPROP_UNADJ > 1
+TREE[V1T1]: SIZER inconsistent with DIA
+TREE[V2T1]: tree->cond
+TREE[V2T1]: DIA not positive
+TREE[V2T1]: SIZER inconsistent with DIA
+TREE[GT1]: tree->plot
+TREE[GT1]: unknown COMPONENT
+SEEDLING[V1/1#0]: TREECOUNT < 1
+COND_DWM_CALC[V1/1/1HR]: duplicate fuel row
+COND_DWM_CALC[V2/1/XHR]: unknown FUEL_TYPE
+COND_DWM_CALC[V2/1/XHR]: negative per-acre value
+INVASIVE_SUBPLOT_SPP[V2/3#2]: invasive->cond
+INVASIVE_SUBPLOT_SPP[V2/3#2]: COVER_PCT outside [0, 100]
+POP_EVAL[91871]: unknown EVAL_TYP
+POP_ESTN_UNIT[U91871]: AREA_USED not positive
+POP_STRATUM[S91871-1]: adjustment factor not positive
+POP_STRATUM[U91871]: sum W_h != 1
+POP_PLOT_STRATUM_ASSGN[GHOST->S91871-9]: assignment->plot
+POP_PLOT_STRATUM_ASSGN[GHOST->S91871-9]: assignment->stratum
+POP_PLOT_STRATUM_ASSGN[91871/V1]: plot assigned to multiple strata in one evaluation
+"""
+
+
+def test_validate_reports_violations_and_fails(tmp_path):
+    db = tmp_path / "db"
+    shutil.copytree(SYNTH_INV, db)
+    for name, (appended, replaced) in _VALIDATE_DEFECTS.items():
+        lines = (db / name).read_text().splitlines()
+        for row, line in replaced.items():
+            lines[row] = line
+        (db / name).write_text("\n".join(lines + appended) + "\n")
+    src = str(Path(tl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "timberline.cli", "validate", "--db", str(db)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout == _VALIDATE_GOLDEN
+    assert done.stderr == "26 integrity violation(s)\n"

@@ -96,6 +96,30 @@ def test_unsupported_design_rejected(tmp_path):
         load_database(tmp_path, ["CT"])
 
 
+@pytest.mark.parametrize("file, row, cells, table, message", [
+    ("CT_TREE.csv", 3, {"PLT_CN": "GHOST"}, "TREE", "row references unknown plot: {}"),
+    ("CT_POP_PLOT_STRATUM_ASSGN.csv", 2, {"STRATUM_CN": "GHOST"}, "POP_PLOT_STRATUM_ASSGN",
+     "row references unknown evaluation -1: {}"),
+])
+def test_write_error_builds_only_the_bad_row(tmp_path, file, row, cells, table, message):
+    db_dir = tmp_path / "db"
+    write_database(build_fixture("SYNTH-1"), db_dir)
+    path = db_dir / file
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[row].split(",")
+    for name, value in cells.items():
+        fields[header.index(name)] = value
+    lines[row] = ",".join(fields)
+    path.write_text("\r\n".join(lines) + "\r\n")
+    bad = load_database(db_dir, ["CT"]).table(table)[row - 1]
+    db = load_database(db_dir, ["CT"])
+    with pytest.raises(LoadError) as caught:
+        write_database(db, tmp_path / "out")
+    assert str(caught.value) == message.format(bad)
+    assert "records" not in db.table(table).__dict__
+
+
 def test_sizer_derived_from_diameter_when_blank(tmp_path):
     db = build_fixture("SYNTH-1")
     trees = [dataclasses.replace(t, sizer=None) for t in db.trees]

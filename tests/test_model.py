@@ -1,21 +1,25 @@
 """Record model, indexes, and integrity checks."""
 
+import numpy as np
 import pytest
 
+from timberline.io import load_database, write_database
 from timberline.model import (
     MACROPLOT,
     MICROPLOT,
     SUBPLOT,
+    TABLES,
     ConditionRecord,
     ForestDatabase,
     PlotRecord,
     Stratum,
+    Table,
     TreeRecord,
     derive_sizer,
     record_value,
     validate_integrity,
 )
-from timberline.synth import build_fixture
+from timberline.synth import FIXTURE_NAMES, build_fixture
 
 
 def _plot(cn, **kw):
@@ -161,3 +165,29 @@ def test_same_contents_ignores_row_order(synth1):
     )
     assert synth1.same_contents(shuffled)
     assert shuffled.same_contents(synth1)
+
+
+def _cells(col) -> list:
+    """A stored column's cells, None for null."""
+    if isinstance(col, np.ndarray):
+        return [None if v != v else v for v in col[:-1].tolist()]
+    codes, values = col
+    return [values[c] for c in codes[:-1].tolist()]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_table_from_records_round_trips(tmp_path, name):
+    db = build_fixture(name)
+    write_database(db, tmp_path)
+    loaded = load_database(tmp_path, db.states)
+    for spec in TABLES.values():
+        records = db.table(spec.table).records
+        table = Table.from_records(spec, records)
+        names = [c.name for c in spec.columns] + list(table.extras)
+        columns = {n: table.column(n) for n in names}
+        assert Table(spec, len(records), columns, table.extras).records == records
+        backwards = np.arange(len(records))[::-1]
+        assert table.take(backwards).records == records[::-1]
+        assert Table.from_records(spec, table.take(backwards)).records == records[::-1]
+        for n in names:
+            assert _cells(table.column(n)) == _cells(loaded.table(spec.table).column(n)), n
