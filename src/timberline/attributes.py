@@ -293,8 +293,9 @@ class _Ctx:
             keep &= extra(f)
         return f.select(keep)
 
-    def keys(self, f: _Frame, cols, family) -> tuple[np.ndarray, list[tuple]]:
-        """Group key code of each row, and the key tuples the codes index.
+    def keys(self, f: _Frame, cols, family) -> tuple[np.ndarray, list[tuple], np.ndarray]:
+        """Group key code of each row, the key tuples the codes index, and
+        each key's value code per column.
 
         Each column adds a mixed-radix digit that :func:`dense` compacts, so
         codes stay below rows x radix and count in ``np.unique(..., axis=0)`` order.
@@ -319,19 +320,20 @@ class _Ctx:
             folded, key = dense(key * len(values) + codes, len(folded) * len(values))
             parts = [p[folded // len(values)] for p in parts] + [folded % len(values)]
         rows = zip(*(p.tolist() for p in parts)) if parts else [()]
-        return key, [tuple(v[c] for (_, v), c in zip(columns, r)) for r in rows]
+        codes = np.column_stack(parts) if parts else np.zeros((1, 0), dtype=np.intp)
+        return key, [tuple(v[c] for (_, v), c in zip(columns, r)) for r in rows], codes
 
     def rows(self, f: _Frame, weight, values, adjust: str | None = None,
              family=None, cols=None) -> Records:
         """Records of the rows of ``f``; ``adjust`` None reads each record's SIZER."""
-        key, keys = self.keys(f, self.group_cols if cols is None else cols, family)
+        key, keys, codes = self.keys(f, self.group_cols if cols is None else cols, family)
         if adjust is None:
             size = f.map(lambda v: ADJUST_CLASSES.index(v) if v in ADJUST_CLASSES else 0,
                          "SIZER", "record", np.intp)
         else:
             size = np.full(f.n, ADJUST_CLASSES.index(adjust), dtype=np.intp)
         table = np.column_stack(values).reshape(f.n, len(values))
-        return Records(f.joins["plot"], key, keys, weight, table, size)
+        return Records(f.joins["plot"], key, keys, weight, table, size, codes)
 
     def area_den(self, keep: np.ndarray | None = None) -> Records:
         """Forested area within the area domain, the shared ratio denominator."""
@@ -868,13 +870,14 @@ def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable
     key_rank = np.array([slot[r] for r in reprs], dtype=np.intp)
     order = np.lexsort((key_rank[key], cn_rank[cn], year))
 
-    cells = [plan.group_cells(gk) for gk in keys]
-    group_cols = [np.array([c[name] for c in cells], dtype=object) for name in plan.group_names]
-    columns = ["YEAR", "PLT_CN", *plan.group_names, *comp_names, "nStems"]
-    table = zip(year[order].tolist(), map(cns.__getitem__, cn[order].tolist()),
-                *(c[key[order]].tolist() for c in group_cols), *(c[order].tolist() for c in cols),
-                count[order].tolist())
-    return EstimateTable(columns, [dict(zip(columns, row)) for row in table])
+    group = plan.group_columns(list(keys))
+    key = key[order].tolist()
+    columns = ["YEAR", "PLT_CN", *group, *comp_names, "nStems"]
+    return EstimateTable.from_columns(columns, [
+        year[order].tolist(), list(map(cns.__getitem__, cn[order].tolist())),
+        *(list(map(values.__getitem__, key)) for values in group.values()),
+        *(c[order].tolist() for c in cols), count[order].tolist(),
+    ])
 
 
 # --------------------------------------------------------------------------
@@ -890,13 +893,16 @@ def run_family(db: ForestDatabase, fam: Family, req: EstimatorRequest):
         return _by_plot_table(db, fam, plan)
 
     lambdas = normalize_lambdas(req.lambdas)
-    rows = list(method_passes(db, plan, fam.type_sets, fam.name, req.method, lambdas=lambdas))
-    rows.sort(key=lambda r: (r.get("lambda") or 0.0, r.get("YEAR") or 0))
-
+    passes = list(method_passes(db, plan, fam.type_sets, fam.name, req.method, lambdas=lambdas))
     columns = _output_columns(fam, req, plan)
+    cells = {name: [cell for p in passes for cell in p[name]]
+             for name in ("lambda", "YEAR", *columns)}
+    order = np.lexsort(([year or 0 for year in cells["YEAR"]],
+                        [lam or 0.0 for lam in cells["lambda"]])).tolist()
+    table = EstimateTable.from_columns(columns, [list(map(cells[c].__getitem__, order))
+                                                 for c in columns])
     if fam.wide and not req.tidy:
-        columns, rows = _pivot_wide(fam, req, plan, columns, rows)
-    table = EstimateTable(columns, rows)
+        table = EstimateTable(*_pivot_wide(fam, req, plan, columns, table.rows))
     if req.return_spatial:
         return emit_spatial(table, req.polys)
     return table

@@ -333,21 +333,16 @@ def _cmd_evalids(args) -> int:
     db = _load(args)
     ids = find_evaluations(db, year=args.year)
     by_id = {e.evalid: e for e in db.evaluations}
-    columns = ["EVALID", "STATECD", "EVAL_TYP", "REPORT_YEAR", "START_INVYR", "END_INVYR"]
-    rows = []
-    for evalid in ids:
-        ev = by_id[evalid]
-        rows.append(
-            {
-                "EVALID": ev.evalid,
-                "STATECD": ev.statecd,
-                "EVAL_TYP": ev.eval_typ if ev.eval_typ is not None else "VOL",
-                "REPORT_YEAR": ev.report_year,
-                "START_INVYR": ev.start_invyr,
-                "END_INVYR": ev.end_invyr,
-            }
-        )
-    _emit_table(args, EstimateTable(columns, rows))
+    evs = [by_id[evalid] for evalid in ids]
+    columns = {
+        "EVALID": [ev.evalid for ev in evs],
+        "STATECD": [ev.statecd for ev in evs],
+        "EVAL_TYP": [ev.eval_typ if ev.eval_typ is not None else "VOL" for ev in evs],
+        "REPORT_YEAR": [ev.report_year for ev in evs],
+        "START_INVYR": [ev.start_invyr for ev in evs],
+        "END_INVYR": [ev.end_invyr for ev in evs],
+    }
+    _emit_table(args, EstimateTable.from_columns(list(columns), list(columns.values())))
     return 0
 
 

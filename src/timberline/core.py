@@ -46,7 +46,7 @@ weights, EMA one row per lambda and ANNUAL one single-panel row per panel
 with plots.  :func:`combine_passes` weights every group, component and
 row of weights at once, reads each group's denominators through the
 bundle's key indices, takes ratios and sampling errors elementwise over
-those arrays (NaN marks an undefined cell) and builds the output rows.
+those arrays (NaN marks an undefined cell) and builds the output columns.
 """
 
 from __future__ import annotations
@@ -553,6 +553,7 @@ class Records:
     weight: np.ndarray
     values: np.ndarray  # rows x columns
     adjust: np.ndarray
+    codes: np.ndarray  # keys x group columns: each key's code per column
 
 
 @dataclass(frozen=True)
@@ -580,29 +581,41 @@ class Plan:
     hidden_components: tuple[str, ...] = ()
     emit_variance: bool = False
 
-    @property
-    def area_positions(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, col in enumerate(self.group_cols) if col.level == "area"
-        )
-
-    def area_projection(self, gk: tuple) -> tuple:
-        return tuple(gk[i] for i in self.area_positions)
-
-    def group_cells(self, gk: tuple) -> dict[str, object]:
-        """A group key's output cells, species names after a species column."""
-        cells: dict[str, object] = {}
-        for col, v in zip(self.group_cols, gk):
-            cells[col.name] = v
+    def group_columns(self, keys: Sequence[tuple]) -> dict[str, list]:
+        """The group keys' output cells by column, species names after a species column."""
+        out: dict[str, list] = {}
+        for i, col in enumerate(self.group_cols):
+            out[col.name] = values = [gk[i] for gk in keys]
             if col.origin == "species" and self.species_decoration is not None:
-                names = self.species_decoration.get(v, (None, None))
-                cells["COMMON_NAME"], cells["SCIENTIFIC_NAME"] = names
-        return cells
+                names = [self.species_decoration.get(v, (None, None)) for v in values]
+                out["COMMON_NAME"] = [common for common, _ in names]
+                out["SCIENTIFIC_NAME"] = [scientific for _, scientific in names]
+        return out
 
     @property
     def group_names(self) -> list[str]:
-        """The output columns of :meth:`group_cells`."""
-        return list(self.group_cells((None,) * len(self.group_cols)))
+        """The output columns of :meth:`group_columns`."""
+        return list(self.group_columns(()))
+
+
+def _match(codes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The row of ``targets`` equal to each row of ``codes`` (-1: none).
+
+    The rows of ``targets`` are distinct.  Both fold into one compacted
+    mixed-radix code, one column at a time, as group keys do."""
+    if not len(codes) or not len(targets):
+        return np.full(len(codes), -1, dtype=np.intp)
+    if not codes.shape[1]:  # no columns: the one target
+        return np.zeros(len(codes), dtype=np.intp)
+    both = np.concatenate([codes, targets])
+    key, size = np.zeros(len(both), dtype=np.intp), 1
+    for col in both.T:
+        radix = int(col.max()) + 1
+        present, key = dense(key * radix + col, size * radix)
+        size = len(present)
+    slot = np.full(size, -1, dtype=np.intp)
+    slot[key[len(codes):]] = np.arange(len(targets))
+    return slot[key[:len(codes)]]
 
 
 # --------------------------------------------------------------------------
@@ -623,6 +636,7 @@ class Entries:
     """
 
     keys: list[tuple]  # group key of each local key
+    codes: np.ndarray  # each local key's Records.codes
     key: np.ndarray
     plot: np.ndarray  # sample plot index
     values: np.ndarray  # entries x columns
@@ -662,7 +676,8 @@ def _gather(rec: Records | None, pos: np.ndarray, factors: np.ndarray, width: in
     n = len(factors)
     if rec is None:
         none = np.zeros(0, dtype=np.intp)
-        return Entries([], none, none, np.zeros((0, width)), none, n, none, none, np.zeros(0))
+        return Entries([], np.zeros((0, 0), dtype=np.intp), none, none, np.zeros((0, width)),
+                       none, n, none, none, np.zeros(0))
     plot = pos[rec.plot]
     rows = np.flatnonzero(plot >= 0)
     plot = plot[rows]
@@ -673,8 +688,8 @@ def _gather(rec: Records | None, pos: np.ndarray, factors: np.ndarray, width: in
     values = np.column_stack(
         [np.bincount(entry, col, minlength=len(cell)) for col in x.T]
     ).reshape(len(cell), x.shape[1])
-    return Entries([rec.keys[k] for k in present.tolist()], key, cell % n, values,
-                   np.bincount(entry, minlength=len(cell)), n, rows, entry, expand)
+    return Entries([rec.keys[k] for k in present.tolist()], rec.codes[present], key, cell % n,
+                   values, np.bincount(entry, minlength=len(cell)), n, rows, entry, expand)
 
 
 def make_bundle(db: ForestDatabase, plan: Plan, sample: Sample) -> Bundle:
@@ -696,12 +711,9 @@ def make_bundle(db: ForestDatabase, plan: Plan, sample: Sample) -> Bundle:
     num = _gather(plan.num, pos, factors, len(plan.components))
     den_area, den_tree, species = (_gather(rec, pos, factors, 1)
                                    for rec in (plan.den_area, plan.den_tree, plan.species))
-    area_index, tree_index = ({gk: i for i, gk in enumerate(e.keys)} for e in (den_area, den_tree))
-    bundle = Bundle(
-        num, den_area, den_tree, species,
-        np.array([area_index.get(plan.area_projection(gk), -1) for gk in num.keys], dtype=np.intp),
-        np.array([tree_index.get(gk, -1) for gk in num.keys], dtype=np.intp),
-    )
+    area = [i for i, col in enumerate(plan.group_cols) if col.level == "area"]
+    bundle = Bundle(num, den_area, den_tree, species, _match(num.codes[:, area], den_area.codes),
+                    _match(num.codes, den_tree.codes))
     if plan.reduce is not None:
         num.values = plan.reduce(bundle)
     return bundle
@@ -756,8 +768,8 @@ def compute_pass(db: ForestDatabase, plan: Plan, sample: Sample) -> PassTotals |
 
 def combine_passes(
     plan: Plan, totals: PassTotals, weights: np.ndarray, labels: Sequence[tuple]
-) -> list[dict]:
-    """Weighted combination of a pass's panels into output rows.
+) -> dict[str, list]:
+    """Weighted combination of a pass's panels into output columns.
 
     ``weights`` is rows x panels, and ``labels`` gives each row of weights
     its (year, lambda-or-None).  Totals combine as sum_p w_p * Y_p and
@@ -765,13 +777,13 @@ def combine_passes(
     samples.  A row of weights covers the panels it weights: its groups are
     those with an entry there, in group order, and its plot counts sum over
     them.  A group absent from a panel contributes an exact zero total with
-    zero variance.
+    zero variance.  Each output column holds one cell per (row of weights,
+    group); an undefined estimate is None.
     """
     weights = np.asarray(weights, dtype=float)
     used, squared = weights != 0, weights * weights
-    num, sort_key = totals.num, _group_sort_key(plan)
-    order = np.array(sorted(range(len(num.keys)), key=lambda i: sort_key(num.keys[i])),
-                     dtype=np.intp)
+    num = totals.num
+    order = _group_order(plan.group_cols, num.keys)
     keys = [num.keys[i] for i in order.tolist()]
 
     def mix(per_panel: np.ndarray, w: np.ndarray, of: np.ndarray | None = None) -> np.ndarray:
@@ -801,35 +813,37 @@ def combine_passes(
             mix(totals.cov, squared)[..., [visible[i] for i in ratio]],
         )
     se = sampling_error_pct(est, var, mix(num.nonzero, used)[..., visible])
-    est, se, var = (np.where(np.isnan(a), None, a).tolist() for a in (est, se, var))
-    counts = {"num": mix(num.any_nonzero[..., None], used)[..., 0].tolist(),
-              "den": mix(totals.den_area.nonzero, used, totals.area_of).tolist()}
-    names = [plan.components[c].name for c in visible]
+    row, k = np.nonzero(present)  # rows of weights, then groups in order
+    rows, ks = row.tolist(), k.tolist()
+    est, se, var = (np.where(np.isnan(x), None, x).T.tolist()
+                    for x in (est[row, k], se[row, k], var[row, k]))
 
-    species = totals.species.keys
-    species_key = _group_sort_key(plan, (GroupCol("SPCD", "tree", "species"),))
-    species_order = sorted(range(len(species)), key=lambda i: species_key(species[i]))
-    abundance = _combine(totals.species.total, weights)[..., 0].tolist()
-    rows = []
-    for r, (year, lam) in enumerate(labels):
-        pooled: dict[tuple, list[float]] = {}
-        for i in species_order:
-            pooled.setdefault(species[i][:-1], []).append(max(abundance[r][i], 0.0))
-        for k in np.flatnonzero(present[r]).tolist():
-            row: dict[str, object] = {} if lam is None else {"lambda": lam}
-            row["YEAR"] = year
-            row.update(plan.group_cells(keys[k]))
-            for name, e, s, v in zip(names, est[r][k], se[r][k], var[r][k]):
-                row[name], row[name + "_SE"] = e, s
-                if plan.emit_variance:
-                    row[name + "_VAR"] = v
-            for label, kind in plan.nplots_cols:
-                row[label] = counts[kind][r][k]
-            if plan.species is not None:
-                row.update(zip(("H_POOLED", "S_POOLED", "Eh_POOLED"),
-                               _shannon(pooled.get(keys[k], ()))))
-            rows.append(row)
-    return rows
+    out: dict[str, list] = {"lambda": [labels[r][1] for r in rows],
+                            "YEAR": [labels[r][0] for r in rows]}
+    for name, values in plan.group_columns(keys).items():
+        out[name] = list(map(values.__getitem__, ks))
+    for c, e, s, v in zip(visible, est, se, var):
+        name = plan.components[c].name
+        out[name], out[name + "_SE"] = e, s
+        if plan.emit_variance:
+            out[name + "_VAR"] = v
+    counts = {"num": mix(num.any_nonzero[..., None], used)[..., 0],
+              "den": mix(totals.den_area.nonzero, used, totals.area_of)}
+    for label, kind in plan.nplots_cols:
+        out[label] = counts[kind][row, k].tolist()
+    if plan.species is not None:
+        species = totals.species.keys
+        species_order = _group_order(plan.group_cols + (GroupCol("SPCD", "tree", "species"),),
+                                     species).tolist()
+        abundance = _combine(totals.species.total, weights)[..., 0].tolist()
+        pooled: list[dict[tuple, list[float]]] = [{} for _ in labels]
+        for by_key, per_species in zip(pooled, abundance):
+            for i in species_order:
+                by_key.setdefault(species[i][:-1], []).append(max(per_species[i], 0.0))
+        indices = [_shannon(pooled[r].get(keys[i], ())) for r, i in zip(rows, ks)]
+        for j, name in enumerate(("H_POOLED", "S_POOLED", "Eh_POOLED")):
+            out[name] = [index[j] for index in indices]
+    return out
 
 
 def _class_lower_bound(label: str) -> float | None:
@@ -844,28 +858,38 @@ def _class_lower_bound(label: str) -> float | None:
     return None
 
 
-def _group_sort_key(plan: Plan, extra: tuple[GroupCol, ...] = ()):
-    cols = plan.group_cols + extra
+def _value_key(col: GroupCol, v):
+    """A group cell's sort key: categorical levels, numbers, text, then None."""
+    if v is None:
+        return (3, 0)
+    if col.categorical is not None and v in col.categorical:
+        return (0, col.categorical.index(v))
+    if col.origin == "sizeclass" and isinstance(v, str):
+        bound = _class_lower_bound(v)
+        if bound is not None:
+            return (1, bound)
+    if isinstance(v, (int, float)):
+        return (1, float(v))
+    return (2, str(v))
 
-    def value_key(col: GroupCol, v):
-        if v is None:
-            return (3, 0)
-        if col.categorical is not None and v in col.categorical:
-            return (0, col.categorical.index(v))
-        if col.origin == "sizeclass" and isinstance(v, str):
-            bound = _class_lower_bound(v)
-            if bound is not None:
-                return (1, bound)
-        if isinstance(v, bool):
-            return (1, float(v))
-        if isinstance(v, (int, float)):
-            return (1, float(v))
-        return (2, str(v))
 
-    def key(gk: tuple):
-        return tuple(value_key(col, v) for col, v in zip(cols, gk))
+def _group_order(cols: Sequence[GroupCol], keys: Sequence[tuple]) -> np.ndarray:
+    """The stable order of group keys by their cells' :func:`_value_key`, column by column.
 
-    return key
+    Each column's distinct values are ranked once; values with equal sort
+    keys share a rank, so their keys keep their index order.
+    """
+    if not cols:
+        return np.arange(len(keys))
+    ranks = []
+    for i, col in enumerate(cols):
+        values = [gk[i] for gk in keys]
+        distinct = list(dict.fromkeys(values))
+        sort_keys = [_value_key(col, v) for v in distinct]
+        slot = {sk: r for r, sk in enumerate(sorted(set(sort_keys)))}
+        rank = dict(zip(distinct, map(slot.__getitem__, sort_keys)))
+        ranks.append(list(map(rank.__getitem__, values)))
+    return np.lexsort(ranks[::-1])
 
 
 def _shannon(abundances: Sequence[float]) -> tuple[float, int, float]:
@@ -966,7 +990,7 @@ def method_passes(
     method: str,
     lambdas: Sequence[float] = (DEFAULT_LAMBDA,),
 ):
-    """Yield the output rows, one dict per (year, lambda-or-None, group).
+    """Yield each pass's output columns, one cell per (year, lambda-or-None, group).
 
     Each evaluation group is one pass.  TI pools all its panels into one.
     The other methods put every assignment on the group's panel-year axis
@@ -999,7 +1023,7 @@ def method_passes(
                             present.sum(), len(years))
         totals = compute_pass(db, plan, sample)
         if totals is not None:
-            yield from combine_passes(plan, totals, weights, labels)
+            yield combine_passes(plan, totals, weights, labels)
 
 
 # --------------------------------------------------------------------------
@@ -1008,17 +1032,40 @@ def method_passes(
 
 
 class EstimateTable:
-    """Ordered columns plus one dict per output row (missing cells -> None)."""
+    """Ordered columns, stored as one list of cells per column.
 
-    def __init__(self, columns: Sequence[str], rows: list[dict]):
+    ``EstimateTable(columns, rows)`` reads each row dict once, a missing
+    cell as None; the engine builds its tables with :meth:`from_columns`.
+    A repeated column name holds one list, as a dict key holds one value.
+    """
+
+    def __init__(self, columns: Sequence[str], rows: Sequence[dict] = ()):
         self.columns = list(columns)
-        self.rows = rows
+        self._cells = {name: [row.get(name) for row in rows] for name in self.columns}
+        self._len = len(rows)
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[str], cells: Sequence[list]) -> "EstimateTable":
+        """A table holding these lists, one per column, as they are."""
+        table = cls(columns)
+        table._cells = dict(zip(table.columns, cells))
+        table._len = len(cells[0]) if len(cells) else 0
+        return table
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._len
+
+    @property
+    def rows(self) -> list[dict]:
+        """The rows as fresh dicts, built on every access."""
+        if not self._cells:
+            return [{} for _ in range(self._len)]
+        return [dict(zip(self._cells, values)) for values in zip(*self._cells.values())]
 
     def column(self, name: str) -> list:
-        return [row.get(name) for row in self.rows]
+        """The stored cells of a column (None for each row of an unknown name)."""
+        cells = self._cells.get(name)
+        return [None] * self._len if cells is None else cells
 
     def cell(self, row: int, name: str):
-        return self.rows[row].get(name)
+        return self.column(name)[row]

@@ -2,16 +2,19 @@
 
 File formats keep full float precision (shortest round-trip repr) so results
 can be compared exactly; the pretty renderer rounds to two decimals and is
-for eyeballs only.
+for eyeballs only.  The renderers read a table column by column.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
+import math
+import operator
 from collections.abc import Sequence
+from itertools import compress, count, repeat
+from json.encoder import encode_basestring_ascii
 
 __all__ = [
     "table_to_csv",
@@ -19,6 +22,11 @@ __all__ = [
     "table_to_pretty",
     "geojson_to_text",
 ]
+
+
+def _rows(n: int, columns: list[list]):
+    """The n rows of these columns as tuples of cells."""
+    return zip(*columns) if columns else [()] * n
 
 
 def table_to_csv(table) -> str:
@@ -30,28 +38,52 @@ def table_to_csv(table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(table.columns)
-    writer.writerows([row.get(c) for c in table.columns] for row in table.rows)
+    writer.writerows(_rows(len(table), [table.column(c) for c in table.columns]))
     return buf.getvalue()
 
 
-# ``indent`` selects the pure-Python encoder.  So the C encoder writes the
-# rows with the indented layout's cell separator, and the row boundaries
-# and both ends are rewritten afterwards.  With ensure_ascii no encoded
-# string holds a raw newline, so "},\n      {" stands only between two rows
-# as long as every cell is a scalar.  Rows are encoded in blocks: a string
-# of the whole table would be copied twice more while it is rewritten.
-_CELL_SEP = ",\n      "
-_ROWS = json.JSONEncoder(separators=(_CELL_SEP, ": "), allow_nan=False, check_circular=False)
-_COLUMNS = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False)
-_NEXT_ROW = "\n    },\n    {\n      "
+# The bytes are those of ``json.dumps(doc, indent=2, allow_nan=False)``,
+# whose pure-Python encoder is slow, so the rows are written column by
+# column.  Each block of rows turns every column's slice into cell texts
+# once: floats through ``float.__repr__``, as the encoder writes them,
+# after a finiteness check; a column of only str or only int cells through
+# that type's encoding; other columns of str, int, bool and None cells
+# through one text per distinct (type, value), because 1 and True are one
+# dict key.  The texts are interleaved with each column's key, which
+# carries the separators, and joined once per block; blocks bound the
+# temporaries to a block's texts, and the document is joined once.
 _BLOCK = 1024
+_COLUMNS = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False)
+_CELL = json.JSONEncoder(allow_nan=False).encode  # a scalar subclass is written as its base
+_ROW_START, _CELL_SEP, _ROW_END, _ROW_SEP = "{\n      ", ",\n      ", "\n    }", ",\n    "
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+_FLOATS = frozenset((float, type(None)))
+_ONE_KIND = {str: encode_basestring_ascii, int: int.__repr__}
+_MEMOISED = frozenset((str, int, bool, type(None)))
 
 
-def _check_scalars(cells) -> None:
-    for kind in set(map(type, cells)) - _SCALARS:
+def _check_scalars(kinds) -> None:
+    for kind in kinds - _SCALARS:
         if not issubclass(kind, (str, int, float)):
             raise TypeError(f"table cell of type {kind.__name__} is not a scalar")
+
+
+def _texts(cells: list, kinds: set) -> list[str]:
+    """The JSON text of each cell; ``kinds`` holds at least the cells' types."""
+    if kinds <= _FLOATS:
+        if not all(map(math.isfinite, filter(None, cells))):
+            raise ValueError("Out of range float values are not JSON compliant")
+        texts = list(map(repr, cells))  # repr is float.__repr__ on exact floats
+        for i in compress(count(), map(operator.is_, cells, repeat(None))):
+            texts[i] = "null"
+        return texts
+    if len(kinds) == 1 and kinds <= _ONE_KIND.keys():
+        return list(map(_ONE_KIND[next(iter(kinds))], cells))
+    if kinds <= _MEMOISED:
+        typed = list(zip(map(type, cells), cells))
+        memo = {cell: _CELL(cell[1]) for cell in set(typed)}
+        return list(map(memo.__getitem__, typed))
+    return list(map(_CELL, cells))
 
 
 def table_to_json(table) -> str:
@@ -59,24 +91,36 @@ def table_to_json(table) -> str:
 
     The column list is carried explicitly since JSON objects do not
     guarantee ordering to every consumer.  The bytes are those of
-    ``json.dumps(doc, indent=2, allow_nan=False)`` plus a newline.
+    ``json.dumps(doc, indent=2, allow_nan=False)`` plus a newline.  A
+    repeated column name is one key of each row object, at its first place.
     """
-    columns = list(table.columns)
-    rows = table.rows
-    if not all(map(tuple(columns).__eq__, map(tuple, rows))):
-        rows = [dict(zip(columns, map(row.get, columns))) for row in rows]
-    _check_scalars(itertools.chain.from_iterable(map(dict.values, rows)))
-    head = "[]" if not columns else "[\n    " + _COLUMNS.encode(columns)[1:-1] + "\n  ]"
+    names = list(dict.fromkeys(table.columns))
+    columns = [table.column(name) for name in names]
+    kinds = [set(map(type, cells)) for cells in columns]
+    _check_scalars(set().union(*kinds))
+    head = "[]" if not table.columns else "[\n    " + _COLUMNS.encode(table.columns)[1:-1] + "\n  ]"
     head = '{\n  "columns": ' + head + ',\n  "rows": '
-    if not rows:
+    n = len(table)
+    if not n:
         return head + "[]\n}\n"
-    if not columns:
-        return head + "[\n    " + ",\n    ".join(["{}"] * len(rows)) + "\n  ]\n}\n"
-    blocks = [_ROWS.encode(rows[i:i + _BLOCK])[2:-2].replace("}" + _CELL_SEP + "{", _NEXT_ROW)
-              for i in range(0, len(rows), _BLOCK)]
-    blocks[0] = head + "[\n    {\n      " + blocks[0]
-    blocks[-1] += "\n    }\n  ]\n}\n"
-    return _NEXT_ROW.join(blocks)
+    if not names:
+        return head + "[\n    " + _ROW_SEP.join(["{}"] * n) + "\n  ]\n}\n"
+    keys = [encode_basestring_ascii(name) + ": " for name in names]
+    first = _ROW_START + keys[0]
+    keys = [_ROW_END + _ROW_SEP + first] + [_CELL_SEP + key for key in keys[1:]]
+    step = 2 * len(names)
+    parts = [head, "[\n    "]
+    for start in range(0, n, _BLOCK):
+        size = min(_BLOCK, n - start)
+        pieces = [""] * (step * size)  # per row: key, cell, key, cell, ...
+        for c, (key, cells, k) in enumerate(zip(keys, columns, kinds)):
+            pieces[2 * c::step] = [key] * size
+            pieces[2 * c + 1::step] = _texts(cells[start:start + size], k)
+        if not start:
+            pieces[0] = first
+        parts.append("".join(pieces))
+    parts.append(_ROW_END + "\n  ]\n}\n")
+    return "".join(parts)  # one copy of the document besides its blocks
 
 
 def _pretty_cell(value) -> str:
@@ -90,17 +134,14 @@ def _pretty_cell(value) -> str:
 def table_to_pretty(table) -> str:
     """Aligned two-decimal text table for terminal display."""
     header = [str(c) for c in table.columns]
-    body = [[_pretty_cell(row.get(c)) for c in table.columns] for row in table.rows]
-    widths = [len(h) for h in header]
-    for line in body:
-        for i, cell in enumerate(line):
-            widths[i] = max(widths[i], len(cell))
+    body = [list(map(_pretty_cell, table.column(c))) for c in table.columns]
+    widths = [max([len(h), *map(len, cells)]) for h, cells in zip(header, body)]
 
     def fmt(line: Sequence[str]) -> str:
         return "  ".join(cell.rjust(w) for cell, w in zip(line, widths)).rstrip()
 
     out = [fmt(header), fmt(["-" * w for w in widths])]
-    out.extend(fmt(line) for line in body)
+    out.extend(fmt(line) for line in _rows(len(table), body))
     return "\n".join(out) + "\n"
 
 

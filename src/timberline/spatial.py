@@ -208,20 +208,18 @@ def emit_spatial(table, polys: PolygonSet) -> dict:
     if "POLY_ID" not in table.columns:
         raise GeometryError("table has no POLY_ID column; run with polys= to get one")
     value_cols = [c for c in table.columns if c != "POLY_ID"]
-    rows_by_fid: dict[object, list[dict]] = {}
-    for row in table.rows:
-        rows_by_fid.setdefault(row.get("POLY_ID"), []).append(row)
+    cells = [table.column(c) for c in value_cols]
+    rows_by_fid: dict[object, list[int]] = {}
+    for i, fid in enumerate(table.column("POLY_ID")):
+        rows_by_fid.setdefault(fid, []).append(i)
 
     out_features = []
     for feature in polys:
-        matched = rows_by_fid.get(feature.fid)
-        if not matched:
-            matched = [dict.fromkeys(value_cols)]
-        for row in matched:
+        for i in rows_by_fid.get(feature.fid) or [None]:
             props = dict(feature.properties)
-            for col in value_cols:
+            for col, values in zip(value_cols, cells):
                 name = col if col not in props else f"{col}_est"
-                props[name] = row.get(col)
+                props[name] = None if i is None else values[i]
             geojson_feat = {
                 "type": "Feature",
                 "id": feature.fid,

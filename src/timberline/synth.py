@@ -548,11 +548,12 @@ class MonteCarloSummary:
     reported_variances: tuple[float, ...]
 
 
-def _report_row(table, year):
-    rows = [r for r in table.rows if r.get("YEAR") == year]
-    if not rows:
+def _report_row(table, year) -> int:
+    """The index of the table's last row of ``year``."""
+    years = table.column("YEAR")
+    if year not in years:
         raise LookupError(f"no output row for year {year}")
-    return rows[-1]
+    return len(years) - 1 - years[::-1].index(year)
 
 
 def monte_carlo_bias_variance(
@@ -580,8 +581,8 @@ def monte_carlo_bias_variance(
         for m in methods:
             table = attributes.tpa(db, method=m, lambdas=(lam,), variance=True)
             row = _report_row(table, population.report_year)
-            values[m].append(row["TPA"])
-            reported[m].append(row["TPA_VAR"])
+            values[m].append(table.cell(row, "TPA"))
+            reported[m].append(table.cell(row, "TPA_VAR"))
     out = {}
     for m in methods:
         est = values[m]

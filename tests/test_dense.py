@@ -3,6 +3,7 @@
 ``core.dense`` must return exactly what ``np.unique(code, return_inverse=True)``
 returns, and ``_Ctx.keys`` exactly what the row-wise ``np.unique(..., axis=0)``
 over its code columns gave; the old ``keys`` is kept here as the reference.
+``_match`` must find the same denominator keys as a dict of code rows.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timberline.attributes import _Ctx
-from timberline.core import GroupCol, dense
+from timberline.core import GroupCol, _match, dense
 
 
 def assert_same(got, want):
@@ -56,14 +57,15 @@ def test_dense_of_a_single_value(value, n):
 
 
 def old_keys(columns, n):
-    """``_Ctx.keys`` as it was: one lexicographic sort of the stacked code rows."""
+    """``_Ctx.keys`` as it was: one lexicographic sort of the stacked code rows,
+    which are each key's codes per column."""
     if not columns:
-        return np.zeros(n, dtype=np.intp), [()]
+        return np.zeros(n, dtype=np.intp), [()], np.zeros((1, 0), dtype=np.intp)
     rows, key = np.unique(
         np.column_stack([codes for codes, _ in columns]), axis=0, return_inverse=True
     )
     names = [values for _, values in columns]
-    return key.reshape(-1), [tuple(v[c] for v, c in zip(names, r)) for r in rows.tolist()]
+    return key.reshape(-1), [tuple(v[c] for v, c in zip(names, r)) for r in rows.tolist()], rows
 
 
 class Frame:
@@ -95,7 +97,28 @@ def frames(draw):
 def test_keys_match_the_lexicographic_row_sort(frame):
     columns, n = frame
     cols = tuple(GroupCol(str(i), "tree", "record") for i in range(len(columns)))
-    key, keys = _Ctx.keys(None, Frame(columns, n), cols, None)
-    want_key, want_keys = old_keys(columns, n)
+    key, keys, codes = _Ctx.keys(None, Frame(columns, n), cols, None)
+    want_key, want_keys, want_codes = old_keys(columns, n)
     assert key.dtype == want_key.dtype and key.tolist() == want_key.tolist()
     assert keys == want_keys
+    assert codes.shape == want_codes.shape and codes.tolist() == want_codes.tolist()
+
+
+@st.composite
+def code_rows(draw):
+    width = draw(st.integers(0, 4))
+    radix = draw(st.sampled_from([1, 3, 40, 3000]))
+    row = st.lists(st.integers(0, radix - 1), min_size=width, max_size=width).map(tuple)
+    targets = draw(st.lists(row, unique=True, max_size=30))
+    codes = draw(st.lists(st.sampled_from(targets) | row if targets else row, max_size=30))
+    return [np.array(rows, dtype=np.intp).reshape(len(rows), width) for rows in (codes, targets)]
+
+
+@given(code_rows())
+@settings(max_examples=300, deadline=None)
+def test_match_finds_the_equal_target_row(case):
+    codes, targets = case
+    index = {tuple(t): i for i, t in enumerate(targets.tolist())}
+    want = [index.get(tuple(r), -1) for r in codes.tolist()]
+    got = _match(codes, targets)
+    assert got.dtype == np.intp and got.tolist() == want
