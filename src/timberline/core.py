@@ -605,8 +605,6 @@ def _match(codes: np.ndarray, targets: np.ndarray) -> np.ndarray:
     mixed-radix code, one column at a time, as group keys do."""
     if not len(codes) or not len(targets):
         return np.full(len(codes), -1, dtype=np.intp)
-    if not codes.shape[1]:  # no columns: the one target
-        return np.zeros(len(codes), dtype=np.intp)
     both = np.concatenate([codes, targets])
     key, size = np.zeros(len(both), dtype=np.intp), 1
     for col in both.T:
@@ -815,8 +813,8 @@ def combine_passes(
     se = sampling_error_pct(est, var, mix(num.nonzero, used)[..., visible])
     row, k = np.nonzero(present)  # rows of weights, then groups in order
     rows, ks = row.tolist(), k.tolist()
-    est, se, var = (np.where(np.isnan(x), None, x).T.tolist()
-                    for x in (est[row, k], se[row, k], var[row, k]))
+    cells = np.stack([est, se, var])[:, row, k]  # (est, se, var) x cells x components
+    est, se, var = np.where(np.isnan(cells), None, cells).transpose(0, 2, 1).tolist()
 
     out: dict[str, list] = {"lambda": [labels[r][1] for r in rows],
                             "YEAR": [labels[r][0] for r in rows]}
