@@ -42,6 +42,7 @@ from .core import (
     Records,
     build_sample,
     dense,
+    level_ranks,
     make_bundle,
     make_classes,
     method_passes,
@@ -293,9 +294,9 @@ class _Ctx:
             keep &= extra(f)
         return f.select(keep)
 
-    def keys(self, f: _Frame, cols, family) -> tuple[np.ndarray, list[tuple], np.ndarray]:
-        """Group key code of each row, the key tuples the codes index, and
-        each key's value code per column.
+    def keys(self, f: _Frame, cols, family) -> tuple[np.ndarray, np.ndarray, list[list]]:
+        """Group key code of each row, each key's code row (its value code per
+        column) and each column's levels, the values those codes index.
 
         Each column adds a mixed-radix digit that :func:`dense` compacts, so
         codes stay below rows x radix and count in ``np.unique(..., axis=0)`` order.
@@ -319,21 +320,20 @@ class _Ctx:
         for codes, values in columns:
             folded, key = dense(key * len(values) + codes, len(folded) * len(values))
             parts = [p[folded // len(values)] for p in parts] + [folded % len(values)]
-        rows = zip(*(p.tolist() for p in parts)) if parts else [()]
         codes = np.column_stack(parts) if parts else np.zeros((1, 0), dtype=np.intp)
-        return key, [tuple(v[c] for (_, v), c in zip(columns, r)) for r in rows], codes
+        return key, codes, [values for _, values in columns]
 
     def rows(self, f: _Frame, weight, values, adjust: str | None = None,
              family=None, cols=None) -> Records:
         """Records of the rows of ``f``; ``adjust`` None reads each record's SIZER."""
-        key, keys, codes = self.keys(f, self.group_cols if cols is None else cols, family)
+        key, codes, levels = self.keys(f, self.group_cols if cols is None else cols, family)
         if adjust is None:
             size = f.map(lambda v: ADJUST_CLASSES.index(v) if v in ADJUST_CLASSES else 0,
                          "SIZER", "record", np.intp)
         else:
             size = np.full(f.n, ADJUST_CLASSES.index(adjust), dtype=np.intp)
         table = np.column_stack(values).reshape(f.n, len(values))
-        return Records(f.joins["plot"], key, keys, weight, table, size, codes)
+        return Records(f.joins["plot"], key, levels, weight, table, size, codes)
 
     def area_den(self, keep: np.ndarray | None = None) -> Records:
         """Forested area within the area domain, the shared ratio denominator."""
@@ -823,22 +823,21 @@ def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable
     """Raw per-plot values: one row per plot visit (and group), no variance.
 
     A visit (plot CN, year) in several evaluation groups gives rows only in
-    the first.  Rows sort by year, plot CN and the repr of the group cells;
-    a ratio component is None where its denominator is not positive.
+    the first.  Groups merge by their key in ``plan.num``.  Rows sort by
+    year, plot CN and the repr of the group cells; a ratio component is
+    None where its denominator is not positive.
     """
     visible = [i for i, c in enumerate(plan.components) if c.name not in plan.hidden_components]
     kinds = [plan.components[c].den for c in visible]
     comp_names = list(fam.byplot_names or [plan.components[c].name for c in visible])
     codes, cns = db.columns.column("PLOT", "CN")
-    keys: dict[tuple, int] = {}
-    seen: set[tuple] = set()
+    seen = np.zeros(0, dtype=np.int64)  # earlier groups' visits, year * len(cns) + CN code
     parts = []  # per group and kept entry: year, CN code, key, count, component values
     for evals in select_family_evals(db, fam.type_sets, fam.name):
         sample = build_sample(db, evals)
         cn, year = codes[sample.rows], sample.year[sample.last]
-        visits = list(zip(cn.tolist(), year.tolist()))
-        fresh = np.array([visit not in seen for visit in visits], dtype=bool)
-        seen.update(visits)
+        visit = year.astype(np.int64) * len(cns) + cn
+        fresh, seen = ~np.isin(visit, seen), np.concatenate([seen, visit])
         bundle = make_bundle(db, plan, sample)
         num = bundle.num
         keep = np.flatnonzero(fresh[num.plot])
@@ -858,24 +857,19 @@ def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable
                 col = (col / den).astype(object)
                 col[none] = None
             cols.append(col)
-        local = np.array([keys.setdefault(gk, len(keys)) for gk in num.keys], dtype=np.intp)
-        parts.append((year[plot], cn[plot], local[key], num.count[keep], *cols))
+        parts.append((year[plot], cn[plot], num.key_row[key], num.count[keep], *cols))
 
     year, cn, key, count, *cols = (np.concatenate(p) for p in zip(*parts))
     cn_rank = np.zeros(len(cns), dtype=np.intp)
     present = dense(cn, len(cns))[0].tolist()
     cn_rank[sorted(present, key=cns.__getitem__)] = np.arange(len(present))
-    reprs = [tuple(map(repr, gk)) for gk in keys]
-    slot = {r: i for i, r in enumerate(sorted(set(reprs)))}
-    key_rank = np.array([slot[r] for r in reprs], dtype=np.intp)
-    order = np.lexsort((key_rank[key], cn_rank[cn], year))
-
-    group = plan.group_columns(list(keys))
-    key = key[order].tolist()
+    ranks = [level_ranks(column, levels, repr)
+             for column, levels in zip(plan.num.codes[key].T, plan.num.levels)]
+    order = np.lexsort((*ranks[::-1], cn_rank[cn], year))
+    group = plan.group_columns(plan.num.codes[key[order]])
     columns = ["YEAR", "PLT_CN", *group, *comp_names, "nStems"]
     return EstimateTable.from_columns(columns, [
-        year[order].tolist(), list(map(cns.__getitem__, cn[order].tolist())),
-        *(list(map(values.__getitem__, key)) for values in group.values()),
+        year[order].tolist(), list(map(cns.__getitem__, cn[order].tolist())), *group.values(),
         *(c[order].tolist() for c in cols), count[order].tolist(),
     ])
 

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import attributes, output
-from .errors import TimberlineError, UsageError
+from .errors import DomainBindError, DomainSyntaxError, TimberlineError, UsageError
 from .evals import ClipOptions, clip, find_evaluations
 from .io import fetch_state, load_database, write_database
 from .model import validate_integrity
@@ -337,7 +337,7 @@ def _cmd_evalids(args) -> int:
     columns = {
         "EVALID": [ev.evalid for ev in evs],
         "STATECD": [ev.statecd for ev in evs],
-        "EVAL_TYP": [ev.eval_typ if ev.eval_typ is not None else "VOL" for ev in evs],
+        "EVAL_TYP": [ev.eval_type for ev in evs],
         "REPORT_YEAR": [ev.report_year for ev in evs],
         "START_INVYR": [ev.start_invyr for ev in evs],
         "END_INVYR": [ev.end_invyr for ev in evs],
@@ -390,6 +390,8 @@ def _cmd_estimate(args) -> int:
         result = attributes.estimate(db, args.family, request)
     except UsageError as exc:
         raise UsageError(problems + list(exc.problems)) from None
+    except (DomainSyntaxError, DomainBindError) as exc:  # a bad domain is a bad request
+        raise UsageError(problems + [str(exc)]) from None
     if problems:
         raise UsageError(problems)
     if args.return_spatial:

@@ -28,6 +28,9 @@ membership per stratum assignment.  A :class:`Plan` holds each variable
 (numerator, area denominator, tree denominator, diversity's species
 abundances) as :class:`Records`: the rows inside every domain, over the
 whole database, with their plot, group-key code, weight and value columns.
+A group key has one form from plan to output, its code row: one code per
+group column into that column's levels (its distinct values).  Keys match
+and sort by code rows, and only the cells of output rows are decoded.
 :func:`make_bundle` gathers the rows on the sample's plots, multiplies in
 each plot's stratum adjustment factor and sums them per (group, plot) with
 ``np.bincount`` into :class:`Entries`.  :class:`_Strata` holds each
@@ -327,7 +330,7 @@ class PanelTotals:
     has an entry.
     """
 
-    keys: list[tuple]
+    codes: np.ndarray  # keys x group columns: each key's code row
     total: np.ndarray
     variance: np.ndarray
     nonzero: np.ndarray
@@ -381,7 +384,7 @@ class _Cells:
         shaped = per_cell.reshape(self.n_keys, cells, per_cell.shape[1]) * weights[:, None]
         return np.stack([shaped[:, a:b].sum(axis=1) for a, b in self.strata.bounds], axis=1)
 
-    def estimates(self, keys: list[tuple]) -> PanelTotals:
+    def estimates(self, codes: np.ndarray) -> PanelTotals:
         """Every key's totals and variances per panel and column.
 
         Per cell, the sum of (x - xbar)^2 over all n_h plots is the sum over
@@ -389,7 +392,7 @@ class _Cells:
         """
         dev = self.x - self.mean[self.cell]
         squares = self._sum(dev * dev) + self.absent[:, None] * self.mean ** 2
-        return PanelTotals(keys, self._over_strata(self.mean, self.strata.area_w),
+        return PanelTotals(codes, self._over_strata(self.mean, self.strata.area_w),
                            self._over_strata(squares, self.strata.var_w),
                            self.nonzero.astype(int), self.any_nonzero.astype(int), self.present)
 
@@ -430,7 +433,7 @@ def post_stratified_total(
     ``weights`` holds w_p, one per panel.
     """
     strata, w = _Strata(sample), np.array([weights], dtype=float)
-    est = _series(values, strata).estimates([()])
+    est = _series(values, strata).estimates(np.zeros((1, 0), dtype=np.intp))
     return TotalEstimate(float(_combine(est.total, w)[0, 0, 0]),
                          float(_combine(est.variance, w * w)[0, 0, 0]),
                          int(est.nonzero.sum()), int(strata.n_plots.sum()))
@@ -542,18 +545,20 @@ class Records:
 
     Rows are the records (or conditions) inside every domain, in walk
     order: plot CN, then the table's order within a plot.  Row r sits on
-    ``db.plots[plot[r]]`` under the group key ``keys[key[r]]``.  In a sample
-    it adds ``weight[r] * factor * values[r]``, where factor is its plot's
-    stratum adjustment for size class ``ADJUST_CLASSES[adjust[r]]``.
+    ``db.plots[plot[r]]`` under group key ``key[r]``, whose code row
+    ``codes[key[r]]`` holds one code per group column i into the values
+    ``levels[i]``.  In a sample it adds ``weight[r] * factor * values[r]``,
+    where factor is its plot's stratum adjustment for size class
+    ``ADJUST_CLASSES[adjust[r]]``.
     """
 
     plot: np.ndarray
     key: np.ndarray
-    keys: list[tuple]
+    levels: list[list]  # per group column: the values its codes index
     weight: np.ndarray
     values: np.ndarray  # rows x columns
     adjust: np.ndarray
-    codes: np.ndarray  # keys x group columns: each key's code per column
+    codes: np.ndarray  # keys x group columns
 
 
 @dataclass(frozen=True)
@@ -581,21 +586,21 @@ class Plan:
     hidden_components: tuple[str, ...] = ()
     emit_variance: bool = False
 
-    def group_columns(self, keys: Sequence[tuple]) -> dict[str, list]:
-        """The group keys' output cells by column, species names after a species column."""
+    def group_columns(self, codes: np.ndarray) -> dict[str, list]:
+        """The cells of numerator code rows by column, species names after a species column."""
         out: dict[str, list] = {}
-        for i, col in enumerate(self.group_cols):
-            out[col.name] = values = [gk[i] for gk in keys]
+        for col, column, levels in zip(self.group_cols, codes.T.tolist(), self.num.levels):
+            out[col.name] = list(map(levels.__getitem__, column))
             if col.origin == "species" and self.species_decoration is not None:
-                names = [self.species_decoration.get(v, (None, None)) for v in values]
-                out["COMMON_NAME"] = [common for common, _ in names]
-                out["SCIENTIFIC_NAME"] = [scientific for _, scientific in names]
+                names = [self.species_decoration.get(v, (None, None)) for v in levels]
+                out["COMMON_NAME"] = [names[c][0] for c in column]
+                out["SCIENTIFIC_NAME"] = [names[c][1] for c in column]
         return out
 
     @property
     def group_names(self) -> list[str]:
         """The output columns of :meth:`group_columns`."""
-        return list(self.group_columns(()))
+        return list(self.group_columns(np.zeros((0, len(self.group_cols)), dtype=np.intp)))
 
 
 def _match(codes: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -628,13 +633,15 @@ class Entries:
     """One variable's sample rows summed per (key, plot), sorted by key then plot.
 
     Only (key, plot) pairs with at least one row are present; :func:`dense`
-    counts them in the order ``np.unique`` sorts them in.  ``rows``,
-    ``entry`` and ``expand`` describe the gathered rows themselves: their
-    index in :class:`Records`, their entry and their weight times factor.
+    counts them in the order ``np.unique`` sorts them in.  Local key k is
+    key ``key_row[k]`` of :class:`Records`, which names it in every sample,
+    with code row ``codes[k]``.  ``rows``, ``entry`` and ``expand`` describe
+    the gathered rows themselves: their index in :class:`Records`, their
+    entry and their weight times factor.
     """
 
-    keys: list[tuple]  # group key of each local key
-    codes: np.ndarray  # each local key's Records.codes
+    key_row: np.ndarray
+    codes: np.ndarray
     key: np.ndarray
     plot: np.ndarray  # sample plot index
     values: np.ndarray  # entries x columns
@@ -645,7 +652,7 @@ class Entries:
     expand: np.ndarray
 
     def cells(self, strata: _Strata) -> _Cells:
-        return _Cells(strata, self.key, self.plot, self.values, len(self.keys))
+        return _Cells(strata, self.key, self.plot, self.values, len(self.codes))
 
     def at(self, key: np.ndarray, plot: np.ndarray) -> np.ndarray:
         """Column-0 value at each (key, plot); 0 for a negative key or no entry."""
@@ -674,19 +681,19 @@ def _gather(rec: Records | None, pos: np.ndarray, factors: np.ndarray, width: in
     n = len(factors)
     if rec is None:
         none = np.zeros(0, dtype=np.intp)
-        return Entries([], np.zeros((0, 0), dtype=np.intp), none, none, np.zeros((0, width)),
+        return Entries(none, np.zeros((0, 0), dtype=np.intp), none, none, np.zeros((0, width)),
                        none, n, none, none, np.zeros(0))
     plot = pos[rec.plot]
     rows = np.flatnonzero(plot >= 0)
     plot = plot[rows]
     expand = rec.weight[rows] * factors[plot, rec.adjust[rows]]
     x = expand[:, None] * rec.values[rows]
-    cell, entry = dense(rec.key[rows] * n + plot, len(rec.keys) * n)
-    present, key = dense(cell // n, len(rec.keys))
+    cell, entry = dense(rec.key[rows] * n + plot, len(rec.codes) * n)
+    present, key = dense(cell // n, len(rec.codes))
     values = np.column_stack(
         [np.bincount(entry, col, minlength=len(cell)) for col in x.T]
     ).reshape(len(cell), x.shape[1])
-    return Entries([rec.keys[k] for k in present.tolist()], rec.codes[present], key, cell % n,
+    return Entries(present, rec.codes[present], key, cell % n,
                    values, np.bincount(entry, minlength=len(cell)), n, rows, entry, expand)
 
 
@@ -742,7 +749,7 @@ def compute_pass(db: ForestDatabase, plan: Plan, sample: Sample) -> PassTotals |
     """
     bundle = make_bundle(db, plan, sample)
     num, den_area, den_tree = bundle.num, bundle.den_area, bundle.den_tree
-    if not (num.keys or den_area.keys or den_tree.keys):
+    if not (len(num.codes) or len(den_area.codes) or len(den_tree.codes)):
         return None  # no totals, so no stratum checks
 
     strata = _Strata(sample)
@@ -750,18 +757,19 @@ def compute_pass(db: ForestDatabase, plan: Plan, sample: Sample) -> PassTotals |
     cov = np.zeros((x.n_keys, strata.n_panels, len(den)))
     empty = np.zeros((0, strata.n_panels, 1))
     counts = empty.astype(int)  # plot counts stay integers
-    totals = [PanelTotals([], empty, empty, counts, counts[..., 0], counts[..., 0] > 0)] * 3
     variables = ((den_area, bundle.area_of), (den_tree, bundle.tree_of), (bundle.species, None))
+    totals = [PanelTotals(entries.codes, empty, empty, counts, counts[..., 0], counts[..., 0] > 0)
+              for entries, _ in variables]  # keep the code width of a variable with no entries
     for i, (entries, den_of) in enumerate(variables):
-        if not entries.keys:  # all zero: skip the kernel's fixed cost
+        if not len(entries.codes):  # all zero: skip the kernel's fixed cost
             continue
         cells = entries.cells(strata)
-        totals[i] = cells.estimates(entries.keys)
+        totals[i] = cells.estimates(entries.codes)
         if den_of is not None:
             key, kind = den_of[x.key], den == ("area", "trees")[i]
             y, y_mean = entries.at(key, x.plot), cells.mean_at(key, x.stratum)
             cov[..., kind] = x.covariances(y, y_mean)[..., kind]
-    return PassTotals(x.estimates(num.keys), cov, *totals, bundle.area_of, bundle.tree_of)
+    return PassTotals(x.estimates(num.codes), cov, *totals, bundle.area_of, bundle.tree_of)
 
 
 def combine_passes(
@@ -781,8 +789,7 @@ def combine_passes(
     weights = np.asarray(weights, dtype=float)
     used, squared = weights != 0, weights * weights
     num = totals.num
-    order = _group_order(plan.group_cols, num.keys)
-    keys = [num.keys[i] for i in order.tolist()]
+    order = _group_order(plan.group_cols, num.codes, plan.num.levels)
 
     def mix(per_panel: np.ndarray, w: np.ndarray, of: np.ndarray | None = None) -> np.ndarray:
         """Combined rows x keys (x columns), keys in group order.
@@ -812,14 +819,13 @@ def combine_passes(
         )
     se = sampling_error_pct(est, var, mix(num.nonzero, used)[..., visible])
     row, k = np.nonzero(present)  # rows of weights, then groups in order
-    rows, ks = row.tolist(), k.tolist()
     cells = np.stack([est, se, var])[:, row, k]  # (est, se, var) x cells x components
     est, se, var = np.where(np.isnan(cells), None, cells).transpose(0, 2, 1).tolist()
 
+    rows, keys = row.tolist(), order[k].tolist()
     out: dict[str, list] = {"lambda": [labels[r][1] for r in rows],
                             "YEAR": [labels[r][0] for r in rows]}
-    for name, values in plan.group_columns(keys).items():
-        out[name] = list(map(values.__getitem__, ks))
+    out.update(plan.group_columns(num.codes[keys]))
     for c, e, s, v in zip(visible, est, se, var):
         name = plan.components[c].name
         out[name], out[name + "_SE"] = e, s
@@ -830,15 +836,16 @@ def combine_passes(
     for label, kind in plan.nplots_cols:
         out[label] = counts[kind][row, k].tolist()
     if plan.species is not None:
-        species = totals.species.keys
+        species = totals.species.codes
         species_order = _group_order(plan.group_cols + (GroupCol("SPCD", "tree", "species"),),
-                                     species).tolist()
+                                     species, plan.species.levels).tolist()
+        owner = _match(species[:, :-1], num.codes).tolist()  # each species key's group
         abundance = _combine(totals.species.total, weights)[..., 0].tolist()
-        pooled: list[dict[tuple, list[float]]] = [{} for _ in labels]
+        pooled: list[dict[int, list[float]]] = [{} for _ in labels]
         for by_key, per_species in zip(pooled, abundance):
             for i in species_order:
-                by_key.setdefault(species[i][:-1], []).append(max(per_species[i], 0.0))
-        indices = [_shannon(pooled[r].get(keys[i], ())) for r, i in zip(rows, ks)]
+                by_key.setdefault(owner[i], []).append(max(per_species[i], 0.0))
+        indices = [_shannon(pooled[r].get(key, ())) for r, key in zip(rows, keys)]
         for j, name in enumerate(("H_POOLED", "S_POOLED", "Eh_POOLED")):
             out[name] = [index[j] for index in indices]
     return out
@@ -871,23 +878,23 @@ def _value_key(col: GroupCol, v):
     return (2, str(v))
 
 
-def _group_order(cols: Sequence[GroupCol], keys: Sequence[tuple]) -> np.ndarray:
-    """The stable order of group keys by their cells' :func:`_value_key`, column by column.
+def level_ranks(codes: np.ndarray, levels: Sequence, sort_key: Callable) -> np.ndarray:
+    """Each code's rank among the levels ``codes`` use, by ``sort_key``; equal keys tie."""
+    used, inverse = dense(codes, len(levels))
+    keys = [sort_key(levels[c]) for c in used.tolist()]
+    slot = {sk: r for r, sk in enumerate(sorted(set(keys)))}
+    return np.array([slot[sk] for sk in keys], dtype=np.intp)[inverse]
 
-    Each column's distinct values are ranked once; values with equal sort
-    keys share a rank, so their keys keep their index order.
+
+def _group_order(cols: Sequence[GroupCol], codes: np.ndarray, levels: Sequence) -> np.ndarray:
+    """The stable order of code rows by their cells' :func:`_value_key`, column by column.
+
+    Keys whose cells tie in every column keep their index order.
     """
     if not cols:
-        return np.arange(len(keys))
-    ranks = []
-    for i, col in enumerate(cols):
-        values = [gk[i] for gk in keys]
-        distinct = list(dict.fromkeys(values))
-        sort_keys = [_value_key(col, v) for v in distinct]
-        slot = {sk: r for r, sk in enumerate(sorted(set(sort_keys)))}
-        rank = dict(zip(distinct, map(slot.__getitem__, sort_keys)))
-        ranks.append(list(map(rank.__getitem__, values)))
-    return np.lexsort(ranks[::-1])
+        return np.arange(len(codes))
+    return np.lexsort([level_ranks(column, values, lambda v, col=col: _value_key(col, v))
+                       for col, column, values in zip(cols, codes.T, levels)][::-1])
 
 
 def _shannon(abundances: Sequence[float]) -> tuple[float, int, float]:
@@ -905,10 +912,6 @@ def _shannon(abundances: Sequence[float]) -> tuple[float, int, float]:
 # --------------------------------------------------------------------------
 
 
-def _eval_type(ev: Evaluation) -> str:
-    return ev.eval_typ if ev.eval_typ is not None else "VOL"
-
-
 def select_family_evals(
     db: ForestDatabase, type_sets: Sequence[frozenset[str]], family: str
 ) -> list[list[Evaluation]]:
@@ -920,11 +923,11 @@ def select_family_evals(
     """
     chosen: list[Evaluation] = []
     for types in type_sets:
-        chosen = [e for e in db.evaluations if _eval_type(e) in types]
+        chosen = [e for e in db.evaluations if e.eval_type in types]
         if chosen:
             break
     if not chosen:
-        present = sorted({_eval_type(e) for e in db.evaluations})
+        present = sorted({e.eval_type for e in db.evaluations})
         wanted = " or ".join(sorted(set().union(*type_sets)))
         raise EstimationError(
             f"{family} needs a {wanted} evaluation; database has "

@@ -31,10 +31,8 @@ def find_evaluations(
     for ev in db.evaluations:
         if year is not None and ev.report_year != year:
             continue
-        if eval_type is not None:
-            typ = ev.eval_typ if ev.eval_typ is not None else "VOL"
-            if typ != eval_type.upper():
-                continue
+        if eval_type is not None and ev.eval_type != eval_type.upper():
+            continue
         out.append(ev.evalid)
     return sorted(out)
 

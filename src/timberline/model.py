@@ -170,6 +170,11 @@ class Evaluation:
     end_invyr: int | None = None
     extras: dict[str, str] = field(default_factory=dict)
 
+    @property
+    def eval_type(self) -> str:
+        """EVAL_TYP, read as VOL where it is missing."""
+        return self.eval_typ if self.eval_typ is not None else "VOL"
+
 
 @dataclass(frozen=True, slots=True)
 class EstimationUnit:

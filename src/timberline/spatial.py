@@ -17,14 +17,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import GeometryError
-from .model import PlotRecord
 
-__all__ = ["PolygonFeature", "PolygonSet", "assign_plots", "plot_owners", "emit_spatial"]
+__all__ = ["PolygonFeature", "PolygonSet", "plot_owners", "emit_spatial"]
 
 Ring = tuple[tuple[float, float], ...]
 
@@ -142,20 +141,6 @@ def _load_geojson(source: str | Path | Mapping) -> Mapping:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GeometryError(f"invalid GeoJSON: {exc}") from exc
-
-
-def assign_plots(
-    plots: Iterable[PlotRecord], polys: PolygonSet
-) -> dict[str, object]:
-    """Map plot CN -> containing feature id; plots outside every polygon drop.
-
-    Plots with missing coordinates are skipped (they cannot intersect).
-    """
-    plots = list(plots)
-    x = np.array([p.lon for p in plots], dtype=float)  # None reads NaN
-    y = np.array([p.lat for p in plots], dtype=float)
-    owner = plot_owners(x, y, polys).tolist()
-    return {p.cn: polys.features[k].fid for p, k in zip(plots, owner) if k >= 0}
 
 
 def plot_owners(x: np.ndarray, y: np.ndarray, polys: PolygonSet) -> np.ndarray:

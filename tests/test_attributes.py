@@ -119,6 +119,14 @@ def test_diversity_tpa_basis(synth1):
     assert row["Eh_POOLED"] == pytest.approx(want / math.log(2))
 
 
+@pytest.mark.parametrize("grp_by", [(), ("OWNCD",)])
+def test_diversity_without_trees_in_the_domains_is_empty(synth1, grp_by):
+    # the forest conditions still give area entries; the species have none
+    table = tl.diversity(synth1, tree_domain="DIA > 1e9", grp_by=grp_by)
+    assert len(table) == 0
+    assert table.columns == tl.diversity(synth1, grp_by=grp_by).columns
+
+
 def test_families_missing_required_eval_type(synth1):
     with pytest.raises(EstimationError, match="GRM"):
         tl.grow_mort(synth1)

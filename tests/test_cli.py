@@ -13,6 +13,7 @@ import pytest
 
 import timberline as tl
 from timberline.cli import main
+from timberline.errors import DomainBindError, DomainSyntaxError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SYNTH1 = str(FIXTURES / "SYNTH-1")
@@ -93,6 +94,30 @@ def test_cli_and_engine_problems_merge(capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 3
     assert "BIENNIAL" in err and "--polys" in err
+
+
+@pytest.mark.parametrize("domain, error, problem", [
+    ("NOPE > 1", DomainBindError, "unknown column NOPE"),
+    ("DIA >", DomainSyntaxError,
+     "expected a column name or literal, found 'end of input' (at position 5)"),
+])
+def test_domain_errors_exit_2_with_the_other_problems(capsys, domain, error, problem):
+    rc = main(["tpa", "--db", SYNTH1, "--format", "json", "--pretty", "--tree-domain", domain])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --pretty applies to the csv format only", f"error: {problem}"]
+    with pytest.raises(error, match=re.escape(problem)):  # the API keeps its error types
+        tl.tpa(tl.load_database(SYNTH1, ["CT"]), tree_domain=domain)
+
+
+@pytest.mark.parametrize("grouping", [[], ["--grp-by", "OWNCD"]])
+def test_diversity_without_trees_in_the_domains_prints_the_header(capsys, grouping):
+    rc = main(["diversity", "--db", SYNTH1, "--tree-domain", "DIA > 1e9", *grouping])
+    assert rc == 0
+    group = ["OWNCD"] if grouping else []
+    assert capsys.readouterr().out.splitlines() == [",".join(
+        ["YEAR", *group, "H", "H_SE", "S", "S_SE", "Eh", "Eh_SE", "H_POOLED", "S_POOLED",
+         "Eh_POOLED", "nPlots_TREE", "nPlots_AREA"])]
 
 
 def test_by_plot_rejects_variance_and_panel_method(capsys):
@@ -256,10 +281,22 @@ def test_every_exported_name_resolves():
         tl.nope  # noqa: B018
 
 
-def test_readme_per_plot_examples_run_as_written(capsys, monkeypatch):
+def _readme_block(readme: str, title: str, language: str) -> str:
+    """The first ``language`` code block of the README section ``title``."""
+    section = readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def _box(fid, west, east):
+    ring = [[west, 40.5], [east, 40.5], [east, 42.5], [west, 42.5], [west, 40.5]]
+    return {"type": "Feature", "id": fid, "properties": {"name": fid},
+            "geometry": {"type": "Polygon", "coordinates": [ring]}}
+
+
+def test_readme_per_plot_examples_run_as_written(capsys, monkeypatch, tmp_path):
     root = Path(__file__).parents[1]
-    section = (root / "README.md").read_text(encoding="utf-8").split("## Per-plot output", 1)[1]
-    section = section.split("\n## ", 1)[0]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Per-plot output", 1)[1].split("\n## ", 1)[0]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
     shown = [line[2:] for line in code.splitlines() if line.startswith("# ")]
@@ -272,6 +309,39 @@ def test_readme_per_plot_examples_run_as_written(capsys, monkeypatch):
     monkeypatch.chdir(root)
     assert main(argv[1:]) == 0
     assert capsys.readouterr().out == expected
+
+    # The quick start, clipping and polygon examples run in order, in one
+    # namespace, beside the files they name: a generated Connecticut database
+    # in fia/ and polygons over its plots (longitudes -73.5 to -71.5).
+    monkeypatch.chdir(tmp_path)
+    tl.write_database(tl.random_database(4), "fia")
+    Path("watershed.geojson").write_text(json.dumps({
+        "type": "FeatureCollection", "features": [_box("shed", -74.0, -72.5)]}))
+    Path("counties.geojson").write_text(json.dumps({
+        "type": "FeatureCollection",
+        "features": [_box("west", -74.0, -72.5), _box("east", -72.5, -71.0)]}))
+    names: dict = {}
+    for title in ("Quick start", "Choosing plots: evaluations and clipping", "Polygon summaries"):
+        exec(compile(_readme_block(readme, title, "python"), "README.md", "exec"), names)
+    assert len(names["tpa"]) and len(names["vol"]) and len(names["area"])
+    assert 0 < len(names["boxed"].plots) < len(names["db"].plots)
+    assert set(names["table"].column("POLY_ID")) == {"west", "east"}
+    assert names["fc"]["type"] == "FeatureCollection"
+
+    # The command-line examples, each through main(); fetch needs the
+    # network, so it is the one line left out.
+    commands = _readme_block(readme, "Quick start", "sh").splitlines()
+    assert commands[0].startswith("timberline fetch ")
+    shown = {}
+    for line in commands[1:]:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "timberline" and main(argv[1:]) == 0, line
+        shown[argv[1]] = capsys.readouterr()
+    assert shown["validate"].err == "ok\n"
+    assert shown["evalids"].out.startswith("EVALID,STATECD,EVAL_TYP,REPORT_YEAR,")
+    assert json.loads(shown["tpa"].out)["columns"][:3] == ["YEAR", "SPCD", "COMMON_NAME"]
+    assert shown["area"].out.split()[:2] == ["YEAR", "OWNCD"]
+    assert Path("big.csv").read_text(encoding="utf-8").startswith("YEAR,NETVOL_ACRE,")
 
 
 # Defects written into a copy of SYNTH-INV: (file, rows appended, {row: replacement}).

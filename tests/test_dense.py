@@ -2,7 +2,8 @@
 
 ``core.dense`` must return exactly what ``np.unique(code, return_inverse=True)``
 returns, and ``_Ctx.keys`` exactly what the row-wise ``np.unique(..., axis=0)``
-over its code columns gave; the old ``keys`` is kept here as the reference.
+over its code columns gave, its code rows decoding to the old key tuples; the
+old ``keys`` is kept here as the reference.
 ``_match`` must find the same denominator keys as a dict of code rows.
 """
 
@@ -97,10 +98,11 @@ def frames(draw):
 def test_keys_match_the_lexicographic_row_sort(frame):
     columns, n = frame
     cols = tuple(GroupCol(str(i), "tree", "record") for i in range(len(columns)))
-    key, keys, codes = _Ctx.keys(None, Frame(columns, n), cols, None)
+    key, codes, levels = _Ctx.keys(None, Frame(columns, n), cols, None)
     want_key, want_keys, want_codes = old_keys(columns, n)
     assert key.dtype == want_key.dtype and key.tolist() == want_key.tolist()
-    assert keys == want_keys
+    assert levels == [values for _, values in columns]
+    assert [tuple(map(list.__getitem__, levels, row)) for row in codes.tolist()] == want_keys
     assert codes.shape == want_codes.shape and codes.tolist() == want_codes.tolist()
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from timberline.errors import EstimationError, UsageError
 from timberline.evals import ClipOptions, clip, find_evaluations
 from timberline.io import load_database, write_database
 from timberline.model import ForestDatabase, StratumAssignment
-from timberline.spatial import PolygonSet, assign_plots
+from timberline.spatial import PolygonSet, plot_owners
 from timberline.synth import build_fixture, random_database
 
 
@@ -180,7 +181,9 @@ def _reference_clip(db, options):
     plot_by_cn = {p.cn: p for p in db.plots}
     keep_plots = {cn for cn in assigned_plots if cn in plot_by_cn}
     if options.mask is not None:
-        inside = set(assign_plots(db.plots, options.mask))
+        owner = plot_owners(np.array([p.lon for p in db.plots], dtype=float),
+                            np.array([p.lat for p in db.plots], dtype=float), options.mask)
+        inside = {p.cn for p, k in zip(db.plots, owner.tolist()) if k >= 0}
         keep_plots &= inside
         assignments = [a for a in assignments if a.plt_cn in keep_plots]
 

@@ -4,14 +4,24 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import timberline as tl
+from timberline.attributes import _assign_plots
 from timberline.errors import GeometryError
 from timberline.model import PlotRecord
-from timberline.spatial import PolygonSet, assign_plots, emit_spatial
+from timberline.spatial import PolygonSet, emit_spatial, plot_owners
+
+
+def assign_plots(plots, polys):
+    """Plot CN -> id of the first feature containing the plot, through ``plot_owners``."""
+    x = np.array([p.lon for p in plots], dtype=float)  # None reads NaN
+    y = np.array([p.lat for p in plots], dtype=float)
+    owner = plot_owners(x, y, polys).tolist()
+    return {p.cn: polys.features[k].fid for p, k in zip(plots, owner) if k >= 0}
 
 
 def _fc(*features):
@@ -138,7 +148,8 @@ def test_assign_plots_first_feature_wins_and_outside_drops(synth1):
         _square("all", -74.0, 41.0, -72.0, 42.0),
     )
     polys = PolygonSet.from_geojson(overlap)
-    got = assign_plots(synth1.plots, polys)
+    codes, fids = _assign_plots(synth1, polys)
+    got = {p.cn: fids[c] for p, c in zip(synth1.plots, codes.tolist())}
     # P1 (-73.0) and P2 (-72.9) fall in both; file order puts them in "west"
     assert got["P1"] == "west"
     assert got["P2"] == "west"
@@ -199,8 +210,8 @@ def test_return_spatial_end_to_end(synth1):
     assert all("TPA" in f["properties"] for f in fc["features"])
 
 
-# The per-plot loop that assign_plots replaced, kept verbatim as the
-# reference: the array kernel must give the same dict, bit for bit.
+# The per-plot loop that the array kernel replaced, kept verbatim as the
+# reference: ``plot_owners`` must give the same dict, bit for bit.
 def _reference_contains(feature, x, y):
     inside = False
     for ring in feature.rings:
