@@ -49,7 +49,7 @@ from .core import (
     select_family_evals,
 )
 from .domain import bind_domain
-from .errors import UsageError
+from .errors import DomainBindError, DomainSyntaxError, TimberlineError, UsageError
 from .model import (
     FOREST_STATUS,
     FUEL_TYPES,
@@ -700,16 +700,37 @@ def _assign_plots(db: ForestDatabase, polys) -> tuple[np.ndarray, list]:
     return recode(by_cn[codes[:-1]], [None, *(f.fid for f in polys)])
 
 
+def _raise_together(errors: list[TimberlineError]) -> None:
+    """Raise every problem found in a request at once.
+
+    One error is raised as it is.  Several are merged: into one
+    :class:`DomainBindError` if all are, else into a :class:`UsageError`
+    listing each problem.
+    """
+    if len(errors) == 1:
+        raise errors[0]
+    if errors:
+        bind_only = all(isinstance(e, DomainBindError) for e in errors)
+        merged = DomainBindError if bind_only else UsageError
+        raise merged([p for e in errors for p in getattr(e, "problems", [str(e)])])
+
+
 def _build_plan(db: ForestDatabase, fam: Family, req: EstimatorRequest) -> Plan:
     kinds, layer_of = _namespace(db, fam.record_table)
     area_kinds, area_layers = _namespace(db, None)
-    group_cols, species_on = _build_group_cols(fam, req, layer_of)
-
-    domains = (
-        bind_domain(fam.base_domain, kinds) if fam.base_domain else None,
-        bind_domain(req.tree_domain, kinds) if req.tree_domain else None,
-        bind_domain(req.area_domain, area_kinds) if req.area_domain else None,
-    )
+    errors: list[TimberlineError] = []
+    try:
+        group_cols, species_on = _build_group_cols(fam, req, layer_of)
+    except UsageError as exc:
+        errors.append(exc)
+    domains = []
+    for expr, schema in ((fam.base_domain, kinds), (req.tree_domain, kinds),
+                         (req.area_domain, area_kinds)):
+        try:
+            domains.append(bind_domain(expr, schema) if expr else None)
+        except (DomainSyntaxError, DomainBindError) as exc:
+            errors.append(exc)
+    _raise_together(errors)
     decoration = None
     if species_on:
         decoration = {

@@ -388,9 +388,9 @@ def _cmd_estimate(args) -> int:
     )
     try:
         result = attributes.estimate(db, args.family, request)
-    except UsageError as exc:
+    except (UsageError, DomainBindError) as exc:  # a bad domain is a bad request
         raise UsageError(problems + list(exc.problems)) from None
-    except (DomainSyntaxError, DomainBindError) as exc:  # a bad domain is a bad request
+    except DomainSyntaxError as exc:
         raise UsageError(problems + [str(exc)]) from None
     if problems:
         raise UsageError(problems)

@@ -440,7 +440,7 @@ def bind_domain(expr: DomainExpr | str, schema: RowSchema) -> BoundDomain:
 
     walk(expr)
     if problems:
-        raise DomainBindError("; ".join(problems))
+        raise DomainBindError(problems)
     return BoundDomain(expr, tuple(sorted(referenced_columns(expr))))
 
 

@@ -51,7 +51,14 @@ class DomainSyntaxError(TimberlineError):
 
 
 class DomainBindError(TimberlineError):
-    """A parsed domain expression references unknown columns or bad types."""
+    """A parsed domain expression references unknown columns or bad types.
+    ``problems`` lists each one."""
+
+    def __init__(self, problems: list[str] | str):
+        if isinstance(problems, str):
+            problems = [problems]
+        self.problems = problems
+        super().__init__("; ".join(problems))
 
 
 class EstimationError(TimberlineError):

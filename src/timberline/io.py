@@ -20,13 +20,29 @@ A table loads straight into the columns of a :class:`~timberline.model.Table`:
 the chunk's rows are dropped, and each distinct text is parsed once at the
 end of the file.  No record is built.  A file that fails this is read again
 cell by cell, which finds the first bad cell in file order and builds the
-message, so the message costs nothing on a clean file.  Writing formats each
-column once per distinct value and writes rows from those texts.
+message, so the message costs nothing on a clean file.
+
+:func:`load_database` keeps each parsed file of more than ``CHUNK_ROWS`` rows
+as ``<file>.npz`` in a ``.timberline-cache`` directory beside it: its codes
+as int32 rows, its floats as float64 rows, and its distinct values as one
+int64 array and one UTF-8 text, read back with ``allow_pickle=False``.  An
+entry is used only while it carries the SHA-256 of the file's bytes and of
+this module's and the schema's source, and only if its columns are well
+formed; anything else is a miss, which parses the file and rewrites the
+entry.  It pays off only for a directory loaded again unchanged; the first
+load also hashes the file and writes the entry.  A file that fails to load
+is never cached, and a directory that cannot be written is left alone; if
+it holds no entries, it costs no hash either.
+
+Writing formats each column once per distinct value, quotes each distinct
+text once, and writes each row as the join of its cell texts.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
 import logging
 import math
 import operator
@@ -53,8 +69,11 @@ log = logging.getLogger("timberline.io")
 DEFAULT_BASE_URL = "https://apps.fs.usda.gov/fia/datamart/CSV"
 BASE_URL_ENV = "TIMBERLINE_DATAMART_URL"
 
-# Rows read per chunk (and written per block).
+# Rows read per chunk (and written per block); only files with more rows are cached.
 CHUNK_ROWS = 512
+
+# The column cache's directory, beside the table files.
+CACHE_DIR = ".timberline-cache"
 
 FETCH_TABLES = (
     "PLOT", "COND", "TREE", "SEEDLING", "COND_DWM_CALC", "INVASIVE_SUBPLOT_SPP",
@@ -243,8 +262,8 @@ def _read_columns(path: Path, spec: TableSpec, checked: bool) -> tuple[int, dict
     return n, columns, [name for name in names if name not in known]
 
 
-def _read_table(path: Path, spec: TableSpec) -> model.Table:
-    """One table file as columns, in file order.
+def _parse_table(path: Path, spec: TableSpec) -> tuple[int, dict, list]:
+    """One table file's row count, stored columns (in file order) and extras names.
 
     Trees without SIZER get it from DIA.  A plot with a DESIGNCD other than 1
     is reported only once the whole file has parsed, so a malformed cell
@@ -270,7 +289,156 @@ def _read_table(path: Path, spec: TableSpec) -> model.Table:
                 f"{path.name}: plot {cns[cn_codes[bad[0]]]} uses DESIGNCD "
                 f"{values[codes[bad[0]]]}; only the annual design (DESIGNCD 1) is supported"
             )
-    return model.Table(spec, n, columns, extras)
+    return n, columns, extras
+
+
+# --------------------------------------------------------------------------
+# Column cache
+# --------------------------------------------------------------------------
+
+# An entry's members: the key, each column's count of distinct values, its
+# floats and codes as rows of one 2-D array each, and the int and str values
+# of all columns run together; the strs, column names first, are one UTF-8
+# text split at NUL, so a file with a NUL in a cell is not cached.
+_ENTRY_MEMBERS = ("key", "counts", "floats", "codes", "ints", "text")
+
+
+@functools.cache
+def _new_file_mode() -> int:
+    """The mode ``open`` gives a new file under the process's umask."""
+    umask = os.umask(0o022)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+def _replace(target: Path, write) -> None:
+    """Replace ``target`` in one step by a file that ``write(binary file)`` fills,
+    with the mode the umask gives (``mkstemp`` alone gives 0600)."""
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".part")
+    try:
+        with os.fdopen(fd, "wb") as out:
+            os.fchmod(out.fileno(), _new_file_mode())
+            write(out)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+@functools.cache
+def _source_digest() -> bytes:
+    """SHA-256 of the parser's and the schema's source, so changing either misses."""
+    h = hashlib.sha256()
+    for module in (__file__, model.__file__):
+        h.update(Path(module).read_bytes())
+    return h.digest()
+
+
+def _cache_key(path: Path) -> bytes:
+    """The file's SHA-256, read in 1 MB blocks, then the source digest."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fp:
+        while block := fp.read(1 << 20):
+            h.update(block)
+    return h.digest() + _source_digest()
+
+
+def _entry_columns(npz, spec: TableSpec) -> tuple[int, dict, list] | None:
+    """A cache entry's row count, columns and extras; None unless well formed."""
+    def member(name: str, kind: str, ndim: int = 1) -> np.ndarray:
+        array = npz[name]  # bytes, not an array, if the member is not .npy
+        if not isinstance(array, np.ndarray) or array.ndim != ndim or array.dtype.kind != kind:
+            raise ValueError(f"{name} is not a {ndim}-D array of kind {kind}")
+        return array
+
+    counts = member("counts", "i").tolist()
+    floats, codes, ints = member("floats", "f", 2), member("codes", "i", 2), member("ints", "i")
+    strings = member("text", "u").tobytes().decode("utf-8").split("\0")
+    names, kinds = strings[:len(counts)], spec.column_kinds()
+    kind_of = [kinds.get(name, "str") for name in names]
+    total = {k: sum(c for c, of in zip(counts, kind_of) if of == k) for k in ("float", "int", "str")}
+    coded = [count for count, kind in zip(counts, kind_of) if kind != "float"]
+    if (sorted(npz.files) != sorted(_ENTRY_MEMBERS) or floats.dtype != np.float64
+            or codes.dtype != np.int32 or ints.dtype != np.int64 or min(counts, default=0) < 0
+            or len(set(names)) != len(counts) or not set(kinds) <= set(names) or total["float"]
+            or total["int"] != len(ints) or total["str"] != len(strings) - len(names)
+            or len(floats) != len(names) - len(coded)
+            or codes.shape != (len(coded), floats.shape[1]) or floats.shape[1] < 1
+            or not np.isnan(floats[:, -1]).all() or np.any(codes[:, -1] != 0)
+            or codes.min(initial=0) < 0 or np.any(codes.max(axis=1) > coded)):
+        return None
+    float_rows, code_rows = iter(floats), iter(codes)
+    values = {"int": iter(ints.tolist()), "str": iter(strings[len(names):])}
+    columns = {name: next(float_rows) if kind == "float" else
+               (next(code_rows), [None, *islice(values[kind], count)])
+               for name, kind, count in zip(names, kind_of, counts)}
+    return floats.shape[1] - 1, columns, [name for name in names if name not in kinds]
+
+
+def _read_entry(entry: Path, spec: TableSpec, key: bytes) -> tuple[int, dict, list] | None:
+    """The cached columns of a file whose key is ``key``; None on any miss."""
+    try:
+        with np.load(entry, allow_pickle=False) as npz:
+            stored = npz["key"]
+            if not isinstance(stored, np.ndarray) or stored.tobytes() != key:
+                return None
+            return _entry_columns(npz, spec)
+    except Exception as exc:  # a damaged zip fails in many ways; each is only a miss
+        log.debug("cache entry %s unreadable: %r", entry, exc)
+        return None
+
+
+def _write_entry(entry: Path, spec: TableSpec, key: bytes, n: int, columns: dict) -> None:
+    """Store a parsed file's columns under ``key``, unless they would not read back.
+
+    The entry replaces any earlier one in one step.
+    """
+    kinds = spec.column_kinds()
+    counts, floats, codes, ints, strings = [], [], [], [], list(columns)
+    for name, col in columns.items():
+        if isinstance(col, np.ndarray):
+            counts.append(0)
+            floats.append(col)
+        else:
+            counts.append(len(col[1]) - 1)
+            codes.append(col[0])
+            (ints if kinds.get(name) == "int" else strings).extend(col[1][1:])
+    try:
+        text = "\0".join(strings).encode("utf-8")  # TypeError for a value that is not a str
+        packed = np.array(ints, dtype=np.int64)  # OverflowError past int64
+    except (TypeError, OverflowError, UnicodeEncodeError):
+        return
+    if text.count(b"\0") != len(strings) - 1:  # a value holds a NUL
+        return
+    arrays = {
+        "key": np.frombuffer(key, dtype=np.uint8), "counts": np.array(counts, dtype=np.int64),
+        "floats": np.array(floats, dtype=np.float64).reshape(len(floats), n + 1),
+        "codes": np.array(codes, dtype=np.int32).reshape(len(codes), n + 1), "ints": packed,
+        "text": np.frombuffer(text, dtype=np.uint8),
+    }
+    _replace(entry, lambda out: np.savez(out, allow_pickle=False, **arrays))
+
+
+def _load_table(path: Path, spec: TableSpec) -> model.Table:
+    """One table file as columns, through the column cache beside it.
+
+    The file is hashed before the parse only if it has an entry, and after
+    the parse only if an entry can be written, so a directory that has no
+    entries and cannot be written costs no hash.
+    """
+    entry = path.parent / CACHE_DIR / f"{path.name}.npz"
+    key = _cache_key(path) if entry.is_file() else None
+    parsed = _read_entry(entry, spec, key) if key else None
+    if parsed is None:
+        parsed = _parse_table(path, spec)
+        try:
+            if parsed[0] > CHUNK_ROWS:
+                entry.parent.mkdir(exist_ok=True)
+                _write_entry(entry, spec, key or _cache_key(path), *parsed[:2])
+        except OSError:  # a directory that cannot be written
+            pass
+    return model.Table(spec, *parsed)
 
 
 def _concat(spec: TableSpec, tables: list) -> model.Table:
@@ -325,13 +493,13 @@ def load_database(directory: str | os.PathLike, states: Sequence[str]) -> Forest
                 if spec.mandatory:
                     raise LoadError(f"missing required table file {path.name}")
                 continue
-            files[spec.table].append(_read_table(path, spec))
+            files[spec.table].append(_load_table(path, spec))
         prefixed = root / f"{st}_REF_SPECIES.csv"
         if prefixed.is_file():
-            files["REF_SPECIES"].append(_read_table(prefixed, model.REF_SPECIES_SPEC))
+            files["REF_SPECIES"].append(_load_table(prefixed, model.REF_SPECIES_SPEC))
     shared = root / "REF_SPECIES.csv"
     if shared.is_file():
-        files["REF_SPECIES"].append(_read_table(shared, model.REF_SPECIES_SPEC))
+        files["REF_SPECIES"].append(_load_table(shared, model.REF_SPECIES_SPEC))
 
     tables = {}
     for spec in model.TABLES.values():
@@ -369,18 +537,35 @@ def _cell_texts(col) -> tuple[np.ndarray, list[str]]:
     return codes[:-1], [_format_cell(v) for v in values]
 
 
+def _quote(text: str) -> str:
+    """A cell as csv's ``QUOTE_MINIMAL`` writes it: quoted when it holds a comma,
+    a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_table(path: Path, table: model.Table, rows: np.ndarray) -> None:
-    """The given rows of a table; extras columns holding a value there follow, sorted."""
+    """The given rows of a table; extras columns holding a value there follow, sorted.
+
+    Each distinct cell text is quoted once and each row is the join of its
+    cells.  A row of one empty cell is written ``""``, as csv writes it, so
+    that it does not read back as a blank line.
+    """
     names = [c.name for c in table.spec.columns] + sorted(
         name for name in table.extras if table.column(name)[0][rows].any())
-    columns = [_cell_texts(table.column(name)) for name in names]
+    empty = '""' if len(names) == 1 else ""
+    columns = []
+    for name in names:
+        codes, texts = _cell_texts(table.column(name))
+        columns.append((codes, [_quote(t) or empty for t in texts]))
     with open(path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp, lineterminator="\r\n")
-        writer.writerow(names)
+        fp.write(",".join(_quote(n) or empty for n in names) + "\r\n")
         for start in range(0, len(rows), CHUNK_ROWS):
             block = rows[start:start + CHUNK_ROWS]
-            writer.writerows(zip(*(map(strings.__getitem__, codes[block].tolist())
-                                   for codes, strings in columns)))
+            lines = map(",".join, zip(*(map(texts.__getitem__, codes[block].tolist())
+                                        for codes, texts in columns)))
+            fp.write("\r\n".join(lines) + "\r\n")
 
 
 def write_database(db: ForestDatabase, directory: str | os.PathLike) -> list[str]:
@@ -508,14 +693,6 @@ def fetch_state(
                 "size mismatch for %s: header said %s bytes, got %d",
                 fname, declared, len(resp.content),
             )
-        fd, tmp = tempfile.mkstemp(dir=root, prefix=fname, suffix=".part")
-        try:
-            with os.fdopen(fd, "wb") as out:
-                out.write(resp.content)
-            os.replace(tmp, root / fname)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _replace(root / fname, lambda out: out.write(resp.content))
         fetched.append(fname)
     return fetched

@@ -13,7 +13,7 @@ import pytest
 
 import timberline as tl
 from timberline.cli import main
-from timberline.errors import DomainBindError, DomainSyntaxError
+from timberline.errors import DomainBindError, DomainSyntaxError, UsageError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SYNTH1 = str(FIXTURES / "SYNTH-1")
@@ -108,6 +108,33 @@ def test_domain_errors_exit_2_with_the_other_problems(capsys, domain, error, pro
         "error: --pretty applies to the csv format only", f"error: {problem}"]
     with pytest.raises(error, match=re.escape(problem)):  # the API keeps its error types
         tl.tpa(tl.load_database(SYNTH1, ["CT"]), tree_domain=domain)
+
+
+@pytest.mark.parametrize("grouping, problems", [
+    (["--grp-by", "NOPE2"], ["unknown grouping column NOPE2", "unknown column NOPE",
+                             "unknown column ALSO_NOPE"]),
+    ([], ["unknown column NOPE", "unknown column ALSO_NOPE"]),
+])
+def test_every_grouping_and_domain_problem_is_reported(capsys, grouping, problems):
+    rc = main(["tpa", "--db", SYNTH1, "--tree-domain", "NOPE > 1",
+               "--area-domain", "ALSO_NOPE == 2", *grouping])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {p}" for p in problems]
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"grp_by": ("X", "Y")}, UsageError, "unknown grouping column X; unknown grouping column Y"),
+    ({"tree_domain": "A > 1", "area_domain": "B == 2"}, DomainBindError,
+     "unknown column A; unknown column B"),
+    ({"tree_domain": "A >", "area_domain": "B == 2"}, UsageError,
+     "expected a column name or literal, found 'end of input' (at position 3); unknown column B"),
+    ({"tree_domain": "A > 1", "grp_by": ("X",)}, UsageError,
+     "unknown grouping column X; unknown column A"),
+])
+def test_the_api_reports_every_problem_of_a_request(synth1, kwargs, error, message):
+    with pytest.raises(error) as info:
+        tl.tpa(synth1, **kwargs)
+    assert type(info.value) is error and str(info.value) == message
 
 
 @pytest.mark.parametrize("grouping", [[], ["--grp-by", "OWNCD"]])

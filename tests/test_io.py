@@ -2,13 +2,17 @@
 
 import csv
 import dataclasses
+import functools
+import io
 import os
+import stat
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,8 +178,13 @@ def test_non_finite_cell_fails_load_through_cli(tmp_path, capsys, column, value)
 # ---------------------------------------------------------------------------
 
 
+def _read_table(path, spec):
+    """One table file parsed into a table, as ``load_database`` parses it."""
+    return model.Table(spec, *tio._parse_table(path, spec))
+
+
 def _reference_read_table(path, spec):
-    """The per-record loader that ``io._read_table`` replaced, kept as an oracle."""
+    """The per-record loader that ``io._parse_table`` replaced, kept as an oracle."""
     known = {c.name: c for c in spec.columns}
     records = []
     with open(path, newline="", encoding="utf-8-sig") as fp:
@@ -290,7 +299,7 @@ def test_column_loader_matches_record_loop(table, chunk_rows):
         path = Path(tmp) / f"CT_{spec.table}.csv"
         path.write_text(text, encoding="utf-8")
         with mock.patch.object(tio, "CHUNK_ROWS", chunk_rows):
-            got = _outcome(tio._read_table, path, spec)
+            got = _outcome(_read_table, path, spec)
         names = [h.strip().upper() for h in text.split("\r\n", 1)[0].split(",")]
         repeat = next((n for i, n in enumerate(names) if n in names[:i]), None)
         if repeat is None:
@@ -309,7 +318,7 @@ def test_bad_cell_past_first_chunk_reports_its_row(tmp_path):
         for i in range(n):
             writer.writerow([f"T{i}", "P1", "1", "ten" if i == bad else "7.5"])
     with pytest.raises(LoadError) as info:
-        tio._read_table(path, model.TREE_SPEC)
+        _read_table(path, model.TREE_SPEC)
     assert str(info.value) == (
         f"CT_TREE.csv row {bad + 2} column DIA: could not parse 'ten' as float"
     )
@@ -322,10 +331,10 @@ def test_unsupported_design_reported_after_whole_file_parses(tmp_path):
     path.write_text("\r\n".join(lines) + "\r\n")
     with mock.patch.object(tio, "CHUNK_ROWS", 2):
         with pytest.raises(LoadError, match="plot P2 uses DESIGNCD 410"):
-            tio._read_table(path, model.PLOT_SPEC)
+            _read_table(path, model.PLOT_SPEC)
         path.write_text("\r\n".join(lines[:-1] + ["P4,9,4,x,1"]) + "\r\n")
         with pytest.raises(LoadError, match="CT_PLOT.csv row 5 column INVYR"):
-            tio._read_table(path, model.PLOT_SPEC)
+            _read_table(path, model.PLOT_SPEC)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -336,7 +345,7 @@ def test_column_loader_matches_record_loop_on_random_database(tmp_path, seed):
     for path in paths:
         table = path.stem if path.stem == "REF_SPECIES" else path.stem.split("_", 1)[1]
         spec = model.TABLES[table]
-        got = _outcome(tio._read_table, path, spec)
+        got = _outcome(_read_table, path, spec)
         assert got[0] == "records"
         assert got == _outcome(_reference_read_table, path, spec)
 
@@ -371,6 +380,17 @@ def test_fetch_writes_files_and_skips_missing_optional(tmp_path):
     assert "CT_SEEDLING.csv" not in files
     assert (tmp_path / "CT_PLOT.csv").read_bytes() == b"CN\r\n1\r\n"
     assert not list(tmp_path.glob("*.part"))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o007])
+def test_fetched_files_get_the_umask_mode(tmp_path, monkeypatch, umask):
+    monkeypatch.setattr(tio, "_new_file_mode", functools.cache(tio._new_file_mode.__wrapped__))
+    old = os.umask(umask)
+    try:
+        fetch_state("CT", tmp_path, base_url="http://mirror.test", session=_Session({}))
+    finally:
+        os.umask(old)
+    assert {stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} == {0o666 & ~umask}
 
 
 def test_fetch_missing_mandatory_table_fails(tmp_path):
@@ -501,3 +521,38 @@ def test_column_writer_matches_record_writer(db, loaded):
         assert got == want
         for name in want:
             assert (root / "got" / name).read_bytes() == (root / "want" / name).read_bytes()
+
+
+_CELL_TEXTS = st.text(st.sampled_from('ab ,"\r\n\t\'x'), max_size=5)
+
+
+@st.composite
+def _text_table(draw):
+    """A table of str columns (one, or several) plus text extras."""
+    width = draw(st.integers(1, 3))
+    spec = model.TableSpec("T", model.SpeciesRef, tuple(
+        model.ColumnSpec(f"C{i}", f"c{i}", "str") for i in range(width)), False, "t")
+    extras = draw(st.lists(st.sampled_from(["X,1", 'Y"', "Z"]), unique=True, max_size=2))
+    n = draw(st.integers(0, 12))
+    columns = {name: model.factorize([draw(_CELL_TEXTS) or None for _ in range(n)])
+               for name in [c.name for c in spec.columns] + extras}
+    rows = draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
+    return model.Table(spec, n, columns, extras), np.array(rows, dtype=np.intp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_text_table(), chunk_rows=st.sampled_from([1, 3, tio.CHUNK_ROWS]))
+def test_joined_rows_match_csv_writer(tmp_path_factory, case, chunk_rows):
+    table, rows = case
+    path = tmp_path_factory.mktemp("w") / "T.csv"
+    with mock.patch.object(tio, "CHUNK_ROWS", chunk_rows):
+        tio._write_table(path, table, rows)
+    names = [c.name for c in table.spec.columns] + sorted(
+        name for name in table.extras if table.column(name)[0][rows].any())
+    want = io.StringIO(newline="")
+    writer = csv.writer(want, lineterminator="\r\n")
+    writer.writerow(names)
+    for r in rows.tolist():
+        codes_values = [table.column(name) for name in names]
+        writer.writerow([values[codes[r]] or "" for codes, values in codes_values])
+    assert path.read_bytes() == want.getvalue().encode()
