@@ -607,7 +607,8 @@ FAMILIES: dict[str, Family] = {f.name: f for f in (
 # --------------------------------------------------------------------------
 
 
-def _validate(fam: Family, req: EstimatorRequest) -> None:
+def _validate(fam: Family, req: EstimatorRequest) -> list[str]:
+    """The problems of the request's options that need no table to find."""
     problems: list[str] = []
     if req.tree_domain is not None and "treeDomain" not in fam.supports:
         problems.append(f"{fam.name} does not accept a tree domain")
@@ -646,8 +647,7 @@ def _validate(fam: Family, req: EstimatorRequest) -> None:
         problems.append(f"abundance basis applies only to diversity, not {fam.name}")
     if req.basis not in ("BA", "TPA"):
         problems.append(f"abundance basis must be BA or TPA, got {req.basis!r}")
-    if problems:
-        raise UsageError(problems)
+    return problems
 
 
 def _build_group_cols(
@@ -718,14 +718,16 @@ def _raise_together(errors: list[TimberlineError]) -> None:
 def _build_plan(db: ForestDatabase, fam: Family, req: EstimatorRequest) -> Plan:
     kinds, layer_of = _namespace(db, fam.record_table)
     area_kinds, area_layers = _namespace(db, None)
-    errors: list[TimberlineError] = []
+    problems = _validate(fam, req)
+    errors: list[TimberlineError] = [UsageError(problems)] if problems else []
     try:
         group_cols, species_on = _build_group_cols(fam, req, layer_of)
     except UsageError as exc:
         errors.append(exc)
     domains = []
-    for expr, schema in ((fam.base_domain, kinds), (req.tree_domain, kinds),
-                         (req.area_domain, area_kinds)):
+    for expr, schema in ((fam.base_domain, kinds),  # a domain _validate refused is not bound
+                         ("treeDomain" in fam.supports and req.tree_domain, kinds),
+                         ("areaDomain" in fam.supports and req.area_domain, area_kinds)):
         try:
             domains.append(bind_domain(expr, schema) if expr else None)
         except (DomainSyntaxError, DomainBindError) as exc:
@@ -902,7 +904,6 @@ def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable
 
 def run_family(db: ForestDatabase, fam: Family, req: EstimatorRequest):
     """Validate a request, build its plan, run the estimation, shape the output."""
-    _validate(fam, req)
     plan = _build_plan(db, fam, req)
     if req.by_plot:
         return _by_plot_table(db, fam, plan)

@@ -75,10 +75,8 @@ CHUNK_ROWS = 512
 # The column cache's directory, beside the table files.
 CACHE_DIR = ".timberline-cache"
 
-FETCH_TABLES = (
-    "PLOT", "COND", "TREE", "SEEDLING", "COND_DWM_CALC", "INVASIVE_SUBPLOT_SPP",
-    "POP_EVAL", "POP_ESTN_UNIT", "POP_STRATUM", "POP_PLOT_STRATUM_ASSGN",
-)
+# Every state table; REF_SPECIES is one shared file, not fetched per state.
+FETCH_TABLES = tuple(table for table in model.TABLES if table != "REF_SPECIES")
 
 
 def _parse_cell(raw: str, kind: str, where: str):

@@ -1,10 +1,17 @@
 """Typed inventory tables and the in-memory database container.
 
 The package works from a fixed, documented subset of DataMart-style CSV
-columns.  Each table has a record type, a frozen dataclass.  Columns the
-loader does not recognize are kept as trimmed text in extras columns (each
-record's ``extras`` mapping), so they remain usable for grouping and domain
-filtering and survive a write/load round trip.
+columns.  Each table has a record type, a frozen dataclass, and that class
+is the table's only schema: :data:`TABLES` derives each
+:class:`TableSpec` from its fields (see :meth:`TableSpec.of`).  A field is
+one CSV column, in field order, named by its name upper cased; a column
+whose CSV name differs says so in the field's metadata, as
+``field(default=None, metadata={"column": "STRATUM_WGT"})`` on
+:class:`Stratum`.  Its annotation's first type (int, float or str) is the
+parse type, and a field without a default is a required column.  Columns
+the loader does not recognize are kept as trimmed text in extras columns
+(each record's ``extras`` mapping), so they remain usable for grouping and
+domain filtering and survive a write/load round trip.
 
 A :class:`ForestDatabase` holds every table as a :class:`Table`, and
 columns are its only storage: the loader parses each CSV column straight
@@ -188,10 +195,10 @@ class EstimationUnit:
 class Stratum:
     cn: str
     estn_unit_cn: str
-    weight: float | None = None
-    adj_subp: float | None = None
-    adj_micr: float | None = None
-    adj_macr: float | None = None
+    weight: float | None = field(default=None, metadata={"column": "STRATUM_WGT"})
+    adj_subp: float | None = field(default=None, metadata={"column": "ADJ_FACTOR_SUBP"})
+    adj_micr: float | None = field(default=None, metadata={"column": "ADJ_FACTOR_MICR"})
+    adj_macr: float | None = field(default=None, metadata={"column": "ADJ_FACTOR_MACR"})
     extras: dict[str, str] = field(default_factory=dict)
 
     def adjustment(self, sizer: str | None) -> float:
@@ -227,12 +234,6 @@ def derive_sizer(dia: float | None) -> str | None:
     return MICROPLOT if dia < 5.0 else SUBPLOT
 
 
-# --------------------------------------------------------------------------
-# Column schemas.  One ColumnSpec per recognized CSV column, in file order.
-# ``kind`` is the parse type; unknown header names land in record extras.
-# --------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class ColumnSpec:
     name: str
@@ -249,172 +250,47 @@ class TableSpec:
     mandatory: bool
     db_field: str
 
+    @classmethod
+    def of(cls, table: str, record: type, mandatory: bool, db_field: str) -> "TableSpec":
+        """The spec whose columns are ``record``'s fields but ``extras``, in order.
+
+        A field's CSV name is its ``metadata["column"]``, else its name upper
+        cased; its kind is the first type of its annotation, which must be
+        int, float or str; it is required when it has no default.
+        """
+        columns = []
+        for f in dataclasses.fields(record):
+            if f.name == "extras":
+                continue
+            kind = str(f.type).split("|")[0].strip()
+            if kind not in ("int", "float", "str"):
+                raise TypeError(f"{record.__name__}.{f.name}: a column is int, float or str, "
+                                f"not {f.type}")
+            required = f.default is f.default_factory is dataclasses.MISSING
+            columns.append(ColumnSpec(f.metadata.get("column", f.name.upper()), f.name, kind,
+                                      required))
+        return cls(table, record, tuple(columns), mandatory, db_field)
+
     def column_kinds(self) -> dict[str, str]:
         return {c.name: c.kind for c in self.columns}
 
 
-def _cols(*specs: tuple) -> tuple[ColumnSpec, ...]:
-    return tuple(ColumnSpec(*s) for s in specs)
-
-
-PLOT_SPEC = TableSpec(
-    "PLOT", PlotRecord,
-    _cols(
-        ("CN", "cn", "str", True),
-        ("STATECD", "statecd", "int", True),
-        ("PLOT", "plot", "int", True),
-        ("INVYR", "invyr", "int", True),
-        ("MEASYEAR", "measyear", "int"),
-        ("LAT", "lat", "float"),
-        ("LON", "lon", "float"),
-        ("REMPER", "remper", "float"),
-        ("PLOT_STATUS_CD", "plot_status_cd", "int"),
-        ("DESIGNCD", "designcd", "int"),
-    ),
-    True, "plots",
-)
-
-COND_SPEC = TableSpec(
-    "COND", ConditionRecord,
-    _cols(
-        ("CN", "cn", "str", True),
-        ("PLT_CN", "plt_cn", "str", True),
-        ("CONDID", "condid", "int", True),
-        ("COND_STATUS_CD", "cond_status_cd", "int"),
-        ("CONDPROP_UNADJ", "condprop_unadj", "float"),
-        ("FORTYPCD", "fortypcd", "int"),
-        ("OWNCD", "owncd", "int"),
-        ("STDAGE", "stdage", "int"),
-    ),
-    True, "conds",
-)
-
-TREE_SPEC = TableSpec(
-    "TREE", TreeRecord,
-    _cols(
-        ("CN", "cn", "str", True),
-        ("PLT_CN", "plt_cn", "str", True),
-        ("CONDID", "condid", "int", True),
-        ("STATUSCD", "statuscd", "int"),
-        ("SPCD", "spcd", "int"),
-        ("DIA", "dia", "float"),
-        ("TPA_UNADJ", "tpa_unadj", "float"),
-        ("SIZER", "sizer", "str"),
-        ("VOLCFNET", "volcfnet", "float"),
-        ("VOLCSNET", "volcsnet", "float"),
-        ("DRYBIO_AG", "drybio_ag", "float"),
-        ("DRYBIO_BG", "drybio_bg", "float"),
-        ("CARBON_AG", "carbon_ag", "float"),
-        ("CARBON_BG", "carbon_bg", "float"),
-        ("PREVDIA", "prevdia", "float"),
-        ("COMPONENT", "component", "str"),
-        ("TPAMORT_UNADJ", "tpamort_unadj", "float"),
-        ("TPAREMV_UNADJ", "tparemv_unadj", "float"),
-        ("TPAGROW_UNADJ", "tpagrow_unadj", "float"),
-    ),
-    False, "trees",
-)
-
-SEEDLING_SPEC = TableSpec(
-    "SEEDLING", SeedlingRecord,
-    _cols(
-        ("PLT_CN", "plt_cn", "str", True),
-        ("CONDID", "condid", "int", True),
-        ("SPCD", "spcd", "int"),
-        ("TREECOUNT", "treecount", "int"),
-        ("TPA_UNADJ", "tpa_unadj", "float"),
-    ),
-    False, "seedlings",
-)
-
-DWM_SPEC = TableSpec(
-    "COND_DWM_CALC", DwmRecord,
-    _cols(
-        ("PLT_CN", "plt_cn", "str", True),
-        ("CONDID", "condid", "int", True),
-        ("FUEL_TYPE", "fuel_type", "str", True),
-        ("VOL_ACRE", "vol_acre", "float"),
-        ("BIO_ACRE", "bio_acre", "float"),
-        ("CARB_ACRE", "carb_acre", "float"),
-    ),
-    False, "dwm",
-)
-
-INVASIVE_SPEC = TableSpec(
-    "INVASIVE_SUBPLOT_SPP", InvasiveRecord,
-    _cols(
-        ("PLT_CN", "plt_cn", "str", True),
-        ("CONDID", "condid", "int", True),
-        ("SPCD", "spcd", "int"),
-        ("COVER_PCT", "cover_pct", "float"),
-    ),
-    False, "invasives",
-)
-
-POP_EVAL_SPEC = TableSpec(
-    "POP_EVAL", Evaluation,
-    _cols(
-        ("EVALID", "evalid", "int", True),
-        ("STATECD", "statecd", "int"),
-        ("EVAL_TYP", "eval_typ", "str"),
-        ("REPORT_YEAR", "report_year", "int"),
-        ("START_INVYR", "start_invyr", "int"),
-        ("END_INVYR", "end_invyr", "int"),
-    ),
-    True, "evaluations",
-)
-
-POP_ESTN_UNIT_SPEC = TableSpec(
-    "POP_ESTN_UNIT", EstimationUnit,
-    _cols(
-        ("CN", "cn", "str", True),
-        ("EVALID", "evalid", "int", True),
-        ("AREA_USED", "area_used", "float"),
-    ),
-    True, "estn_units",
-)
-
-POP_STRATUM_SPEC = TableSpec(
-    "POP_STRATUM", Stratum,
-    _cols(
-        ("CN", "cn", "str", True),
-        ("ESTN_UNIT_CN", "estn_unit_cn", "str", True),
-        ("STRATUM_WGT", "weight", "float"),
-        ("ADJ_FACTOR_SUBP", "adj_subp", "float"),
-        ("ADJ_FACTOR_MICR", "adj_micr", "float"),
-        ("ADJ_FACTOR_MACR", "adj_macr", "float"),
-    ),
-    True, "strata",
-)
-
-POP_ASSGN_SPEC = TableSpec(
-    "POP_PLOT_STRATUM_ASSGN", StratumAssignment,
-    _cols(
-        ("PLT_CN", "plt_cn", "str", True),
-        ("STRATUM_CN", "stratum_cn", "str", True),
-        ("INVYR", "invyr", "int"),
-    ),
-    True, "assignments",
-)
-
-REF_SPECIES_SPEC = TableSpec(
-    "REF_SPECIES", SpeciesRef,
-    _cols(
-        ("SPCD", "spcd", "int", True),
-        ("COMMON_NAME", "common_name", "str"),
-        ("GENUS", "genus", "str"),
-        ("SCIENTIFIC_NAME", "scientific_name", "str"),
-    ),
-    False, "species",
-)
-
-TABLES: dict[str, TableSpec] = {
-    s.table: s for s in (
-        PLOT_SPEC, COND_SPEC, TREE_SPEC, SEEDLING_SPEC, DWM_SPEC,
-        INVASIVE_SPEC, POP_EVAL_SPEC, POP_ESTN_UNIT_SPEC, POP_STRATUM_SPEC,
-        POP_ASSGN_SPEC, REF_SPECIES_SPEC,
-    )
-}
+# Each table in load order: its name, record type, whether a state must have
+# the file, and the ForestDatabase field holding it.
+TABLES: dict[str, TableSpec] = {entry[0]: TableSpec.of(*entry) for entry in (
+    ("PLOT", PlotRecord, True, "plots"),
+    ("COND", ConditionRecord, True, "conds"),
+    ("TREE", TreeRecord, False, "trees"),
+    ("SEEDLING", SeedlingRecord, False, "seedlings"),
+    ("COND_DWM_CALC", DwmRecord, False, "dwm"),
+    ("INVASIVE_SUBPLOT_SPP", InvasiveRecord, False, "invasives"),
+    ("POP_EVAL", Evaluation, True, "evaluations"),
+    ("POP_ESTN_UNIT", EstimationUnit, True, "estn_units"),
+    ("POP_STRATUM", Stratum, True, "strata"),
+    ("POP_PLOT_STRATUM_ASSGN", StratumAssignment, True, "assignments"),
+    ("REF_SPECIES", SpeciesRef, False, "species"),
+)}
+PLOT_SPEC, TREE_SPEC, REF_SPECIES_SPEC = TABLES["PLOT"], TABLES["TREE"], TABLES["REF_SPECIES"]
 
 _COLUMN_TO_ATTR: dict[type, dict[str, str]] = {
     spec.record: {c.name: c.attr for c in spec.columns} for spec in TABLES.values()
@@ -580,10 +456,9 @@ class ForestDatabase:
         """Field-by-field equality up to row order within each table."""
         if self.states != other.states:
             return False
-        for name in ("plots", "conds", "trees", "seedlings", "dwm", "invasives",
-                     "evaluations", "estn_units", "strata", "assignments", "species"):
-            a = sorted(getattr(self, name), key=repr)
-            b = sorted(getattr(other, name), key=repr)
+        for spec in TABLES.values():
+            a = sorted(getattr(self, spec.db_field), key=repr)
+            b = sorted(getattr(other, spec.db_field), key=repr)
             if a != b:
                 return False
         return True

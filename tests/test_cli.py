@@ -122,6 +122,18 @@ def test_every_grouping_and_domain_problem_is_reported(capsys, grouping, problem
     assert capsys.readouterr().err.splitlines() == [f"error: {p}" for p in problems]
 
 
+@pytest.mark.parametrize("args, problems", [
+    (["--method", "BIENNIAL", "--tree-domain", "NOPE > 1"],
+     ["unknown method 'BIENNIAL' (choose from TI, ANNUAL, SMA, LMA, EMA)",
+      "unknown column NOPE"]),
+    (["--by-plot", "--variance", "--grp-by", "NOPE2"],
+     ["per-plot output has no variance", "unknown grouping column NOPE2"]),
+])
+def test_option_problems_are_reported_with_the_name_problems(capsys, args, problems):
+    assert main(["tpa", "--db", SYNTH1, *args]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {p}" for p in problems]
+
+
 @pytest.mark.parametrize("kwargs, error, message", [
     ({"grp_by": ("X", "Y")}, UsageError, "unknown grouping column X; unknown grouping column Y"),
     ({"tree_domain": "A > 1", "area_domain": "B == 2"}, DomainBindError,
@@ -130,6 +142,12 @@ def test_every_grouping_and_domain_problem_is_reported(capsys, grouping, problem
      "expected a column name or literal, found 'end of input' (at position 3); unknown column B"),
     ({"tree_domain": "A > 1", "grp_by": ("X",)}, UsageError,
      "unknown grouping column X; unknown column A"),
+    ({"method": "BIENNIAL", "tree_domain": "A > 1"}, UsageError,
+     "unknown method 'BIENNIAL' (choose from TI, ANNUAL, SMA, LMA, EMA); unknown column A"),
+    ({"by_plot": True, "variance": True, "grp_by": ("X",)}, UsageError,
+     "per-plot output has no variance; unknown grouping column X"),
+    ({"method": "BIENNIAL"}, UsageError,
+     "unknown method 'BIENNIAL' (choose from TI, ANNUAL, SMA, LMA, EMA)"),
 ])
 def test_the_api_reports_every_problem_of_a_request(synth1, kwargs, error, message):
     with pytest.raises(error) as info:
@@ -323,11 +341,13 @@ def _box(fid, west, east):
 def test_readme_per_plot_examples_run_as_written(capsys, monkeypatch, tmp_path):
     root = Path(__file__).parents[1]
     readme = (root / "README.md").read_text(encoding="utf-8")
+    for title in ("Per-plot output", "Panel estimators"):  # each prints what it shows
+        code = _readme_block(readme, title, "python")
+        exec(compile(code, "README.md", "exec"), {})
+        shown = [line[2:] for line in code.splitlines() if line.startswith("# ")]
+        assert capsys.readouterr().out.splitlines() == shown, title
+
     section = readme.split("## Per-plot output", 1)[1].split("\n## ", 1)[0]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(code, "README.md", "exec"), {})
-    shown = [line[2:] for line in code.splitlines() if line.startswith("# ")]
-    assert capsys.readouterr().out.splitlines() == shown
 
     command = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
     expected = re.search(r"```json\n(.*?)```", section, re.S).group(1)

@@ -1,5 +1,9 @@
 """Record model, indexes, and integrity checks."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,11 +13,13 @@ from timberline.model import (
     MICROPLOT,
     SUBPLOT,
     TABLES,
+    ColumnSpec,
     ConditionRecord,
     ForestDatabase,
     PlotRecord,
     Stratum,
     Table,
+    TableSpec,
     TreeRecord,
     derive_sizer,
     record_value,
@@ -44,6 +50,27 @@ def test_derive_sizer_breakpoint():
     assert derive_sizer(4.9) == MICROPLOT
     assert derive_sizer(5.0) == SUBPLOT
     assert derive_sizer(None) is None
+
+
+def test_table_specs_match_the_schema_golden():
+    """Every table's name, field, record type and columns, in loader order."""
+    golden = json.loads((Path(__file__).parent / "fixtures" / "schema_golden.json").read_text())
+    assert [{"table": s.table, "db_field": s.db_field, "mandatory": s.mandatory,
+             "record": s.record.__name__,
+             "columns": [[c.name, c.attr, c.kind, c.required] for c in s.columns]}
+            for s in TABLES.values()] == golden
+
+
+def test_a_column_must_be_int_float_or_str():
+    record = dataclasses.make_dataclass("Visit", [
+        ("cn", "str"), ("visited", "date | None", dataclasses.field(default=None))])
+    with pytest.raises(TypeError, match=r"^Visit\.visited: "):
+        TableSpec.of("VISIT", record, False, "visits")
+    record = dataclasses.make_dataclass("Visit", [
+        ("cn", "str"), ("year", "int | None", dataclasses.field(
+            default=None, metadata={"column": "VISIT_YEAR"}))])
+    assert TableSpec.of("VISIT", record, False, "visits").columns == (
+        ColumnSpec("CN", "cn", "str", True), ColumnSpec("VISIT_YEAR", "year", "int", False))
 
 
 def test_stratum_adjustment_by_size_basis():
