@@ -46,6 +46,7 @@ from .core import (
     make_bundle,
     make_classes,
     method_passes,
+    read_only,
     select_family_evals,
 )
 from .domain import bind_domain
@@ -284,12 +285,17 @@ class _Ctx:
         self.poly, self.notes = polys, []
 
     def records(self, table: str, extra: Callable | None = None) -> _Frame:
-        """The family's records on forest land inside every domain."""
+        """The family's records on forest land inside every domain.
+
+        The base domain's mask over the whole table is kept in ``db.columns``.
+        """
         f = _Frame(self.db, table, self.layer_of)
         self.notes.append(Note(logging.WARNING, f"%d {table} rows have no COND row for their "
                                "(PLT_CN, CONDID); skipped", f.joins["plot"][f.joins["cond"] < 0]))
         keep = np.append(self.area_ok, False)[f.joins["cond"]]
-        keep &= _in_domain(self.base, f) & _in_domain(self.tree, f)
+        keep &= self.db.columns.kept(("base domain", self.fam.base_domain, table),
+                                     lambda: read_only(_in_domain(self.base, f)))
+        keep &= _in_domain(self.tree, f)
         if extra is not None:
             keep &= extra(f)
         return f.select(keep)

@@ -54,6 +54,7 @@ those arrays (NaN marks an undefined cell) and builds the output columns.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -135,6 +136,8 @@ class Sample:
     output independent of record order.  Each kept stratum assignment is a
     membership m: plot ``plot[m]`` in stratum h = ``stratum[m]`` (of unit
     ``units[unit[h]]``) during panel ``panel[m]``, measured in ``year[m]``.
+    ``logs`` holds the (level, format, args) lines :func:`build_sample`
+    logs each time it returns this sample.
     """
 
     rows: np.ndarray
@@ -146,17 +149,44 @@ class Sample:
     unit: np.ndarray
     units: list[EstimationUnit]
     n_panels: int = 1
+    logs: tuple[tuple, ...] = ()
 
     @property
     def n_plots(self) -> int:
         return len(self.rows)
 
-    @property
+    @functools.cached_property
     def last(self) -> np.ndarray:
         """Each plot's last membership, which gives its adjustment factors and YEAR."""
         last = np.zeros(self.n_plots, dtype=np.intp)
         np.maximum.at(last, self.plot, np.arange(len(self.plot)))
-        return last
+        return read_only(last)
+
+    @functools.cached_property
+    def _constants(self) -> "_Strata":
+        return _Strata(self)
+
+    def constants(self) -> "_Strata":
+        """The sample's cells and estimator constants, built on first use and kept.
+
+        A build that raises keeps nothing, so it raises again on the next
+        call; the lines the build logs are logged on every call.
+        """
+        strata = self._constants
+        _log(strata.logs)
+        return strata
+
+
+def read_only(*arrays: np.ndarray) -> np.ndarray:
+    """The arrays made read-only; the first is returned."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0]
+
+
+def _log(lines: Sequence[tuple]) -> None:
+    for level, message, args in lines:
+        log.log(level, message, *args)
 
 
 def _assignments(db: ForestDatabase, evals: Sequence[Evaluation]) -> tuple[np.ndarray, ...]:
@@ -195,7 +225,22 @@ def build_sample(
     from the database are a hard error: a sampled plot the estimator cannot
     see would silently bias every mean.  So is a plot assigned more than
     once in one evaluation, which would count it twice in n and n_h.
+
+    The sample depends on the database and the group's EVALIDs only, so
+    ``db.columns`` keeps it, read-only: one without panels and one on the
+    last panel axis asked for, per group.  A build that raises keeps
+    nothing.  Its warnings are logged on every call.
     """
+    axis = None if years is None else tuple(years)
+    _, sample = db.columns.kept(
+        ("sample", tuple(ev.evalid for ev in evals), axis is None),
+        lambda: (axis, _build_sample(db, evals, years)), fits=lambda kept: kept[0] == axis)
+    _log(sample.logs)
+    return sample
+
+
+def _build_sample(db: ForestDatabase, evals: Sequence[Evaluation],
+                  years: Sequence[int] | None) -> Sample:
     view = db.columns
     rows, ev, year, _ = _assignments(db, evals)
     plot_row = view.plot_rows(ASSIGNMENTS)[rows]
@@ -245,11 +290,14 @@ def build_sample(
     for u in np.flatnonzero(cells.reshape(n_panels, len(units)).any(axis=0)).tolist():
         if units[u].area_used is None:
             raise EstimationError(f"estimation unit {units[u].cn} lacks AREA_USED")
+    logs = ()
     if (cells == 0).any():
-        log.warning("%d of %d (estimation unit, panel) cells have no sampled plots in this "
-                    "selection; skipped", np.count_nonzero(cells == 0), len(cells))
-    return Sample(sample_rows, pos[plot_row], stratum, panel, year, [st for st, _ in strata],
-                  unit, units, n_panels)
+        logs = ((logging.WARNING, "%d of %d (estimation unit, panel) cells have no sampled plots "
+                 "in this selection; skipped", (np.count_nonzero(cells == 0), len(cells))),)
+    plot = pos[plot_row]
+    read_only(sample_rows, plot, stratum, panel, year, unit)
+    return Sample(sample_rows, plot, stratum, panel, year, [st for st, _ in strata],
+                  unit, units, n_panels, logs)
 
 
 class _Strata:
@@ -261,7 +309,8 @@ class _Strata:
     with W_h renormalized over the strata of its unit that hold plots in
     that panel and n the unit's plots in that panel.  A plot sits in one
     stratum per evaluation; overlapping evaluations can put it in several,
-    and each membership counts.
+    and each membership counts.  ``logs`` holds the lines to log with the
+    constants, as :attr:`Sample.logs` does; every array is read-only.
     """
 
     def __init__(self, sample: Sample):
@@ -288,12 +337,15 @@ class _Strata:
             )
         dropped = (np.bincount(sample.unit, minlength=n_units)[used % n_units]
                    - np.bincount(cell_unit, minlength=n_panels * n_units)[used])
+        self.logs = []
         if dropped.any():
-            log.warning("%d (stratum, panel) cells with no plots in %d (estimation unit, "
-                        "panel) cells; weights renormalized", sum(dropped), sum(dropped > 0))
+            self.logs.append((logging.WARNING, "%d (stratum, panel) cells with no plots in %d "
+                              "(estimation unit, panel) cells; weights renormalized",
+                              (sum(dropped), sum(dropped > 0))))
         self.n_h = sizes[cells].astype(float)
         if (self.n_h == 1).any():
-            log.debug("%d single-plot cells; their variance terms are 0", sum(self.n_h == 1))
+            self.logs.append((logging.DEBUG, "%d single-plot cells; their variance terms are 0",
+                              (sum(self.n_h == 1),)))
         w, n = weight / wsum[cell_unit], n[cell_unit]
         area = np.array([np.nan if u.area_used is None else u.area_used
                          for u in sample.units], dtype=float)[unit]
@@ -312,6 +364,7 @@ class _Strata:
         self._cell = np.searchsorted(cells, code)[order]
         self._count = np.bincount(sample.plot, minlength=sample.n_plots)
         self._first = np.cumsum(self._count) - self._count
+        read_only(*(a for a in vars(self).values() if isinstance(a, np.ndarray)))
 
     def expand(self, plot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(entry, cell) pairs, one per membership of each entry's plot."""
@@ -432,7 +485,7 @@ def post_stratified_total(
     Panels combine as sum_p w_p * Y_p with variance sum_p w_p^2 * v_p, where
     ``weights`` holds w_p, one per panel.
     """
-    strata, w = _Strata(sample), np.array([weights], dtype=float)
+    strata, w = sample.constants(), np.array([weights], dtype=float)
     est = _series(values, strata).estimates(np.zeros((1, 0), dtype=np.intp))
     return TotalEstimate(float(_combine(est.total, w)[0, 0, 0]),
                          float(_combine(est.variance, w * w)[0, 0, 0]),
@@ -443,7 +496,7 @@ def post_stratified_covariance(
     x: np.ndarray, y: np.ndarray, sample: Sample, weights: Sequence[float] = (1.0,)
 ) -> float:
     """Covariance of two totals over the same sample, combined like variances."""
-    strata, w = _Strata(sample), np.array([weights], dtype=float)
+    strata, w = sample.constants(), np.array([weights], dtype=float)
     xc, yc = _series(x, strata), _series(y, strata)
     return float(_combine(xc.covariances(y[xc.plot], yc.mean[xc.cell, 0]), w * w)[0, 0, 0])
 
@@ -752,7 +805,7 @@ def compute_pass(db: ForestDatabase, plan: Plan, sample: Sample) -> PassTotals |
     if not (len(num.codes) or len(den_area.codes) or len(den_tree.codes)):
         return None  # no totals, so no stratum checks
 
-    strata = _Strata(sample)
+    strata = sample.constants()
     x, den = num.cells(strata), np.array([c.den for c in plan.components])
     cov = np.zeros((x.n_keys, strata.n_panels, len(den)))
     empty = np.zeros((0, strata.n_panels, 1))

@@ -121,7 +121,7 @@ def _among(db: ForestDatabase, table: str, name: str, allowed: set) -> np.ndarra
 
 def _values(db: ForestDatabase, table: str, name: str, rows: np.ndarray) -> set:
     codes, values = db.columns.column(table, name)
-    return {values[c] for c in np.unique(codes[:-1][rows]).tolist()}
+    return {values[c] for c in set(codes[:-1][rows].tolist())}
 
 
 def clip(db: ForestDatabase, options: ClipOptions | None = None, **kw) -> ForestDatabase:

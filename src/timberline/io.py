@@ -529,26 +529,32 @@ def _cell_texts(col) -> tuple[np.ndarray, list[str]]:
     if isinstance(col, np.ndarray):
         # one text per bit pattern, so -0.0 keeps its sign; NaN is null
         bits, codes = np.unique(col[:-1].view(np.int64), return_inverse=True)
-        return codes.reshape(-1), [_format_cell(None if v != v else v)
-                                   for v in bits.view(np.float64).tolist()]
+        floats = bits.view(np.float64)
+        texts = list(map(float.__repr__, floats.tolist()))
+        for i in np.flatnonzero(np.isnan(floats)).tolist():
+            texts[i] = ""
+        return codes.reshape(-1), texts
     codes, values = col
     return codes[:-1], [_format_cell(v) for v in values]
+
+
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
 def _quote(text: str) -> str:
     """A cell as csv's ``QUOTE_MINIMAL`` writes it: quoted when it holds a comma,
     a quote or a line break."""
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
 
 
 def _write_table(path: Path, table: model.Table, rows: np.ndarray) -> None:
     """The given rows of a table; extras columns holding a value there follow, sorted.
 
-    Each distinct cell text is quoted once and each row is the join of its
-    cells.  A row of one empty cell is written ``""``, as csv writes it, so
-    that it does not read back as a blank line.
+    Each distinct cell text is quoted once, in a column with a text to
+    quote, and each row is the join of its cells.  A row of one empty cell
+    is written ``""``, as csv writes it, so that it does not read back as a
+    blank line.
     """
     names = [c.name for c in table.spec.columns] + sorted(
         name for name in table.extras if table.column(name)[0][rows].any())
@@ -556,13 +562,16 @@ def _write_table(path: Path, table: model.Table, rows: np.ndarray) -> None:
     columns = []
     for name in names:
         codes, texts = _cell_texts(table.column(name))
-        columns.append((codes, [_quote(t) or empty for t in texts]))
+        if _needs_quotes("".join(texts)):
+            texts = list(map(_quote, texts))
+        if empty:
+            texts = [t or empty for t in texts]
+        columns.append((codes, np.array(texts, dtype=object)))
     with open(path, "w", newline="", encoding="utf-8") as fp:
         fp.write(",".join(_quote(n) or empty for n in names) + "\r\n")
         for start in range(0, len(rows), CHUNK_ROWS):
             block = rows[start:start + CHUNK_ROWS]
-            lines = map(",".join, zip(*(map(texts.__getitem__, codes[block].tolist())
-                                        for codes, texts in columns)))
+            lines = map(",".join, zip(*(texts[codes[block]].tolist() for codes, texts in columns)))
             fp.write("\r\n".join(lines) + "\r\n")
 
 

@@ -31,7 +31,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -508,7 +508,8 @@ def recode(codes: np.ndarray, values: Sequence) -> tuple[np.ndarray, list]:
 
 
 class ColumnView:
-    """A database's columns in the one form the estimators read, plus joins.
+    """A database's columns in the one form the estimators read, plus joins,
+    and the request-independent state of its estimates.
 
     ``column(table, name)`` gives one code per row into the distinct values
     :func:`record_value` returns for that column (an extras ``''`` stays
@@ -519,14 +520,28 @@ class ColumnView:
     ``db.plots`` and its condition's row in ``db.conds`` (-1 when there is
     none; a duplicate key resolves to its last row).  Everything is built
     from the stored columns on first use and kept.
+
+    :meth:`kept` also holds each evaluation group's
+    :class:`~timberline.core.Sample`, keyed by its EVALIDs and whether it
+    has panels, with its stratum constants once a pass needs them, and each
+    family's base-domain mask, keyed by the base domain and its table.
+    Every key comes from the database or a family's fixed definition, never
+    from a request's domains, groupings or polygons, so what is kept is
+    bounded by the tables and evaluation groups, however many estimates
+    run.  Nothing kept is checked against the tables again: a database
+    must not change once read.
     """
 
     def __init__(self, db: ForestDatabase):
         self.db = db
         self._memo: dict[tuple, object] = {}
 
-    def _get(self, key: tuple, build):
-        if key not in self._memo:
+    def kept(self, key: tuple, build: Callable[[], object],
+             fits: Callable[[object], bool] | None = None):
+        """The value kept under ``key``; ``build()`` makes and keeps it when
+        there is none or ``fits`` refuses the kept one.  A build that raises
+        keeps nothing."""
+        if key not in self._memo or (fits is not None and not fits(self._memo[key])):
             self._memo[key] = build()
         return self._memo[key]
 
@@ -547,7 +562,7 @@ class ColumnView:
                 values[np.searchsorted(distinct, 0.0) + 1] = col[np.argmax(col == 0.0)].item()
             return codes, values
 
-        return self._get(("column", table, name), build)
+        return self.kept(("column", table, name), build)
 
     def floats(self, table: str, name: str) -> np.ndarray:
         col = self.db.table(table).column(name)
@@ -558,7 +573,7 @@ class ColumnView:
             codes, values = self.column(table, name)
             return np.array([np.nan if v is None else v for v in values], dtype=float)[codes]
 
-        return self._get(("floats", table, name), build)
+        return self.kept(("floats", table, name), build)
 
     def order(self, table: str, names: tuple[str, ...]) -> np.ndarray:
         """Row numbers sorted by these columns' values, ties in table order."""
@@ -574,11 +589,11 @@ class ColumnView:
                 keys.append(rank[codes[:-1]])
             return np.lexsort(keys).astype(np.intp)
 
-        return self._get(("order", table, names), build)
+        return self.kept(("order", table, names), build)
 
     def extra_names(self, table: str) -> frozenset[str]:
         """The extras columns holding a value in some row."""
-        return self._get(("extras", table), lambda: frozenset(
+        return self.kept(("extras", table), lambda: frozenset(
             name for name in self.db.table(table).extras
             if self.column(table, name)[0][:-1].any()))
 
@@ -591,7 +606,7 @@ class ColumnView:
         def build():
             if len(names) == 1:  # a row per distinct value, gathered through the codes
                 codes, values = self.column(table, names[0])
-                row_of = self._get(("rows", target, keys[0]), lambda: dict(zip(
+                row_of = self.kept(("rows", target, keys[0]), lambda: dict(zip(
                     map(self.column(target, keys[0])[1].__getitem__,
                         self.column(target, keys[0])[0][:-1].tolist()),
                     itertools.count())))  # a repeated key keeps its last row
@@ -617,7 +632,7 @@ class ColumnView:
             np.maximum.at(last, key, np.arange(n))
             return np.where(found, last[np.where(found, own, 0)], -1)
 
-        return self._get(("join", table, names, target, keys), build)
+        return self.kept(("join", table, names, target, keys), build)
 
     def plot_rows(self, table: str) -> np.ndarray:
         return self.join(table, ("PLT_CN",), "PLOT", ("CN",))

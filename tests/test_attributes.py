@@ -293,25 +293,45 @@ def test_panel_methods_take_one_pass_per_group(synth_panel, monkeypatch, request
     assert sorted(calls) == ["compute_pass", "make_bundle"]
 
 
-def test_panel_warnings_log_once_per_group(synth_panel, caplog):
+PANEL_WARNINGS = [
+    "7 of 12 (estimation unit, panel) cells have no sampled plots in this selection; skipped",
+    "missing panel(s): renormalizing weights over 5 of 6 panels",
+    "5 (stratum, panel) cells with no plots in 5 (estimation unit, panel) cells; "
+    "weights renormalized",
+]
+
+
+def _panel_warning_db(synth_panel):
     """An unmeasured panel, a unit without plots and a stratum without plots."""
     ev = dataclasses.replace(synth_panel.evaluations[0], start_invyr=2013)
-    db = ForestDatabase(
+    return ForestDatabase(
         plots=synth_panel.plots, conds=synth_panel.conds, trees=synth_panel.trees,
         evaluations=[ev],
         estn_units=synth_panel.estn_units + (EstimationUnit("U2", ev.evalid, 5.0),),
         strata=synth_panel.strata + (Stratum("S2", "U91851", 0.5), Stratum("S3", "U2", 1.0)),
         assignments=synth_panel.assignments, species=synth_panel.species,
     )
+
+
+def _warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+
+def test_panel_warnings_log_once_per_group(synth_panel, caplog):
+    db = _panel_warning_db(synth_panel)
     with caplog.at_level(logging.INFO, logger="timberline"):
         tl.tpa(db, method="EMA", lambdas=(0.3, 0.7))
-    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
-        "7 of 12 (estimation unit, panel) cells have no sampled plots in this selection; "
-        "skipped",
-        "missing panel(s): renormalizing weights over 5 of 6 panels",
-        "5 (stratum, panel) cells with no plots in 5 (estimation unit, panel) cells; "
-        "weights renormalized",
-    ]
+    assert _warnings(caplog) == PANEL_WARNINGS
+
+
+def test_panel_warnings_log_again_from_the_kept_sample(synth_panel, caplog):
+    """The second estimate reuses the group's sample and constants, and warns the same."""
+    db = _panel_warning_db(synth_panel)
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="timberline"):
+            tl.tpa(db, method="EMA", lambdas=(0.3, 0.7))
+        assert _warnings(caplog) == PANEL_WARNINGS
 
 
 # ---------------------------------------------------------------------------

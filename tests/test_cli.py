@@ -317,6 +317,30 @@ def test_cli_import_skips_the_oracle_and_the_synthetic_databases():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ("tpa", "--db", SYNTH_PANEL, "--most-recent", "--by-species", "--by-size-class"),
+    ("biomass", "--db", SYNTH_PANEL, "--most-recent", "--tree-domain",
+     "DIA >= 10 & STATUSCD == 1", "--format", "json"),
+    ("area", "--db", SYNTH_PANEL, "--most-recent", "--grp-by", "OWNCD,FORTYPCD",
+     "--area-domain", "STDAGE > 40", "--pretty"),
+    ("growmort", "--db", str(FIXTURES / "SYNTH-GRM"), "--most-recent", "--method", "EMA",
+     "--lambda", "0.3,0.7"),
+    ("clip", "--db", SYNTH_PANEL, "--most-recent", "--out"),
+], ids=lambda argv: argv[0])
+def test_report_commands_never_import_numpy_ma(argv, tmp_path):
+    """Importing ``numpy.ma`` alone costs a command about 16 ms."""
+    if argv[-1] == "--out":
+        argv = (*argv, str(tmp_path / "clip"))
+    src = str(Path(tl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys; from timberline.cli import main; status = main(sys.argv[1:]); "
+            "print(status, 'numpy.ma' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True)
+    assert done.stderr.splitlines()[-1] == "0 False"
+
+
 def test_every_exported_name_resolves():
     for name in tl.__all__:
         assert getattr(tl, name) is not None, name
