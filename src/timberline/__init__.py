@@ -13,89 +13,26 @@ temporally-indifferent or annual panel combining.
 
 import importlib
 
-from .attributes import (
-    FAMILIES,
-    EstimatorRequest,
-    area,
-    biomass,
-    diversity,
-    dwm,
-    estimate,
-    grow_mort,
-    invasive,
-    make_classes,
-    seedling,
-    stand_struct,
-    tpa,
-    vital_rates,
-)
-from .core import EstimateTable
-from .errors import (
-    DomainBindError,
-    DomainSyntaxError,
-    EstimationError,
-    FetchError,
-    GeometryError,
-    LoadError,
-    TimberlineError,
-    UsageError,
-)
-from .evals import ClipOptions, clip, find_evaluations
-from .io import fetch_state, load_database, write_database
-from .model import ForestDatabase, validate_integrity
-from .spatial import PolygonSet
-
 __version__ = "0.3.1"
 
-__all__ = [
-    "FAMILIES",
-    "EstimatorRequest",
-    "EstimateTable",
-    "ForestDatabase",
-    "PolygonSet",
-    "ClipOptions",
-    "TimberlineError",
-    "UsageError",
-    "LoadError",
-    "FetchError",
-    "DomainSyntaxError",
-    "DomainBindError",
-    "EstimationError",
-    "GeometryError",
-    "load_database",
-    "write_database",
-    "fetch_state",
-    "validate_integrity",
-    "find_evaluations",
-    "clip",
-    "estimate",
-    "tpa",
-    "biomass",
-    "area",
-    "grow_mort",
-    "vital_rates",
-    "dwm",
-    "diversity",
-    "invasive",
-    "seedling",
-    "stand_struct",
-    "make_classes",
-    "brute_force_estimate",
-    "compare_tables",
-    "build_fixture",
-    "random_database",
-    "__version__",
-]
+# Every export loads its module on first use, so importing the package (or
+# one module of it, such as the CLI) runs no other module; the reference
+# estimator and the synthetic databases are for testing.
+_LAZY = {name: module for module, names in {
+    "attributes": "FAMILIES EstimatorRequest estimate tpa biomass area grow_mort vital_rates "
+                  "dwm diversity invasive seedling stand_struct make_classes",
+    "core": "EstimateTable",
+    "errors": "TimberlineError UsageError LoadError FetchError DomainSyntaxError "
+              "DomainBindError EstimationError GeometryError",
+    "evals": "ClipOptions clip find_evaluations",
+    "io": "load_database write_database fetch_state",
+    "model": "ForestDatabase validate_integrity",
+    "spatial": "PolygonSet",
+    "oracle": "brute_force_estimate compare_tables",
+    "synth": "build_fixture random_database",
+}.items() for name in names.split()}
 
-
-# The reference estimator and the synthetic databases are for testing; they
-# load on first use so that importing the package (and the CLI) skips them.
-_LAZY = {
-    "brute_force_estimate": "oracle",
-    "compare_tables": "oracle",
-    "build_fixture": "synth",
-    "random_database": "synth",
-}
+__all__ = [*_LAZY, "__version__"]
 
 
 def __getattr__(name: str):
@@ -105,3 +42,7 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

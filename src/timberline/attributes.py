@@ -25,10 +25,9 @@ Column semantics worth knowing:
 from __future__ import annotations
 
 import copy
-import dataclasses
 import logging
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,10 +59,9 @@ from .model import (
     ForestDatabase,
     factorize,
     recode,
+    typed_equality,
 )
 from .panels import METHODS, normalize_lambdas
-from .spatial import emit_spatial
-from .spatial import plot_owners
 
 __all__ = [
     "EstimatorRequest",
@@ -115,8 +113,8 @@ def basal_area(dia):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EstimatorRequest:
+@typed_equality
+class EstimatorRequest(NamedTuple):
     """Options accepted by every estimator family.
 
     ``grp_by`` names grouping columns from the relevant record, condition, or
@@ -150,7 +148,7 @@ def _request(request: EstimatorRequest | None, kw: dict) -> EstimatorRequest:
     if request is None:
         request = EstimatorRequest()
     if kw:
-        request = dataclasses.replace(request, **kw)
+        request = EstimatorRequest(**{**request._asdict(), **kw})
     grp = request.grp_by
     if isinstance(grp, str):
         grp = (grp,)
@@ -158,7 +156,7 @@ def _request(request: EstimatorRequest | None, kw: dict) -> EstimatorRequest:
     lams = request.lambdas
     if isinstance(lams, (int, float)):
         lams = (float(lams),)
-    return dataclasses.replace(request, grp_by=grp, lambdas=tuple(lams))
+    return request._replace(grp_by=grp, lambdas=tuple(lams))
 
 
 # --------------------------------------------------------------------------
@@ -435,7 +433,7 @@ def _vital_rates_values(ctx: _Ctx) -> dict:
         f.num("DRYBIO_AG") / LB_PER_TON * (1.0 - shrink) / remper,
     ]
     num = ctx.rows(f, gx, growth + growth)
-    return dict(num=num, den_tree=dataclasses.replace(num, values=np.ones((f.n, 1))),
+    return dict(num=num, den_tree=num._replace(values=np.ones((f.n, 1))),
                 den_area=ctx.area_den())
 
 
@@ -542,8 +540,7 @@ def _area_comps(*names: str) -> tuple[ComponentSpec, ...]:
     return tuple(ComponentSpec(n, "area") for n in names)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Static description of one estimator family."""
 
     name: str
@@ -696,6 +693,8 @@ def _assign_plots(db: ForestDatabase, polys) -> tuple[np.ndarray, list]:
 
     Plots sharing a CN share the polygon of the last of them inside one.
     """
+    from .spatial import plot_owners  # polygons load only for a request that has them
+
     view = db.columns
     owner = plot_owners(view.floats("PLOT", "LON")[:-1], view.floats("PLOT", "LAT")[:-1], polys)
     codes, cns = view.column("PLOT", "CN")
@@ -704,6 +703,13 @@ def _assign_plots(db: ForestDatabase, polys) -> tuple[np.ndarray, list]:
     by_cn = np.zeros(len(cns), dtype=np.intp)
     by_cn[codes[last]] = owner[last] + 1
     return recode(by_cn[codes[:-1]], [None, *(f.fid for f in polys)])
+
+
+def emit_spatial(table: EstimateTable, polys):
+    """The table joined onto its polygons (:func:`timberline.spatial.emit_spatial`)."""
+    from . import spatial
+
+    return spatial.emit_spatial(table, polys)
 
 
 def _raise_together(errors: list[TimberlineError]) -> None:

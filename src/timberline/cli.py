@@ -14,13 +14,11 @@ import logging
 import sys
 from pathlib import Path
 
-from . import attributes, output
+# A command imports the estimators, polygons and renderers only when it uses them.
 from .errors import DomainBindError, DomainSyntaxError, TimberlineError, UsageError
 from .evals import ClipOptions, clip, find_evaluations
 from .io import fetch_state, load_database, write_database
 from .model import validate_integrity
-from .core import EstimateTable
-from .spatial import PolygonSet
 
 log = logging.getLogger(__name__)
 
@@ -190,12 +188,21 @@ def _output_parent() -> argparse.ArgumentParser:
     return p
 
 
+class _Parser(argparse.ArgumentParser):
+    def format_help(self) -> str:
+        family = self.get_default("family")
+        if family:  # described only for help, since that needs the estimators
+            self.description = _family_description(family)
+        return super().format_help()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="timberline",
         description="Design-based estimation over forest inventory CSV databases.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command",
+                                parser_class=_Parser)
     db, clip_p, est, out = _db_parent(), _clip_parent(), _estimator_parent(), _output_parent()
 
     p = sub.add_parser("fetch", help="download state table files from the mirror")
@@ -221,14 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
             command,
             parents=[db, clip_p, est, out],
             help=f"{family} estimates",
-            description=_family_description(family),
         )
         p.set_defaults(func=_cmd_estimate, family=family)
     return parser
 
 
 def _family_description(family: str) -> str:
-    fam = attributes.FAMILIES[family]
+    from .attributes import FAMILIES
+
+    fam = FAMILIES[family]
     text = f"Estimate {family} attributes."
     if fam.base_domain:
         text += f"  Default record filter: {fam.base_domain}."
@@ -257,7 +265,7 @@ def _clip_options(args) -> ClipOptions | None:
     evalids: tuple[int, ...] = ()
     if args.evalid:
         evalids = tuple(e for chunk in args.evalid for e in chunk)
-    mask = PolygonSet.from_geojson(args.mask) if args.mask else None
+    mask = _polygons(args.mask) if args.mask else None
     if not (args.most_recent or args.match_eval or evalids or mask or args.year):
         return None
     return ClipOptions(
@@ -267,6 +275,12 @@ def _clip_options(args) -> ClipOptions | None:
         mask=mask,
         year=args.year,
     )
+
+
+def _polygons(path):
+    from .spatial import PolygonSet
+
+    return PolygonSet.from_geojson(path)
 
 
 @contextlib.contextmanager
@@ -287,6 +301,8 @@ def _write_text(args, text: str) -> None:
 
 
 def _emit_table(args, table) -> None:
+    from . import output
+
     if args.format == "json":
         text = output.table_to_json(table)
     elif args.pretty:
@@ -330,6 +346,8 @@ def _cmd_clip(args) -> int:
 
 
 def _cmd_evalids(args) -> int:
+    from .core import EstimateTable
+
     db = _load(args)
     ids = find_evaluations(db, year=args.year)
     by_id = {e.evalid: e for e in db.evaluations}
@@ -361,8 +379,10 @@ def _format_problems(args) -> list[str]:
 
 
 def _cmd_estimate(args) -> int:
+    from . import attributes, output
+
     problems = _format_problems(args)
-    polys = PolygonSet.from_geojson(args.polys) if args.polys else None
+    polys = _polygons(args.polys) if args.polys else None
     db = _load(args)
     options = _clip_options(args)
     if options is not None:

@@ -57,13 +57,13 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import EstimationError
-from .model import (
+from .model import (  # core.ASSIGNMENTS stays an alias of the table name
+    ASSIGNMENTS,
     MACROPLOT,
     MICROPLOT,
     SUBPLOT,
@@ -71,6 +71,7 @@ from .model import (
     Evaluation,
     ForestDatabase,
     Stratum,
+    typed_equality,
 )
 from .panels import DEFAULT_LAMBDA, panel_weights, present_weights
 
@@ -115,8 +116,8 @@ def dense(code: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(seen).astype(code.dtype), np.cumsum(seen)[code] - 1
 
 
-@dataclass(frozen=True)
-class TotalEstimate:
+@typed_equality
+class TotalEstimate(NamedTuple):
     """A population total with its variance and plot bookkeeping."""
 
     total: float
@@ -125,10 +126,6 @@ class TotalEstimate:
     n_plots: int
 
 
-ASSIGNMENTS = "POP_PLOT_STRATUM_ASSGN"
-
-
-@dataclass
 class Sample:
     """The plots of one evaluation group, stratified along a panel axis.
 
@@ -140,16 +137,12 @@ class Sample:
     logs each time it returns this sample.
     """
 
-    rows: np.ndarray
-    plot: np.ndarray
-    stratum: np.ndarray
-    panel: np.ndarray
-    year: np.ndarray
-    strata: list[Stratum]
-    unit: np.ndarray
-    units: list[EstimationUnit]
-    n_panels: int = 1
-    logs: tuple[tuple, ...] = ()
+    def __init__(self, rows: np.ndarray, plot: np.ndarray, stratum: np.ndarray,
+                 panel: np.ndarray, year: np.ndarray, strata: list[Stratum], unit: np.ndarray,
+                 units: list[EstimationUnit], n_panels: int = 1, logs: tuple[tuple, ...] = ()):
+        self.rows, self.plot, self.stratum, self.panel, self.year = rows, plot, stratum, panel, year
+        self.strata, self.unit, self.units = strata, unit, units
+        self.n_panels, self.logs = n_panels, logs
 
     @property
     def n_plots(self) -> int:
@@ -374,8 +367,7 @@ class _Strata:
         return entry, self._cell[self._first[plot[entry]] + within]
 
 
-@dataclass
-class PanelTotals:
+class PanelTotals(NamedTuple):
     """One variable's totals per (key, panel); arrays are keys x panels (x columns).
 
     ``nonzero`` counts each panel's plots with a non-zero value (in any
@@ -570,8 +562,7 @@ def make_classes(value: float | None, width: float = 2.0, lower: float = 1.0) ->
 ADJUST_CLASSES = (SUBPLOT, MICROPLOT, MACROPLOT)
 
 
-@dataclass(frozen=True)
-class GroupCol:
+class GroupCol(NamedTuple):
     """One output grouping column and where its values come from.
 
     ``level`` decides ratio semantics: "tree" columns restrict only the
@@ -586,14 +577,12 @@ class GroupCol:
     categorical: tuple | None = None
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
+class ComponentSpec(NamedTuple):
     name: str
     den: str  # "area" | "trees" | "none"
 
 
-@dataclass(frozen=True)
-class Records:
+class Records(NamedTuple):
     """One variable's rows over the whole database, independent of samples.
 
     Rows are the records (or conditions) inside every domain, in walk
@@ -614,8 +603,7 @@ class Records:
     codes: np.ndarray  # keys x group columns
 
 
-@dataclass(frozen=True)
-class Note:
+class Note(NamedTuple):
     """A log line counting the sample's flagged plots (or conditions)."""
 
     level: int
@@ -623,8 +611,7 @@ class Note:
     plots: np.ndarray  # db plot row of each flagged item
 
 
-@dataclass
-class Plan:
+class Plan(NamedTuple):
     family: str
     components: tuple[ComponentSpec, ...]
     num: Records
@@ -681,8 +668,7 @@ def _match(codes: np.ndarray, targets: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class Entries:
+class Entries(NamedTuple):
     """One variable's sample rows summed per (key, plot), sorted by key then plot.
 
     Only (key, plot) pairs with at least one row are present; :func:`dense`
@@ -717,8 +703,7 @@ class Entries:
         return np.where((key >= 0) & (code[pos] == want), self.values[pos, 0], 0.0)
 
 
-@dataclass
-class Bundle:
+class Bundle(NamedTuple):
     """One sample's entries, and each numerator key's denominator keys (-1: none)."""
 
     num: Entries
@@ -773,12 +758,11 @@ def make_bundle(db: ForestDatabase, plan: Plan, sample: Sample) -> Bundle:
     bundle = Bundle(num, den_area, den_tree, species, _match(num.codes[:, area], den_area.codes),
                     _match(num.codes, den_tree.codes))
     if plan.reduce is not None:
-        num.values = plan.reduce(bundle)
+        bundle = bundle._replace(num=num._replace(values=plan.reduce(bundle)))
     return bundle
 
 
-@dataclass
-class PassTotals:
+class PassTotals(NamedTuple):
     """Stratified totals of one pass per (key, panel), before panel weighting.
 
     ``area_of`` and ``tree_of`` are the bundle's denominator key of each

@@ -27,12 +27,12 @@ at once, evaluating each comparison once per distinct value.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import DomainBindError, DomainSyntaxError
+from .model import typed_equality
 
 __all__ = [
     "DomainExpr",
@@ -53,56 +53,50 @@ __all__ = [
 _UNKNOWN = None  # alias to make tri-state returns legible
 
 
-class DomainExpr:
-    """Base class for parsed predicate nodes."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Constant(DomainExpr):
+@typed_equality
+class Constant(NamedTuple):
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
-class Comparison(DomainExpr):
+@typed_equality
+class Comparison(NamedTuple):
     op: str  # == != < <= > >=
     lhs: object  # column name (str marked by Ident) or literal
     rhs: object
 
-    def __post_init__(self):
-        if self.op not in _CMP_FUNCS:
-            raise ValueError(f"bad comparison operator {self.op!r}")
 
-
-@dataclass(frozen=True, slots=True)
-class Ident:
+@typed_equality
+class Ident(NamedTuple):
     """Marks an operand as a column reference rather than a string literal."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class InSet(DomainExpr):
+@typed_equality
+class InSet(NamedTuple):
     column: Ident
     values: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class And(DomainExpr):
+@typed_equality
+class And(NamedTuple):
     lhs: DomainExpr
     rhs: DomainExpr
 
 
-@dataclass(frozen=True, slots=True)
-class Or(DomainExpr):
+@typed_equality
+class Or(NamedTuple):
     lhs: DomainExpr
     rhs: DomainExpr
 
 
-@dataclass(frozen=True, slots=True)
-class Not(DomainExpr):
+@typed_equality
+class Not(NamedTuple):
     operand: DomainExpr
+
+
+# A parsed predicate node.
+DomainExpr = Constant | Comparison | InSet | And | Or | Not
 
 
 # --------------------------------------------------------------------------
@@ -121,8 +115,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -367,8 +360,7 @@ ColumnGetter = Callable[[str], "tuple[np.ndarray, list]"]
 RowSchema = Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class BoundDomain:
+class BoundDomain(NamedTuple):
     """A parsed expression checked against a row schema, ready to evaluate."""
 
     expr: DomainExpr
@@ -394,8 +386,9 @@ def bind_domain(expr: DomainExpr | str, schema: RowSchema) -> BoundDomain:
     """Type-check column references against a schema; raise on any mismatch.
 
     ``schema`` maps available column names to kinds.  Problems found: unknown
-    columns, ordering comparisons on non-numeric typed columns, and literal
-    types that cannot match the column.  All problems are reported together.
+    columns, ordering comparisons on non-numeric typed columns, literal types
+    that cannot match the column, and (in an expression not built by the
+    parser) unknown comparison operators.  All problems are reported together.
     """
     if isinstance(expr, str):
         expr = parse_domain(expr)
@@ -425,6 +418,8 @@ def bind_domain(expr: DomainExpr | str, schema: RowSchema) -> BoundDomain:
 
     def walk(node):
         if isinstance(node, Comparison):
+            if node.op not in _CMP_FUNCS:
+                problems.append(f"unknown comparison operator {node.op!r}")
             ordering = node.op in _ORDERING_OPS
             for col, lit in ((node.lhs, node.rhs), (node.rhs, node.lhs)):
                 if isinstance(col, Ident):

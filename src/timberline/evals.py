@@ -9,14 +9,12 @@ explicit ids — and drop the rest of the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import ASSIGNMENTS
 from .errors import EstimationError, UsageError
-from .model import Evaluation, ForestDatabase
-from .spatial import PolygonSet, plot_owners
+from .model import ASSIGNMENTS, Evaluation, ForestDatabase, typed_equality
 
 __all__ = ["ClipOptions", "find_evaluations", "clip"]
 
@@ -37,8 +35,8 @@ def find_evaluations(
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class ClipOptions:
+@typed_equality
+class ClipOptions(NamedTuple):
     """How to subset a database.
 
     At most one of ``most_recent``, ``evalids``, ``year`` may be active.
@@ -69,12 +67,6 @@ def _validated(options: ClipOptions) -> ClipOptions:
             [f"choose at most one of mostRecent/evalids/year, got {', '.join(active)}"]
         )
     return options
-
-
-def _mask_polygons(mask) -> PolygonSet:
-    if isinstance(mask, PolygonSet):
-        return mask
-    return PolygonSet.from_geojson(mask)
 
 
 def _select_evaluations(db: ForestDatabase, options: ClipOptions) -> list[Evaluation]:
@@ -154,8 +146,12 @@ def clip(db: ForestDatabase, options: ClipOptions | None = None, **kw) -> Forest
     keep_cn = np.zeros(len(cns), dtype=bool)
     keep_cn[cn_codes[assigned[assigned >= 0]]] = True
     if options.mask is not None:
+        from .spatial import PolygonSet, plot_owners  # only a mask needs polygons
+
+        mask = options.mask
+        mask = mask if isinstance(mask, PolygonSet) else PolygonSet.from_geojson(mask)
         lon, lat = view.floats("PLOT", "LON")[:-1], view.floats("PLOT", "LAT")[:-1]
-        inside = np.flatnonzero(plot_owners(lon, lat, _mask_polygons(options.mask)) >= 0)
+        inside = np.flatnonzero(plot_owners(lon, lat, mask) >= 0)
         in_cn = np.zeros(len(cns), dtype=bool)
         in_cn[cn_codes[inside]] = True
         keep_cn &= in_cn

@@ -534,8 +534,13 @@ def _cell_texts(col) -> tuple[np.ndarray, list[str]]:
         for i in np.flatnonzero(np.isnan(floats)).tolist():
             texts[i] = ""
         return codes.reshape(-1), texts
-    codes, values = col
-    return codes[:-1], [_format_cell(v) for v in values]
+    codes, values = col  # values[0] is None, the null
+    rest, kinds = values[1:], set(map(type, values[1:]))
+    if kinds == {int}:
+        rest = list(map(int.__repr__, rest))
+    elif kinds - {str}:
+        rest = list(map(_format_cell, rest))
+    return codes[:-1], ["", *rest]
 
 
 def _needs_quotes(text: str) -> bool:

@@ -33,6 +33,7 @@ import math
 import operator
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +84,18 @@ FUEL_TYPES = ("1HR", "10HR", "100HR", "1000HR", "DUFF", "LITTER", "PILE")
 GRM_COMPONENTS = ("SURVIVOR", "INGROWTH", "MORTALITY", "CUT")
 
 EVAL_TYPES = ("VOL", "GRM", "CHNG", "DWM")
+
+# The stratum assignment table, which joins plots to strata.
+ASSIGNMENTS = "POP_PLOT_STRATUM_ASSGN"
+
+
+def typed_equality(cls: type) -> type:
+    """A NamedTuple class whose instances equal only instances of their own class,
+    as a frozen dataclass's do; a hash stays that of the field tuple.  It costs a
+    tenth of a frozen dataclass to create, which every command pays on import."""
+    cls.__eq__ = lambda self, other: type(other) is type(self) and tuple.__eq__(self, other)
+    cls.__ne__ = lambda self, other: not self == other
+    return cls
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,16 +247,14 @@ def derive_sizer(dia: float | None) -> str | None:
     return MICROPLOT if dia < 5.0 else SUBPLOT
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
+class ColumnSpec(NamedTuple):
     name: str
     attr: str
     kind: str  # "int" | "float" | "str"
     required: bool = False
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(NamedTuple):
     table: str
     record: type
     columns: tuple[ColumnSpec, ...]
@@ -646,8 +657,8 @@ class ColumnView:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+@typed_equality
+class Violation(NamedTuple):
     table: str
     key: str
     rule: str

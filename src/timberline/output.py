@@ -8,13 +8,12 @@ for eyeballs only.  The renderers read a table column by column.
 from __future__ import annotations
 
 import csv
+import functools
 import io
-import json
 import math
 import operator
 from collections.abc import Sequence
 from itertools import compress, count, repeat
-from json.encoder import encode_basestring_ascii
 
 __all__ = [
     "table_to_csv",
@@ -53,13 +52,23 @@ def table_to_csv(table) -> str:
 # carries the separators, and joined once per block; blocks bound the
 # temporaries to a block's texts, and the document is joined once.
 _BLOCK = 1024
-_COLUMNS = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False)
-_CELL = json.JSONEncoder(allow_nan=False).encode  # a scalar subclass is written as its base
 _ROW_START, _CELL_SEP, _ROW_END, _ROW_SEP = "{\n      ", ",\n      ", "\n    }", ",\n    "
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _FLOATS = frozenset((float, type(None)))
-_ONE_KIND = {str: encode_basestring_ascii, int: int.__repr__}
 _MEMOISED = frozenset((str, int, bool, type(None)))
+
+
+@functools.cache
+def _encoders() -> tuple:
+    """The column list's encoder, a cell's encoder (a scalar subclass is written as
+    its base) and the encodings of a column of one kind.  They are made on the first
+    JSON render, so that CSV and pretty output never import json."""
+    import json
+    from json.encoder import encode_basestring_ascii
+
+    return (json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False).encode,
+            json.JSONEncoder(allow_nan=False).encode,
+            {str: encode_basestring_ascii, int: int.__repr__})
 
 
 def _check_scalars(kinds) -> None:
@@ -70,6 +79,7 @@ def _check_scalars(kinds) -> None:
 
 def _texts(cells: list, kinds: set) -> list[str]:
     """The JSON text of each cell; ``kinds`` holds at least the cells' types."""
+    _, cell_text, one_kind = _encoders()
     if kinds <= _FLOATS:
         if not all(map(math.isfinite, filter(None, cells))):
             raise ValueError("Out of range float values are not JSON compliant")
@@ -77,13 +87,13 @@ def _texts(cells: list, kinds: set) -> list[str]:
         for i in compress(count(), map(operator.is_, cells, repeat(None))):
             texts[i] = "null"
         return texts
-    if len(kinds) == 1 and kinds <= _ONE_KIND.keys():
-        return list(map(_ONE_KIND[next(iter(kinds))], cells))
+    if len(kinds) == 1 and kinds <= one_kind.keys():
+        return list(map(one_kind[next(iter(kinds))], cells))
     if kinds <= _MEMOISED:
         typed = list(zip(map(type, cells), cells))
-        memo = {cell: _CELL(cell[1]) for cell in set(typed)}
+        memo = {cell: cell_text(cell[1]) for cell in set(typed)}
         return list(map(memo.__getitem__, typed))
-    return list(map(_CELL, cells))
+    return list(map(cell_text, cells))
 
 
 def table_to_json(table) -> str:
@@ -98,14 +108,15 @@ def table_to_json(table) -> str:
     columns = [table.column(name) for name in names]
     kinds = [set(map(type, cells)) for cells in columns]
     _check_scalars(set().union(*kinds))
-    head = "[]" if not table.columns else "[\n    " + _COLUMNS.encode(table.columns)[1:-1] + "\n  ]"
+    column_list, _, one_kind = _encoders()
+    head = "[]" if not table.columns else "[\n    " + column_list(table.columns)[1:-1] + "\n  ]"
     head = '{\n  "columns": ' + head + ',\n  "rows": '
     n = len(table)
     if not n:
         return head + "[]\n}\n"
     if not names:
         return head + "[\n    " + _ROW_SEP.join(["{}"] * n) + "\n  ]\n}\n"
-    keys = [encode_basestring_ascii(name) + ": " for name in names]
+    keys = [one_kind[str](name) + ": " for name in names]
     first = _ROW_START + keys[0]
     keys = [_ROW_END + _ROW_SEP + first] + [_CELL_SEP + key for key in keys[1:]]
     step = 2 * len(names)
@@ -147,4 +158,6 @@ def table_to_pretty(table) -> str:
 
 def geojson_to_text(collection: dict) -> str:
     """Serialize a FeatureCollection produced by the spatial join."""
+    import json
+
     return json.dumps(collection, indent=2, allow_nan=False) + "\n"

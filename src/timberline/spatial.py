@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,8 +38,7 @@ _ACCEPTED_CRS = {
 }
 
 
-@dataclass(frozen=True)
-class PolygonFeature:
+class PolygonFeature(NamedTuple):
     fid: object
     properties: dict
     rings: tuple[Ring, ...]

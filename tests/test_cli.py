@@ -329,16 +329,71 @@ def test_cli_import_skips_the_oracle_and_the_synthetic_databases():
 ], ids=lambda argv: argv[0])
 def test_report_commands_never_import_numpy_ma(argv, tmp_path):
     """Importing ``numpy.ma`` alone costs a command about 16 ms."""
-    if argv[-1] == "--out":
-        argv = (*argv, str(tmp_path / "clip"))
+    status, loaded = _loaded_modules((*argv, "OUT") if argv[-1] == "--out" else argv, tmp_path)
+    assert (status, "numpy.ma" in loaded) == (0, False)
+
+
+def _loaded_modules(argv, tmp_path) -> tuple[int, set[str]]:
+    """The status of ``main(argv)`` in a fresh interpreter that imported only the
+    CLI, and the modules loaded by its end.  An ``OUT`` argument becomes an output
+    directory and ``POLYS`` a polygon file."""
+    argv = [str(tmp_path / "clip") if a == "OUT" else
+            _polys_file(tmp_path, [-72.75, 42.0]) if a == "POLYS" else a for a in argv]
     src = str(Path(tl.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = ("import sys; from timberline.cli import main; status = main(sys.argv[1:]); "
-            "print(status, 'numpy.ma' in sys.modules, file=sys.stderr)")
+            "print(status, *sys.modules, file=sys.stderr)")
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                           text=True)
-    assert done.stderr.splitlines()[-1] == "0 False"
+    status, *modules = done.stderr.splitlines()[-1].split()
+    return int(status), set(modules)
+
+
+SPATIAL = "timberline.spatial"
+ESTIMATORS = {f"timberline.{m}" for m in ("attributes", "core", "domain", "spatial", "output")}
+
+
+@pytest.mark.parametrize("argv, absent, present", [
+    (("tpa", "--db", SYNTH_PANEL, "--most-recent", "--by-species", "--by-size-class"),
+     {SPATIAL, "json"}, ESTIMATORS - {SPATIAL}),
+    (("biomass", "--db", SYNTH_PANEL, "--most-recent", "--format", "json"), {SPATIAL}, {"json"}),
+    (("area", "--db", SYNTH_PANEL, "--most-recent", "--grp-by", "OWNCD", "--pretty"),
+     {SPATIAL, "json"}, set()),
+    (("growmort", "--db", str(FIXTURES / "SYNTH-GRM"), "--most-recent", "--method", "EMA"),
+     {SPATIAL, "json"}, set()),
+    (("tpa", "--db", SYNTH_INV, "--polys", "POLYS"), set(), {SPATIAL}),
+    (("clip", "--db", SYNTH_PANEL, "--most-recent", "--out", "OUT"), ESTIMATORS, set()),
+    (("clip", "--db", SYNTH_INV, "--mask", "POLYS", "--out", "OUT"), ESTIMATORS - {SPATIAL},
+     {SPATIAL}),
+    (("evalids", "--db", SYNTH_PANEL), ESTIMATORS - {"timberline.core", "timberline.output"},
+     set()),
+], ids=["tpa", "biomass-json", "area-pretty", "growmort", "tpa-polys", "clip", "clip-mask",
+        "evalids"])
+def test_commands_import_only_what_they_reach(argv, absent, present, tmp_path):
+    """A command loads the estimators, polygons and JSON only when it uses them."""
+    status, loaded = _loaded_modules(argv, tmp_path)
+    assert status == 0
+    assert loaded & absent == set()
+    assert present <= loaded
+
+
+def test_package_import_runs_no_module():
+    src = str(Path(tl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, timberline; print([m for m in sys.modules if '.' in m and "
+            "m.startswith('timberline')]); timberline.tpa; print('timberline.attributes' in "
+            "sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["[]", "True"]
+
+
+def test_family_help_names_its_default_filter(capsys):
+    with pytest.raises(SystemExit):
+        main(["tpa", "--help"])
+    assert "Default record filter: STATUSCD == 1 & DIA >= 1.0." in capsys.readouterr().out
 
 
 def test_every_exported_name_resolves():
