@@ -182,26 +182,31 @@ def _log(lines: Sequence[tuple]) -> None:
         log.log(level, message, *args)
 
 
+def _walk(key: np.ndarray) -> np.ndarray:
+    """The rows whose ``key`` is not negative, by key, ties in row order."""
+    rows = np.flatnonzero(key >= 0)
+    return rows[np.argsort(key[rows], kind="stable")]
+
+
 def _assignments(db: ForestDatabase, evals: Sequence[Evaluation]) -> tuple[np.ndarray, ...]:
     """The group's assignment rows in walk order: evaluation, then table order.
 
-    Also each row's position in ``evals``, its year (INVYR, else its plot's)
-    and whether a year is known.
+    Also each row's position in ``evals``, its year (INVYR, else its plot's),
+    whether a year is known and each unit's position in ``evals`` (else -1).
     """
     view = db.columns
-    codes, cns = view.column(ASSIGNMENTS, "STRATUM_CN")
+    codes, evalids = view.column("POP_ESTN_UNIT", "EVALID")
     position = {ev.evalid: i for i, ev in enumerate(evals)}
-    ev = np.array([position.get(db.eval_of_stratum(cn), -1) for cn in cns], dtype=np.intp)
-    ev = ev[codes[:-1]]
-    rows = np.flatnonzero(ev >= 0)
-    rows = rows[np.argsort(ev[rows], kind="stable")]
+    unit_ev = np.array([position.get(v, -1) for v in evalids], dtype=np.intp)[codes]
+    ev = unit_ev[view.unit_rows(ASSIGNMENTS)]  # -1 reads the trailing null's -1
+    rows = _walk(ev)
     (own, own_years), (plot, plot_years) = (view.column(ASSIGNMENTS, "INVYR"),
                                             view.column("PLOT", "INVYR"))
     own, plot = own[rows], plot[view.plot_rows(ASSIGNMENTS)[rows]]
     years = [np.array([0 if v is None else v for v in values], dtype=np.int64)
              for values in (own_years, plot_years)]
     year = np.where(own != 0, years[0][own], years[1][plot])
-    return rows, ev[rows], year, (own != 0) | (plot != 0)
+    return rows, ev[rows], year, (own != 0) | (plot != 0), unit_ev[:-1]
 
 
 def build_sample(
@@ -235,10 +240,9 @@ def build_sample(
 def _build_sample(db: ForestDatabase, evals: Sequence[Evaluation],
                   years: Sequence[int] | None) -> Sample:
     view = db.columns
-    rows, ev, year, _ = _assignments(db, evals)
+    rows, ev, year, _, unit_ev = _assignments(db, evals)
     plot_row = view.plot_rows(ASSIGNMENTS)[rows]
-    stratum_code, stratum_cns = view.column(ASSIGNMENTS, "STRATUM_CN")
-    stratum_code = stratum_code[rows]
+    stratum_row = view.join(ASSIGNMENTS, ("STRATUM_CN",), "POP_STRATUM", ("CN",))[rows]
     visit = ev * (len(db.plots) + 1) + plot_row + 1  # all missing plots share row -1
     _, inverse = dense(visit, len(evals) * (len(db.plots) + 1))
     first = np.full(len(rows), len(rows))
@@ -249,7 +253,7 @@ def _build_sample(db: ForestDatabase, evals: Sequence[Evaluation],
         codes, cns = view.column(ASSIGNMENTS, "PLT_CN")
         evalid, cn = evals[ev[i]].evalid, cns[codes[rows[i]]]
         if first[inverse[i]] != i:
-            strata = [stratum_cns[c] for c in stratum_code[inverse == inverse[i]]]
+            strata = [db.strata[r].cn for r in stratum_row[inverse == inverse[i]].tolist()]
             raise EstimationError(
                 f"evaluation {evalid} assigns plot {cn} more than once "
                 f"(strata {', '.join(strata)}); a plot needs one stratum per evaluation"
@@ -262,8 +266,8 @@ def _build_sample(db: ForestDatabase, evals: Sequence[Evaluation],
         axis = np.asarray(years, dtype=np.int64)
         panel = np.minimum(np.searchsorted(axis, year), len(axis) - 1)
         keep = axis[panel] == year
-        plot_row, stratum_code, panel, year = (
-            a[keep] for a in (plot_row, stratum_code, panel, year)
+        plot_row, stratum_row, panel, year = (
+            a[keep] for a in (plot_row, stratum_row, panel, year)
         )
 
     by_cn = view.order("PLOT", ("CN",))
@@ -271,12 +275,21 @@ def _build_sample(db: ForestDatabase, evals: Sequence[Evaluation],
     pos = np.zeros(len(db.plots), dtype=np.intp)
     pos[sample_rows] = np.arange(len(sample_rows))
 
-    units = [u for ev in evals for u in db.units_by_eval.get(ev.evalid, ())]
-    strata = [(st, i) for i, u in enumerate(units)
-              for st in sorted(db.strata_by_unit.get(u.cn, ()), key=lambda s: s.cn)]
-    index = {st.cn: h for h, (st, _) in reversed(list(enumerate(strata)))}
-    stratum = np.array([index.get(cn, -1) for cn in stratum_cns], dtype=np.intp)[stratum_code]
-    unit = np.array([i for _, i in strata], dtype=np.intp)
+    unit_rows = _walk(unit_ev)
+    unit_pos = np.full(len(db.estn_units) + 1, -1)  # and -1 for no unit
+    unit_pos[unit_rows] = np.arange(len(unit_rows))
+    by_cn = view.order("POP_STRATUM", ("CN",))
+    strata_rows = by_cn[_walk(unit_pos[view.unit_rows("POP_STRATUM")[by_cn]])]  # unit, then CN
+    unit = unit_pos[view.unit_rows("POP_STRATUM")[strata_rows]]
+    for table, group_rows in (("POP_ESTN_UNIT", unit_rows), ("POP_STRATUM", strata_rows)):
+        codes, cns = view.column(table, "CN")
+        if (twice := np.bincount(codes[:-1])[codes[group_rows]] > 1).any():
+            raise EstimationError(f"{table} repeats CN {cns[codes[group_rows[twice][0]]]}; "
+                                  "each row needs a CN of its own")
+    units = [db.estn_units[r] for r in unit_rows.tolist()]
+    stratum_pos = np.full(len(db.strata) + 1, -1)
+    stratum_pos[strata_rows] = np.arange(len(strata_rows))
+    stratum = stratum_pos[stratum_row]
 
     n_panels = 1 if years is None else len(years)
     cells = np.bincount(panel * len(units) + unit[stratum], minlength=n_panels * len(units))
@@ -289,8 +302,8 @@ def _build_sample(db: ForestDatabase, evals: Sequence[Evaluation],
                  "in this selection; skipped", (np.count_nonzero(cells == 0), len(cells))),)
     plot = pos[plot_row]
     read_only(sample_rows, plot, stratum, panel, year, unit)
-    return Sample(sample_rows, plot, stratum, panel, year, [st for st, _ in strata],
-                  unit, units, n_panels, logs)
+    return Sample(sample_rows, plot, stratum, panel, year,
+                  [db.strata[r] for r in strata_rows.tolist()], unit, units, n_panels, logs)
 
 
 class _Strata:
@@ -1011,7 +1024,7 @@ def _panel_years(db: ForestDatabase, evals: Sequence[Evaluation]) -> list[int]:
         if ev.start_invyr is not None and ev.end_invyr is not None:
             years.update(range(ev.start_invyr, ev.end_invyr + 1))
     if not years:
-        _, _, year, known = _assignments(db, evals)
+        _, _, year, known, _ = _assignments(db, evals)
         years = set(year[known].tolist())
     if not years:
         raise EstimationError(

@@ -111,11 +111,6 @@ def _among(db: ForestDatabase, table: str, name: str, allowed: set) -> np.ndarra
     return np.array([v in allowed for v in values], dtype=bool)[codes[:-1]]
 
 
-def _values(db: ForestDatabase, table: str, name: str, rows: np.ndarray) -> set:
-    codes, values = db.columns.column(table, name)
-    return {values[c] for c in set(codes[:-1][rows].tolist())}
-
-
 def clip(db: ForestDatabase, options: ClipOptions | None = None, **kw) -> ForestDatabase:
     """A new database holding only what the selected evaluations need.
 
@@ -137,8 +132,8 @@ def clip(db: ForestDatabase, options: ClipOptions | None = None, **kw) -> Forest
     view = db.columns
 
     units = _among(db, "POP_ESTN_UNIT", "EVALID", keep_evals)
-    strata = _among(db, "POP_STRATUM", "ESTN_UNIT_CN", _values(db, "POP_ESTN_UNIT", "CN", units))
-    assignments = _among(db, ASSIGNMENTS, "STRATUM_CN", _values(db, "POP_STRATUM", "CN", strata))
+    strata, assignments = (np.append(units, False)[view.unit_rows(table)]  # -1 reads False
+                           for table in ("POP_STRATUM", ASSIGNMENTS))
 
     # Plots are kept by CN: every plot row whose CN an assignment names.
     cn_codes, cns = view.column("PLOT", "CN")

@@ -592,9 +592,8 @@ def write_database(db: ForestDatabase, directory: str | os.PathLike) -> list[str
     view = db.columns
     states = list(db.states)
 
-    def per_value(table: str, name: str, state_of) -> np.ndarray:
-        """Each row's state index (-1 for none), from its value of one column."""
-        codes, values = view.column(table, name)
+    def per_value(codes: np.ndarray, values: list, state_of) -> np.ndarray:
+        """Each row's state index (-1 for none), from its code into ``values``."""
         found = [state_of(v) for v in values]
         return np.array([states.index(s) if s in states else -1 for s in found])[codes[:-1]]
 
@@ -602,7 +601,7 @@ def write_database(db: ForestDatabase, directory: str | os.PathLike) -> list[str
         bad = np.flatnonzero(state < 0)
         return db.table(table).take(bad[:1])[0] if len(bad) else None
 
-    plot_state = per_value("PLOT", "STATECD", FIPS_TO_ABBR.get)
+    plot_state = per_value(*view.column("PLOT", "STATECD"), FIPS_TO_ABBR.get)
     if (plot := first_bad("PLOT", plot_state)) is not None:
         raise LoadError(f"plot {plot.cn} has STATECD {plot.statecd} outside database states")
     eval_state: dict[int, str] = {}
@@ -612,25 +611,21 @@ def write_database(db: ForestDatabase, directory: str | os.PathLike) -> list[str
             raise LoadError(f"evaluation {e.evalid} has no usable STATECD")
         eval_state[e.evalid] = abbr
 
-    def unit_evalid(cn):
-        return db.unit_by_cn[cn].evalid if cn in db.unit_by_cn else -1
-
     groups = {"PLOT": plot_state}
     for table in ("COND", "TREE", "SEEDLING", "COND_DWM_CALC", "INVASIVE_SUBPLOT_SPP"):
         groups[table] = np.append(plot_state, -1)[view.plot_rows(table)]
         if (r := first_bad(table, groups[table])) is not None:
             raise LoadError(f"row references unknown plot: {r}")
-    population = {
-        "POP_EVAL": ("EVALID", lambda evalid: evalid),
-        "POP_ESTN_UNIT": ("EVALID", lambda evalid: evalid),
-        "POP_STRATUM": ("ESTN_UNIT_CN", unit_evalid),
-        "POP_PLOT_STRATUM_ASSGN": ("STRATUM_CN", lambda cn: db.eval_of_stratum(cn) or -1),
-    }
-    for table, (name, evalid_of) in population.items():
-        groups[table] = per_value(table, name, lambda v: eval_state.get(evalid_of(v)))
+    codes, evalids = view.column("POP_ESTN_UNIT", "EVALID")
+    population = {"POP_EVAL": view.column("POP_EVAL", "EVALID"), "POP_ESTN_UNIT": (codes, evalids)}
+    for table in ("POP_STRATUM", model.ASSIGNMENTS):  # the EVALID of the row's unit
+        population[table] = (codes[np.append(view.unit_rows(table), -1)], evalids)
+    for table, (codes, values) in population.items():
+        groups[table] = per_value(codes, values, eval_state.get)
         if (r := first_bad(table, groups[table])) is not None:
-            evalid = evalid_of(model.record_value(r, name))
-            raise LoadError(f"row references unknown evaluation {evalid}: {r}")
+            evalid = values[codes[np.argmax(groups[table] < 0)]]  # null: the row reaches no unit
+            raise LoadError(f"row references unknown evaluation "
+                            f"{-1 if evalid is None else evalid}: {r}")
 
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)

@@ -17,9 +17,11 @@ A :class:`ForestDatabase` holds every table as a :class:`Table`, and
 columns are its only storage: the loader parses each CSV column straight
 into codes into its distinct values (floats into a float64 array), and a
 table built from records builds all its columns at once.  The estimators,
-clipping, writing and the integrity report read ``db.columns``.  Records
-are a view, for the population tables, the reference estimator,
-:mod:`timberline.synth` and tests; ``len`` of a table never builds them.
+clipping, writing and the integrity report read ``db.columns``, and reach
+a stratum's or an assignment's estimation unit and evaluation only through
+:meth:`ColumnView.unit_rows`.  Records are a view, for the population
+tables, the reference estimator, :mod:`timberline.synth` and tests; ``len``
+of a table never builds them.
 Treat instances as read-only after construction; operations that "modify"
 a database (clipping, merging) build a new one.
 """
@@ -449,41 +451,9 @@ class ForestDatabase:
         """The column view of this database's tables, built on first use."""
         return ColumnView(self)
 
-    # Population-table indexes, built on first use (the tables are small).
-    unit_by_cn = functools.cached_property(lambda self: {u.cn: u for u in self.estn_units})
-    stratum_by_cn = functools.cached_property(lambda self: {s.cn: s for s in self.strata})
-    units_by_eval = functools.cached_property(lambda self: _group_by(self.estn_units, "evalid"))
-    strata_by_unit = functools.cached_property(
-        lambda self: _group_by(self.strata, "estn_unit_cn"))
-
-    def eval_of_stratum(self, stratum_cn: str) -> int | None:
-        stratum = self.stratum_by_cn.get(stratum_cn)
-        if stratum is None:
-            return None
-        unit = self.unit_by_cn.get(stratum.estn_unit_cn)
-        return unit.evalid if unit is not None else None
-
-    def same_contents(self, other: "ForestDatabase") -> bool:
-        """Field-by-field equality up to row order within each table."""
-        if self.states != other.states:
-            return False
-        for spec in TABLES.values():
-            a = sorted(getattr(self, spec.db_field), key=repr)
-            b = sorted(getattr(other, spec.db_field), key=repr)
-            if a != b:
-                return False
-        return True
-
 
 for _spec in TABLES.values():  # db.plots, db.trees, ...: the tables by field name
     setattr(ForestDatabase, _spec.db_field, property(lambda self, t=_spec.table: self._tables[t]))
-
-
-def _group_by(records: Iterable, attr: str) -> dict:
-    out: dict = {}
-    for r in records:
-        out.setdefault(getattr(r, attr), []).append(r)
-    return out
 
 
 def factorize(values: Iterable) -> tuple[np.ndarray, list]:
@@ -528,9 +498,12 @@ class ColumnView:
     extra null code, so gathering it through a join row of -1 reads None.
     ``floats`` gives a numeric column as float64, NaN for null, with the
     same trailing null.  Joins map each row to its plot's row in
-    ``db.plots`` and its condition's row in ``db.conds`` (-1 when there is
-    none; a duplicate key resolves to its last row).  Everything is built
-    from the stored columns on first use and kept.
+    ``db.plots``, its condition's row in ``db.conds`` and a stratum's or
+    stratum assignment's estimation unit's row in ``POP_ESTN_UNIT`` (-1 when
+    there is none; a duplicate key resolves to its last row).
+    :meth:`unit_rows` is the one path from a stratum or an assignment to its
+    unit and evaluation: an evaluation is the unit's EVALID.  Everything is
+    built from the stored columns on first use and kept.
 
     :meth:`kept` also holds each evaluation group's
     :class:`~timberline.core.Sample`, keyed by its EVALIDs and whether it
@@ -650,6 +623,16 @@ class ColumnView:
 
     def cond_rows(self, table: str) -> np.ndarray:
         return self.join(table, ("PLT_CN", "CONDID"), "COND", ("PLT_CN", "CONDID"))
+
+    def unit_rows(self, table: str) -> np.ndarray:
+        """Each ``POP_STRATUM`` row's unit row in ``POP_ESTN_UNIT`` (by its
+        ESTN_UNIT_CN), or each ``POP_PLOT_STRATUM_ASSGN`` row's stratum's; -1
+        where the chain breaks."""
+        units = self.join("POP_STRATUM", ("ESTN_UNIT_CN",), "POP_ESTN_UNIT", ("CN",))
+        if table == "POP_STRATUM":
+            return units
+        return self.kept(("units", table), lambda: np.append(units, -1)[
+            self.join(table, ("STRATUM_CN",), "POP_STRATUM", ("CN",))])
 
 
 # --------------------------------------------------------------------------
@@ -786,14 +769,15 @@ def validate_integrity(db: ForestDatabase) -> list[Violation]:
     ])
 
     report("POP_ESTN_UNIT", key("POP_ESTN_UNIT", "{}", "CN"), [
+        ("duplicate CN", repeats("POP_ESTN_UNIT", "CN")),
         ("unit->evaluation", view.join("POP_ESTN_UNIT", ("EVALID",), "POP_EVAL", ("EVALID",)) < 0),
         ("AREA_USED not positive", floats("POP_ESTN_UNIT", "AREA_USED") <= 0),
     ])
 
-    unit_row = view.join("POP_STRATUM", ("ESTN_UNIT_CN",), "POP_ESTN_UNIT", ("CN",))
     weight = floats("POP_STRATUM", "STRATUM_WGT")
     report("POP_STRATUM", key("POP_STRATUM", "{}", "CN"), [
-        ("stratum->unit", unit_row < 0),
+        ("duplicate CN", repeats("POP_STRATUM", "CN")),
+        ("stratum->unit", view.unit_rows("POP_STRATUM") < 0),
         ("STRATUM_WGT outside (0, 1]", (weight <= 0.0) | (weight > 1.0)),
         ("adjustment factor not positive", np.logical_or.reduce(
             [floats("POP_STRATUM", f"ADJ_FACTOR_{size}") <= 0
@@ -805,13 +789,12 @@ def validate_integrity(db: ForestDatabase) -> list[Violation]:
                key("POP_STRATUM", "{}", "ESTN_UNIT_CN"))
 
     assgn = "POP_PLOT_STRATUM_ASSGN"
-    stratum_row = view.join(assgn, ("STRATUM_CN",), "POP_STRATUM", ("CN",))
     report(assgn, key(assgn, "{}->{}", "PLT_CN", "STRATUM_CN"), [
         ("assignment->plot", view.plot_rows(assgn) < 0),
-        ("assignment->stratum", stratum_row < 0),
+        ("assignment->stratum", view.join(assgn, ("STRATUM_CN",), "POP_STRATUM", ("CN",)) < 0),
     ])
     evalid_codes, evalids = view.column("POP_ESTN_UNIT", "EVALID")
-    evalid = evalid_codes[np.append(unit_row, -1)[stratum_row]]  # -1 reads the null code 0
+    evalid = evalid_codes[view.unit_rows(assgn)]  # -1 reads the null code 0
     plt = key(assgn, "{}", "PLT_CN")
     group_sums(assgn, [evalid, codes(assgn, "PLT_CN")], np.zeros(len(evalid)),
                np.flatnonzero(evalid != 0), "plot assigned to multiple strata in one evaluation",

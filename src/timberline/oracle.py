@@ -67,27 +67,39 @@ class _Indexes:
         return {p.cn: p for p in self.db.plots}
 
     @functools.cached_property
+    def unit_by_cn(self) -> dict:
+        return {u.cn: u for u in self.db.estn_units}
+
+    @functools.cached_property
+    def stratum_by_cn(self) -> dict:
+        return {s.cn: s for s in self.db.strata}
+
+    @functools.cached_property
     def assignments_by_eval(self) -> dict:
         """Assignments keyed by the evaluation they reach through their stratum."""
         out: dict = {}
         for a in self.db.assignments:
-            stratum = self.db.stratum_by_cn.get(a.stratum_cn)
-            unit = self.db.unit_by_cn.get(stratum.estn_unit_cn) if stratum else None
+            stratum = self.stratum_by_cn.get(a.stratum_cn)
+            unit = self.unit_by_cn.get(stratum.estn_unit_cn) if stratum else None
             if unit is not None:
                 out.setdefault(unit.evalid, []).append(a)
         return out
 
-    def _by_plot(self, records) -> dict:
+    def _group(self, records, attr="plt_cn") -> dict:
         out: dict = {}
         for r in records:
-            out.setdefault(r.plt_cn, []).append(r)
+            out.setdefault(getattr(r, attr), []).append(r)
         return out
 
-    conds_by_plot = functools.cached_property(lambda self: self._by_plot(self.db.conds))
-    trees_by_plot = functools.cached_property(lambda self: self._by_plot(self.db.trees))
-    seedlings_by_plot = functools.cached_property(lambda self: self._by_plot(self.db.seedlings))
-    dwm_by_plot = functools.cached_property(lambda self: self._by_plot(self.db.dwm))
-    invasives_by_plot = functools.cached_property(lambda self: self._by_plot(self.db.invasives))
+    units_by_eval = functools.cached_property(
+        lambda self: self._group(self.db.estn_units, "evalid"))
+    strata_by_unit = functools.cached_property(
+        lambda self: self._group(self.db.strata, "estn_unit_cn"))
+    conds_by_plot = functools.cached_property(lambda self: self._group(self.db.conds))
+    trees_by_plot = functools.cached_property(lambda self: self._group(self.db.trees))
+    seedlings_by_plot = functools.cached_property(lambda self: self._group(self.db.seedlings))
+    dwm_by_plot = functools.cached_property(lambda self: self._group(self.db.dwm))
+    invasives_by_plot = functools.cached_property(lambda self: self._group(self.db.invasives))
 
 
 _INDEXES: "weakref.WeakKeyDictionary[ForestDatabase, _Indexes]" = weakref.WeakKeyDictionary()
@@ -422,7 +434,7 @@ def _collect_sample(db: ForestDatabase, evals, years=None) -> _OSample:
                     f"evaluation {ev.evalid} assigns plot {cn} to strata {', '.join(cns)}"
                 )
         for a in _indexes(db).assignments_by_eval.get(ev.evalid, ()):
-            st = db.stratum_by_cn.get(a.stratum_cn)
+            st = _indexes(db).stratum_by_cn.get(a.stratum_cn)
             if st is None:
                 raise EstimationError(f"assignment references unknown stratum {a.stratum_cn}")
             plot = _indexes(db).plot_by_cn.get(a.plt_cn)
@@ -440,21 +452,24 @@ def _collect_sample(db: ForestDatabase, evals, years=None) -> _OSample:
     for cns in by_stratum.values():
         cns.sort()
 
+    group = [(unit, sorted(_indexes(db).strata_by_unit.get(unit.cn, ()), key=lambda s: s.cn))
+             for ev in evals for unit in _indexes(db).units_by_eval.get(ev.evalid, ())]
+    for table, records, named in (
+        ("POP_ESTN_UNIT", db.estn_units, [unit for unit, _ in group]),
+        ("POP_STRATUM", db.strata, [st for _, strata in group for st in strata]),
+    ):
+        for rec in named:  # one CN naming two rows leaves their unit or stratum ambiguous
+            if sum(1 for r in records if r.cn == rec.cn) > 1:
+                raise EstimationError(f"{table} repeats CN {rec.cn}; "
+                                      "each row needs a CN of its own")
     units = []
-    for ev in evals:
-        for unit in db.units_by_eval.get(ev.evalid, ()):
-            strata = []
-            any_plots = False
-            for st in sorted(db.strata_by_unit.get(unit.cn, ()), key=lambda s: s.cn):
-                cns = by_stratum.get(st.cn, [])
-                strata.append((st, cns))
-                if cns:
-                    any_plots = True
-            if not any_plots:
-                continue
-            if unit.area_used is None:
-                raise EstimationError(f"estimation unit {unit.cn} lacks AREA_USED")
-            units.append((unit, strata))
+    for unit, strata in group:
+        strata = [(st, by_stratum.get(st.cn, [])) for st in strata]
+        if not any(cns for _, cns in strata):
+            continue
+        if unit.area_used is None:
+            raise EstimationError(f"estimation unit {unit.cn} lacks AREA_USED")
+        units.append((unit, strata))
     return _OSample(ordered, stratum_of, units, panel_year)
 
 

@@ -20,7 +20,9 @@ from timberline.core import (
     sampling_error_pct,
 )
 import timberline as tl
+from timberline.cli import main
 from timberline.errors import EstimationError
+from timberline.io import write_database
 from timberline.oracle import brute_force_estimate
 from timberline.model import (
     Evaluation,
@@ -155,6 +157,30 @@ def test_duplicate_assignment_fails_the_estimate_and_the_reference():
         tl.area(db)
     with pytest.raises(EstimationError, match=r"evaluation 1 assigns plot P1 .*S0, S1"):
         brute_force_estimate(db, "area")
+
+
+@pytest.mark.parametrize("field, table, cn", [
+    ("estn_units", "POP_ESTN_UNIT", "U91801"),
+    ("strata", "POP_STRATUM", "S91801-1"),
+])
+def test_repeated_unit_or_stratum_cn_fails_the_estimate_and_the_reference(
+        synth1, tmp_path, capsys, field, table, cn):
+    # A second row under one CN leaves the unit or stratum ambiguous; each
+    # estimator once picked a row of its own and they disagreed, silently.
+    tables = {name: list(getattr(synth1, name)) for name in (
+        "plots", "conds", "trees", "evaluations", "estn_units", "strata", "assignments")}
+    tables[field].append(tables[field][0])
+    db = ForestDatabase(states=synth1.states, **tables)
+    message = f"{table} repeats CN {cn}; each row needs a CN of its own"
+    with pytest.raises(EstimationError, match=f"^{message}$"):
+        tl.tpa(db)
+    with pytest.raises(EstimationError, match=f"^{message}$"):
+        brute_force_estimate(db, "tpa")
+    write_database(db, tmp_path)
+    assert main(["tpa", "--db", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 # -- post_stratified_total -------------------------------------------------

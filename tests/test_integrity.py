@@ -1,9 +1,12 @@
 """``validate_integrity`` against the record-walking implementation it replaced.
 
-``reference_validate_integrity`` below is that implementation, kept verbatim
-(only renamed).  The columnar validator must give the same violations, in the
-same order and with the same text, on the fixtures and on random databases
-with injected defects, both in memory and after a write/load round trip.
+``reference_validate_integrity`` below is that implementation, renamed.  It
+builds its own record dicts where it once read ``ForestDatabase``'s, and it
+gained the ``duplicate CN`` rule of estimation units and strata along with
+the columnar validator.  The columnar validator must give the same
+violations, in the same order and with the same text, on the fixtures and on
+random databases with injected defects, both in memory and after a
+write/load round trip.
 """
 
 import dataclasses
@@ -129,14 +132,22 @@ def reference_validate_integrity(db: ForestDatabase) -> list[Violation]:
         if e.eval_typ is not None and e.eval_typ not in EVAL_TYPES:
             out.append(Violation("POP_EVAL", key, "unknown EVAL_TYP"))
 
+    unit_by_cn: dict[str, object] = {}
     for u in db.estn_units:
+        if u.cn in unit_by_cn:
+            out.append(Violation("POP_ESTN_UNIT", u.cn, "duplicate CN"))
+        unit_by_cn[u.cn] = u
         if u.evalid not in seen_evals:
             out.append(Violation("POP_ESTN_UNIT", u.cn, "unit->evaluation"))
         if u.area_used is not None and u.area_used <= 0:
             out.append(Violation("POP_ESTN_UNIT", u.cn, "AREA_USED not positive"))
 
+    stratum_by_cn: dict[str, object] = {}
     for s in db.strata:
-        if s.estn_unit_cn not in db.unit_by_cn:
+        if s.cn in stratum_by_cn:
+            out.append(Violation("POP_STRATUM", s.cn, "duplicate CN"))
+        stratum_by_cn[s.cn] = s
+        if s.estn_unit_cn not in unit_by_cn:
             out.append(Violation("POP_STRATUM", s.cn, "stratum->unit"))
         if s.weight is not None and not (0.0 < s.weight <= 1.0):
             out.append(Violation("POP_STRATUM", s.cn, "STRATUM_WGT outside (0, 1]"))
@@ -144,7 +155,10 @@ def reference_validate_integrity(db: ForestDatabase) -> list[Violation]:
             if adj is not None and adj <= 0:
                 out.append(Violation("POP_STRATUM", s.cn, "adjustment factor not positive"))
                 break
-    for unit_cn, strata in db.strata_by_unit.items():
+    strata_by_unit: dict[str, list] = {}
+    for s in db.strata:
+        strata_by_unit.setdefault(s.estn_unit_cn, []).append(s)
+    for unit_cn, strata in strata_by_unit.items():
         weights = [s.weight for s in strata if s.weight is not None]
         if weights and not math.isclose(sum(weights), 1.0, abs_tol=1e-9):
             out.append(Violation("POP_STRATUM", unit_cn, "sum W_h != 1"))
@@ -154,10 +168,11 @@ def reference_validate_integrity(db: ForestDatabase) -> list[Violation]:
         key = f"{a.plt_cn}->{a.stratum_cn}"
         if a.plt_cn not in seen_plots:
             out.append(Violation("POP_PLOT_STRATUM_ASSGN", key, "assignment->plot"))
-        if a.stratum_cn not in db.stratum_by_cn:
+        if a.stratum_cn not in stratum_by_cn:
             out.append(Violation("POP_PLOT_STRATUM_ASSGN", key, "assignment->stratum"))
             continue
-        evalid = db.eval_of_stratum(a.stratum_cn)
+        unit = unit_by_cn.get(stratum_by_cn[a.stratum_cn].estn_unit_cn)
+        evalid = unit.evalid if unit is not None else None
         if evalid is not None:
             k = (evalid, a.plt_cn)
             per_eval_plot[k] = per_eval_plot.get(k, 0) + 1
@@ -330,7 +345,7 @@ def test_clean_sources_match_the_reference():
 
 
 def test_every_rule_is_reached_and_matches_the_reference():
-    rules = set()
+    rules, tables = set(), set()
     for source in ("SYNTH-1", "SYNTH-GRM", "SYNTH-INV", 0, 1, 2):
         for k in range(len(_DEFECTS)):
             for pick in (0, 11):
@@ -339,7 +354,9 @@ def test_every_rule_is_reached_and_matches_the_reference():
                 assert _report(validate_integrity, db) == [str(v) for v in expected]
                 assert validate_integrity(db) == expected
                 rules.update(v.rule for v in expected)
+                tables.update(v.table for v in expected if v.rule == "duplicate CN")
     assert len(rules) == 37
+    assert tables == {"PLOT", "POP_ESTN_UNIT", "POP_STRATUM"}
 
 
 def _named(*names_and_picks):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_contents
 import timberline
 from timberline import io as tio
 from timberline import model
@@ -31,7 +32,25 @@ def test_round_trip_preserves_contents(tmp_path, name):
     db = build_fixture(name)
     write_database(db, tmp_path)
     back = load_database(tmp_path, db.states)
-    assert db.same_contents(back)
+    assert same_contents(db, back)
+
+
+def test_round_trip_and_clip_keep_evalid_zero(tmp_path, capsys):
+    # EVALID 0 is an evaluation like any other, not a missing one
+    synth1 = build_fixture("SYNTH-1")
+    tables = {spec.db_field: synth1.table(spec.table) for spec in model.TABLES.values()}
+    for field in ("evaluations", "estn_units"):
+        tables[field] = [dataclasses.replace(r, evalid=0) for r in tables[field]]
+    db = model.ForestDatabase(states=synth1.states, **tables)
+    write_database(db, tmp_path / "db")
+    assert same_contents(load_database(tmp_path / "db", db.states), db)
+    assert main(["clip", "--db", str(tmp_path / "db"), "--most-recent",
+                 "--out", str(tmp_path / "clip")]) == 0
+    assert same_contents(load_database(tmp_path / "clip", db.states), db)
+    assert main(["tpa", "--db", str(tmp_path / "db")]) == 0
+    want = capsys.readouterr().out
+    assert main(["tpa", "--db", str(tmp_path / "clip")]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_round_trip_preserves_extras(tmp_path):
@@ -454,6 +473,8 @@ def _reference_write_database(db, directory):
     written = []
     plot_state = {p.cn: model.FIPS_TO_ABBR[p.statecd] for p in db.plots}
     eval_state = {e.evalid: model.FIPS_TO_ABBR[e.statecd] for e in db.evaluations}
+    unit_by_cn = {u.cn: u for u in db.estn_units}
+    stratum_by_cn = {s.cn: s for s in db.strata}
 
     def group(rows, state_of):
         out = {st: [] for st in db.states}
@@ -468,9 +489,9 @@ def _reference_write_database(db, directory):
     groups["POP_EVAL"] = group(db.evaluations, lambda e: eval_state[e.evalid])
     groups["POP_ESTN_UNIT"] = group(db.estn_units, lambda u: eval_state[u.evalid])
     groups["POP_STRATUM"] = group(
-        db.strata, lambda s: eval_state[db.unit_by_cn[s.estn_unit_cn].evalid])
-    groups["POP_PLOT_STRATUM_ASSGN"] = group(
-        db.assignments, lambda a: eval_state[db.eval_of_stratum(a.stratum_cn)])
+        db.strata, lambda s: eval_state[unit_by_cn[s.estn_unit_cn].evalid])
+    groups["POP_PLOT_STRATUM_ASSGN"] = group(db.assignments, lambda a: eval_state[
+        unit_by_cn[stratum_by_cn[a.stratum_cn].estn_unit_cn].evalid])
     for st in db.states:
         for table, per_state in groups.items():
             spec = model.TABLES[table]
@@ -514,7 +535,7 @@ def test_column_writer_matches_record_writer(db, loaded):
         if loaded:  # the same rows as loaded columns, one file per state and table
             write_database(db, root / "load")
             back = load_database(root / "load", db.states)
-            assert back.same_contents(db)
+            assert same_contents(back, db)
             db = back
         got = write_database(db, root / "got")
         want = _reference_write_database(db, root / "want")

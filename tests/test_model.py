@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timberline.io import load_database, write_database
 from timberline.model import (
@@ -15,9 +17,11 @@ from timberline.model import (
     TABLES,
     ColumnSpec,
     ConditionRecord,
+    EstimationUnit,
     ForestDatabase,
     PlotRecord,
     Stratum,
+    StratumAssignment,
     Table,
     TableSpec,
     TreeRecord,
@@ -107,9 +111,46 @@ def test_indexes_group_children_by_plot(synth1):
 
 def test_assignments_reach_evaluation_through_stratum(synth1):
     # assignment -> stratum -> unit -> evalid
-    assgn = [a for a in synth1.assignments if synth1.eval_of_stratum(a.stratum_cn) == 91801]
+    codes, evalids = synth1.columns.column("POP_ESTN_UNIT", "EVALID")
+    evalid = [evalids[c] for c in codes[synth1.columns.unit_rows("POP_PLOT_STRATUM_ASSGN")]]
+    assgn = [a for a, ev in zip(synth1.assignments, evalid) if ev == 91801]
     assert len(assgn) == 4
     assert {a.plt_cn for a in assgn} == {"P1", "P2", "P3", "P4"}
+
+
+@st.composite
+def _population(draw):
+    """Units, strata and assignments in shuffled order, with repeated CNs,
+    strata naming no unit (U4) and assignments naming no stratum (S4)."""
+    units = draw(st.lists(st.sampled_from(["U0", "U1", "U2", "U3"]), max_size=6))
+    strata = draw(st.lists(st.tuples(st.sampled_from(["S0", "S1", "S2", "S3"]),
+                                     st.sampled_from(["U0", "U1", "U2", "U3", "U4"])),
+                           max_size=8))
+    named = draw(st.lists(st.sampled_from(["S0", "S1", "S2", "S3", "S4"]), max_size=10))
+    return ForestDatabase(
+        estn_units=draw(st.permutations(
+            [EstimationUnit(cn, evalid) for evalid, cn in enumerate(units)])),
+        strata=draw(st.permutations([Stratum(cn, unit) for cn, unit in strata])),
+        assignments=[StratumAssignment(f"P{i}", cn) for i, cn in enumerate(named)],
+        states=("CT",))
+
+
+@settings(max_examples=200, deadline=None)
+@given(db=_population())
+def test_unit_rows_walk_the_records(db):
+    def last(records, cn):
+        """The last row whose CN is ``cn``, or -1."""
+        return max((i for i, r in enumerate(records) if r.cn == cn), default=-1)
+
+    strata = [last(db.estn_units, s.estn_unit_cn) for s in db.strata]
+    assignments = [-1 if (h := last(db.strata, a.stratum_cn)) < 0 else strata[h]
+                   for a in db.assignments]
+    codes, evalids = db.columns.column("POP_ESTN_UNIT", "EVALID")
+    for table, want in (("POP_STRATUM", strata), ("POP_PLOT_STRATUM_ASSGN", assignments)):
+        rows = db.columns.unit_rows(table)
+        assert rows.tolist() == want
+        assert [evalids[c] for c in codes[rows]] == [
+            db.estn_units[u].evalid if u >= 0 else None for u in want]
 
 
 def test_fixtures_validate_clean():
@@ -180,18 +221,6 @@ def test_violation_str_names_table_and_key():
 
     v = Violation("TREE", "T9", "DIA not positive")
     assert str(v) == "TREE[T9]: DIA not positive"
-
-
-def test_same_contents_ignores_row_order(synth1):
-    shuffled = ForestDatabase(
-        plots=list(reversed(synth1.plots)), conds=list(reversed(synth1.conds)),
-        trees=list(reversed(synth1.trees)), seedlings=[], dwm=[], invasives=[],
-        evaluations=synth1.evaluations, estn_units=synth1.estn_units,
-        strata=synth1.strata, assignments=list(reversed(synth1.assignments)),
-        species=synth1.species, states=synth1.states,
-    )
-    assert synth1.same_contents(shuffled)
-    assert shuffled.same_contents(synth1)
 
 
 def _cells(col) -> list:

@@ -6,6 +6,7 @@ import statistics
 
 import pytest
 
+from conftest import same_contents
 import timberline as tl
 from timberline.synth import (
     FIXTURE_NAMES,
@@ -38,8 +39,8 @@ def test_random_databases_are_consistent(seed):
 
 
 def test_random_database_is_deterministic():
-    assert random_database(42).same_contents(random_database(42))
-    assert not random_database(42).same_contents(random_database(43))
+    assert same_contents(random_database(42), random_database(42))
+    assert not same_contents(random_database(42), random_database(43))
 
 
 def test_population_census_truth():
