@@ -640,7 +640,7 @@ def _validate(fam: Family, req: EstimatorRequest) -> list[str]:
         )
     elif req.by_plot and method != "TI":
         problems.append(f"per-plot output pools all panels (TI); it takes no {method} method")
-    if method == "EMA":
+    if method == "EMA" or not req.by_plot:  # run_family reads the lambdas of these
         for lam in req.lambdas:
             if not 0.0 < float(lam) < 1.0:
                 problems.append(f"lambda must be strictly between 0 and 1, got {lam}")

@@ -239,6 +239,10 @@ def build_sample(
 
 def _build_sample(db: ForestDatabase, evals: Sequence[Evaluation],
                   years: Sequence[int] | None) -> Sample:
+    evalids = [ev.evalid for ev in evals]
+    if twice := [e for e in evalids if evalids.count(e) > 1]:
+        raise EstimationError(f"POP_EVAL repeats EVALID {twice[0]}; "
+                              "each row needs an EVALID of its own")
     view = db.columns
     rows, ev, year, _, unit_ev = _assignments(db, evals)
     plot_row = view.plot_rows(ASSIGNMENTS)[rows]

@@ -1,17 +1,18 @@
 """Typed inventory tables and the in-memory database container.
 
 The package works from a fixed, documented subset of DataMart-style CSV
-columns.  Each table has a record type, a frozen dataclass, and that class
-is the table's only schema: :data:`TABLES` derives each
+columns.  Each table has a record type, a :class:`typing.NamedTuple`, and
+that class is the table's only schema: :data:`TABLES` derives each
 :class:`TableSpec` from its fields (see :meth:`TableSpec.of`).  A field is
 one CSV column, in field order, named by its name upper cased; a column
-whose CSV name differs says so in the field's metadata, as
-``field(default=None, metadata={"column": "STRATUM_WGT"})`` on
-:class:`Stratum`.  Its annotation's first type (int, float or str) is the
-parse type, and a field without a default is a required column.  Columns
-the loader does not recognize are kept as trimmed text in extras columns
-(each record's ``extras`` mapping), so they remain usable for grouping and
-domain filtering and survive a write/load round trip.
+whose CSV name differs says so in the class's ``COLUMNS`` mapping, as
+``COLUMNS = {"weight": "STRATUM_WGT", ...}`` on :class:`Stratum`.  Its
+annotation's first type (int, float or str) is the parse type, and a field
+without a default is a required column.  Columns the loader does not
+recognize are kept as trimmed text in extras columns (each record's last
+field, the ``extras`` mapping), so they remain usable for grouping and
+domain filtering and survive a write/load round trip.  A record's default
+``extras`` is one shared empty dict: never mutate a record's ``extras``.
 
 A :class:`ForestDatabase` holds every table as a :class:`Table`, and
 columns are its only storage: the loader parses each CSV column straight
@@ -28,13 +29,11 @@ a database (clipping, merging) build a new one.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -93,15 +92,15 @@ ASSIGNMENTS = "POP_PLOT_STRATUM_ASSGN"
 
 def typed_equality(cls: type) -> type:
     """A NamedTuple class whose instances equal only instances of their own class,
-    as a frozen dataclass's do; a hash stays that of the field tuple.  It costs a
-    tenth of a frozen dataclass to create, which every command pays on import."""
+    not other tuples; a hash stays that of the field tuple.  It costs a tenth of a
+    frozen dataclass to create, which every command pays on import."""
     cls.__eq__ = lambda self, other: type(other) is type(self) and tuple.__eq__(self, other)
     cls.__ne__ = lambda self, other: not self == other
     return cls
 
 
-@dataclass(frozen=True, slots=True)
-class PlotRecord:
+@typed_equality
+class PlotRecord(NamedTuple):
     cn: str
     statecd: int
     plot: int
@@ -112,11 +111,11 @@ class PlotRecord:
     remper: float | None = None
     plot_status_cd: int | None = None
     designcd: int | None = None
-    extras: dict[str, str] = field(default_factory=dict)
+    extras: dict[str, str] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class ConditionRecord:
+@typed_equality
+class ConditionRecord(NamedTuple):
     cn: str
     plt_cn: str
     condid: int
@@ -125,11 +124,11 @@ class ConditionRecord:
     fortypcd: int | None = None
     owncd: int | None = None
     stdage: int | None = None
-    extras: dict[str, str] = field(default_factory=dict)
+    extras: dict[str, str] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class TreeRecord:
+@typed_equality
+class TreeRecord(NamedTuple):
     cn: str
     plt_cn: str
     condid: int
@@ -149,48 +148,48 @@ class TreeRecord:
     tpamort_unadj: float | None = None
     tparemv_unadj: float | None = None
     tpagrow_unadj: float | None = None
-    extras: dict[str, str] = field(default_factory=dict)
+    extras: dict[str, str] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class SeedlingRecord:
+@typed_equality
+class SeedlingRecord(NamedTuple):
     plt_cn: str
     condid: int
     spcd: int | None = None
     treecount: int | None = None
     tpa_unadj: float | None = None
-    extras: dict[str, str] = field(default_factory=dict)
+    extras: dict[str, str] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class DwmRecord:
+@typed_equality
+class DwmRecord(NamedTuple):
     plt_cn: str
     condid: int
     fuel_type: str
     vol_acre: float | None = None
     bio_acre: float | None = None
     carb_acre: float | None = None
-    extras: dict[str, str] = field(default_factory=dict)
+    extras: dict[str, str] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class InvasiveRecord:
+@typed_equality
+class InvasiveRecord(NamedTuple):
     plt_cn: str
     condid: int
     spcd: int | None = None
     cover_pct: float | None = None
-    extras: dict[str, str] = field(default_factory=dict)
+    extras: dict[str, str] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class Evaluation:
+@typed_equality
+class Evaluation(NamedTuple):
     evalid: int
     statecd: int | None = None
     eval_typ: str | None = None
     report_year: int | None = None
     start_invyr: int | None = None
     end_invyr: int | None = None
-    extras: dict[str, str] = field(default_factory=dict)
+    extras: dict[str, str] = {}
 
     @property
     def eval_type(self) -> str:
@@ -198,23 +197,25 @@ class Evaluation:
         return self.eval_typ if self.eval_typ is not None else "VOL"
 
 
-@dataclass(frozen=True, slots=True)
-class EstimationUnit:
+@typed_equality
+class EstimationUnit(NamedTuple):
     cn: str
     evalid: int
     area_used: float | None = None
-    extras: dict[str, str] = field(default_factory=dict)
+    extras: dict[str, str] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class Stratum:
+@typed_equality
+class Stratum(NamedTuple):
     cn: str
     estn_unit_cn: str
-    weight: float | None = field(default=None, metadata={"column": "STRATUM_WGT"})
-    adj_subp: float | None = field(default=None, metadata={"column": "ADJ_FACTOR_SUBP"})
-    adj_micr: float | None = field(default=None, metadata={"column": "ADJ_FACTOR_MICR"})
-    adj_macr: float | None = field(default=None, metadata={"column": "ADJ_FACTOR_MACR"})
-    extras: dict[str, str] = field(default_factory=dict)
+    weight: float | None = None
+    adj_subp: float | None = None
+    adj_micr: float | None = None
+    adj_macr: float | None = None
+    extras: dict[str, str] = {}
+    COLUMNS = {"weight": "STRATUM_WGT", "adj_subp": "ADJ_FACTOR_SUBP",
+               "adj_micr": "ADJ_FACTOR_MICR", "adj_macr": "ADJ_FACTOR_MACR"}
 
     def adjustment(self, sizer: str | None) -> float:
         """Adjustment factor for a tree-size class; defaults favor SUBP."""
@@ -225,21 +226,21 @@ class Stratum:
         return self.adj_subp if self.adj_subp is not None else 1.0
 
 
-@dataclass(frozen=True, slots=True)
-class StratumAssignment:
+@typed_equality
+class StratumAssignment(NamedTuple):
     plt_cn: str
     stratum_cn: str
     invyr: int | None = None
-    extras: dict[str, str] = field(default_factory=dict)
+    extras: dict[str, str] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class SpeciesRef:
+@typed_equality
+class SpeciesRef(NamedTuple):
     spcd: int
     common_name: str | None = None
     genus: str | None = None
     scientific_name: str | None = None
-    extras: dict[str, str] = field(default_factory=dict)
+    extras: dict[str, str] = {}
 
 
 def derive_sizer(dia: float | None) -> str | None:
@@ -267,21 +268,21 @@ class TableSpec(NamedTuple):
     def of(cls, table: str, record: type, mandatory: bool, db_field: str) -> "TableSpec":
         """The spec whose columns are ``record``'s fields but ``extras``, in order.
 
-        A field's CSV name is its ``metadata["column"]``, else its name upper
-        cased; its kind is the first type of its annotation, which must be
-        int, float or str; it is required when it has no default.
+        A field's CSV name is its entry in the record's ``COLUMNS``, else its
+        name upper cased; its kind is the first type of its annotation, which
+        must be int, float or str; it is required when it has no default.
         """
         columns = []
-        for f in dataclasses.fields(record):
-            if f.name == "extras":
+        for name, annotation in record.__annotations__.items():  # in field order
+            if name == "extras":
                 continue
-            kind = str(f.type).split("|")[0].strip()
+            annotation = getattr(annotation, "__forward_arg__", annotation)  # a ForwardRef
+            kind = str(annotation).split("|")[0].strip()
             if kind not in ("int", "float", "str"):
-                raise TypeError(f"{record.__name__}.{f.name}: a column is int, float or str, "
-                                f"not {f.type}")
-            required = f.default is f.default_factory is dataclasses.MISSING
-            columns.append(ColumnSpec(f.metadata.get("column", f.name.upper()), f.name, kind,
-                                      required))
+                raise TypeError(f"{record.__name__}.{name}: a column is int, float or str, "
+                                f"not {annotation}")
+            columns.append(ColumnSpec(getattr(record, "COLUMNS", {}).get(name, name.upper()),
+                                      name, kind, name not in record._field_defaults))
         return cls(table, record, tuple(columns), mandatory, db_field)
 
     def column_kinds(self) -> dict[str, str]:
@@ -371,14 +372,12 @@ class Table(Sequence):
             codes, values = col
             return list(map(values.__getitem__, codes[:-1].tolist()))
 
-        by_attr = {c.attr: c.name for c in self.spec.columns}
-        fields = [f.name for f in dataclasses.fields(self.spec.record) if f.name != "extras"]
-        if self.extras:
+        columns = [cells(c.name) for c in self.spec.columns]
+        if self.extras:  # else each record keeps the shared empty default
             rows = zip(*map(cells, self.extras))
-            extras = [{k: v for k, v in zip(self.extras, row) if v is not None} for row in rows]
-        else:
-            extras = [{} for _ in range(self.n)]
-        return tuple(map(self.spec.record, *(cells(by_attr[f]) for f in fields), extras))
+            columns.append([{k: v for k, v in zip(self.extras, row) if v is not None}
+                            for row in rows])
+        return tuple(map(self.spec.record, *columns))
 
     def take(self, rows: np.ndarray) -> "Table":
         """A table of these rows, in this order; all of them in order is this table."""

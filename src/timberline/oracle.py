@@ -424,6 +424,10 @@ def _collect_sample(db: ForestDatabase, evals, years=None) -> _OSample:
     stratum_of: dict[str, object] = {}
     panel_year: dict[str, int] = {}
     by_stratum: dict[str, list[str]] = {}
+    for ev in evals:  # one EVALID twice would walk its units twice
+        if sum(1 for other in evals if other.evalid == ev.evalid) > 1:
+            raise EstimationError(f"POP_EVAL repeats EVALID {ev.evalid}; "
+                                  "each row needs an EVALID of its own")
     for ev in evals:
         per_plot: dict[str, list[str]] = {}
         for a in _indexes(db).assignments_by_eval.get(ev.evalid, ()):

@@ -67,14 +67,12 @@ def panel_weights(method: str, n_panels: int, lam: float | None = None) -> list[
 
 
 def normalize_lambdas(values: Sequence[float]) -> tuple[float, ...]:
-    """Sorted, de-duplicated lambda list for a sweep; validates range."""
-    uniq = sorted(set(float(v) for v in values))
-    if not uniq:
-        return (DEFAULT_LAMBDA,)
-    for v in uniq:
-        if not (0.0 < v < 1.0):
-            raise UsageError(f"lambda must be inside (0, 1), got {v}")
-    return tuple(uniq)
+    """Sorted, de-duplicated lambda list for a sweep, the default when empty.
+
+    The range is the request's to check: ``attributes`` lists a lambda outside
+    (0, 1) with the request's other problems.
+    """
+    return tuple(sorted(set(float(v) for v in values))) or (DEFAULT_LAMBDA,)
 
 
 def present_weights(weights: Sequence[float], present: Sequence[bool]) -> list[float]:

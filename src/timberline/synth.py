@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .model import (
     StratumAssignment,
     TreeRecord,
     derive_sizer,
+    typed_equality,
 )
 
 __all__ = [
@@ -453,8 +454,8 @@ def random_database(seed: int) -> ForestDatabase:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SyntheticPopulation:
+@typed_equality
+class SyntheticPopulation(NamedTuple):
     """A finite census of stands sampled by rotating panels.
 
     Each stand carries a fixed per-acre density at ``start_year``; ``trend``
@@ -535,8 +536,8 @@ def draw_database(pop: SyntheticPopulation, seed: int) -> ForestDatabase:
     )
 
 
-@dataclass(frozen=True)
-class MonteCarloSummary:
+@typed_equality
+class MonteCarloSummary(NamedTuple):
     """Replicate statistics for one estimator on one population."""
 
     method: str

@@ -4,7 +4,6 @@ Every expected number below was derived by hand from the fixture's record
 values (see the derivations in comments); none were copied from the engine.
 """
 
-import dataclasses
 import logging
 import math
 import random
@@ -303,7 +302,7 @@ PANEL_WARNINGS = [
 
 def _panel_warning_db(synth_panel):
     """An unmeasured panel, a unit without plots and a stratum without plots."""
-    ev = dataclasses.replace(synth_panel.evaluations[0], start_invyr=2013)
+    ev = synth_panel.evaluations[0]._replace(start_invyr=2013)
     return ForestDatabase(
         plots=synth_panel.plots, conds=synth_panel.conds, trees=synth_panel.trees,
         evaluations=[ev],
@@ -461,7 +460,7 @@ def test_permuted_records_give_the_same_output(seed):
 
 
 def test_missing_remper_warns_once_per_pass(synth_grm, caplog):
-    plots = [dataclasses.replace(p, remper=None) for p in synth_grm.plots]
+    plots = [p._replace(remper=None) for p in synth_grm.plots]
     db = ForestDatabase(
         plots=plots, conds=synth_grm.conds, trees=synth_grm.trees,
         evaluations=synth_grm.evaluations, estn_units=synth_grm.estn_units,
@@ -477,7 +476,7 @@ def test_missing_remper_warns_once_per_pass(synth_grm, caplog):
 
 
 def test_stageless_conditions_logged_once_per_pass(synth_inv, caplog):
-    trees = [dataclasses.replace(t, statuscd=2) if t.plt_cn == "V1" else t
+    trees = [t._replace(statuscd=2) if t.plt_cn == "V1" else t
              for t in synth_inv.trees]
     db = ForestDatabase(
         plots=synth_inv.plots, conds=synth_inv.conds, trees=trees,

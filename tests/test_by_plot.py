@@ -8,7 +8,6 @@ with ``PYTHONPATH=src python tests/test_by_plot.py`` only when an output
 change is intended.
 """
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -89,7 +88,7 @@ def zero_forest_area() -> ForestDatabase:
     values are null.
     """
     db = tl.build_fixture("SYNTH-1")
-    conds = [dataclasses.replace(c, condprop_unadj=0.0) if c.plt_cn == "P2" else c
+    conds = [c._replace(condprop_unadj=0.0) if c.plt_cn == "P2" else c
              for c in db.conds]
     return ForestDatabase(
         plots=db.plots, conds=conds, trees=db.trees,

@@ -134,6 +134,17 @@ def test_option_problems_are_reported_with_the_name_problems(capsys, args, probl
     assert capsys.readouterr().err.splitlines() == [f"error: {p}" for p in problems]
 
 
+@pytest.mark.parametrize("method", ["TI", "ANNUAL", "SMA", "LMA", "EMA"])
+def test_a_lambda_out_of_range_is_reported_with_the_other_problems(capsys, method):
+    # every method but a per-plot request reads the lambdas, so each checks them alike
+    assert main(["tpa", "--db", SYNTH1, "--method", method, "--lambda", "0.5,2",
+                 "--grp-by", "NOPE"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: lambda must be strictly between 0 and 1, got 2.0",
+        "error: unknown grouping column NOPE"]
+    assert main(["tpa", "--db", SYNTH1, "--by-plot", "--lambda", "2"]) == 0
+
+
 @pytest.mark.parametrize("kwargs, error, message", [
     ({"grp_by": ("X", "Y")}, UsageError, "unknown grouping column X; unknown grouping column Y"),
     ({"tree_domain": "A > 1", "area_domain": "B == 2"}, DomainBindError,
@@ -285,11 +296,11 @@ def test_estimate_and_clip_commands_build_no_plot_records(tmp_path, monkeypatch,
     for cls in (model.PlotRecord, model.ConditionRecord, model.TreeRecord,
                 model.SeedlingRecord, model.DwmRecord, model.InvasiveRecord,
                 model.StratumAssignment):
-        def spy(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
+        def spy(record_cls, *args, _new=cls.__new__, _name=cls.__name__, **kw):
             built.append(_name)
-            _init(self, *args, **kw)
+            return _new(record_cls, *args, **kw)
 
-        monkeypatch.setattr(cls, "__init__", spy)
+        monkeypatch.setattr(cls, "__new__", spy)
     polys = _polys_file(tmp_path, [-72.75, 42.0])
     for command in ("area", "biomass", "seedling", "dwm", "invasive", "standstruct"):
         assert main([command, "--db", SYNTH_INV, "--most-recent"]) == 0
@@ -328,9 +339,10 @@ def test_cli_import_skips_the_oracle_and_the_synthetic_databases():
     ("clip", "--db", SYNTH_PANEL, "--most-recent", "--out"),
 ], ids=lambda argv: argv[0])
 def test_report_commands_never_import_numpy_ma(argv, tmp_path):
-    """Importing ``numpy.ma`` alone costs a command about 16 ms."""
+    """Importing ``numpy.ma`` alone costs a command about 16 ms; no command needs
+    ``dataclasses`` either."""
     status, loaded = _loaded_modules((*argv, "OUT") if argv[-1] == "--out" else argv, tmp_path)
-    assert (status, "numpy.ma" in loaded) == (0, False)
+    assert (status, "numpy.ma" in loaded, "dataclasses" in loaded) == (0, False, False)
 
 
 def _loaded_modules(argv, tmp_path) -> tuple[int, set[str]]:
@@ -371,10 +383,11 @@ ESTIMATORS = {f"timberline.{m}" for m in ("attributes", "core", "domain", "spati
 ], ids=["tpa", "biomass-json", "area-pretty", "growmort", "tpa-polys", "clip", "clip-mask",
         "evalids"])
 def test_commands_import_only_what_they_reach(argv, absent, present, tmp_path):
-    """A command loads the estimators, polygons and JSON only when it uses them."""
+    """A command loads the estimators, polygons and JSON only when it uses them,
+    and ``dataclasses`` never."""
     status, loaded = _loaded_modules(argv, tmp_path)
     assert status == 0
-    assert loaded & absent == set()
+    assert loaded & (absent | {"dataclasses"}) == set()
     assert present <= loaded
 
 

@@ -183,6 +183,25 @@ def test_repeated_unit_or_stratum_cn_fails_the_estimate_and_the_reference(
     assert "Traceback" not in err
 
 
+def test_repeated_evalid_fails_the_estimate_and_the_reference(synth1, tmp_path, capsys):
+    # Both copies of a POP_EVAL row join one evaluation group; the engine once
+    # counted each unit once and the reference twice, and they disagreed.
+    tables = {name: list(getattr(synth1, name)) for name in (
+        "plots", "conds", "trees", "evaluations", "estn_units", "strata", "assignments")}
+    tables["evaluations"].append(tables["evaluations"][0])
+    db = ForestDatabase(states=synth1.states, **tables)
+    message = "POP_EVAL repeats EVALID 91801; each row needs an EVALID of its own"
+    with pytest.raises(EstimationError, match=f"^{message}$"):
+        tl.tpa(db)
+    with pytest.raises(EstimationError, match=f"^{message}$"):
+        brute_force_estimate(db, "tpa")
+    write_database(db, tmp_path)
+    assert main(["tpa", "--db", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 # -- post_stratified_total -------------------------------------------------
 
 

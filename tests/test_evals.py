@@ -1,6 +1,5 @@
 """Evaluation selection and database clipping."""
 
-import dataclasses
 import tempfile
 
 import numpy as np
@@ -222,8 +221,8 @@ def _clip_case(draw):
     db = random_database(draw(st.integers(0, 40)))
     plots = list(db.plots)
     if plots and draw(st.booleans()):  # a repeated plot CN, maybe without coordinates
-        twin = dataclasses.replace(draw(st.sampled_from(plots)),
-                                   lon=draw(st.sampled_from([None, -72.0, -73.4])))
+        twin = draw(st.sampled_from(plots))._replace(
+            lon=draw(st.sampled_from([None, -72.0, -73.4])))
         plots.insert(draw(st.integers(0, len(plots))), twin)
     assignments = list(db.assignments)
     if draw(st.booleans()):  # an assignment to a plot the database lacks

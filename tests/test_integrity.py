@@ -214,7 +214,7 @@ def _edit(field, **changes):
         rows = tables[field]
         if rows:
             i = pick % len(rows)
-            rows[i] = dataclasses.replace(rows[i], **changes)
+            rows[i] = rows[i]._replace(**changes)
     return apply
 
 
@@ -237,7 +237,7 @@ def _unassign(tables, pick):
     rows = tables["assignments"]
     if rows:
         plot = rows[pick % len(rows)].plt_cn
-        tables["assignments"] = [dataclasses.replace(a, stratum_cn="GHOST")
+        tables["assignments"] = [a._replace(stratum_cn="GHOST")
                                  if a.plt_cn == plot else a for a in rows]
 
 
@@ -246,7 +246,7 @@ def _restratify(tables, pick):
     rows, strata = tables["assignments"], tables["strata"]
     if rows and strata:
         stratum = strata[pick // 3 % len(strata)]
-        rows.append(dataclasses.replace(rows[pick % len(rows)], stratum_cn=stratum.cn))
+        rows.append(rows[pick % len(rows)]._replace(stratum_cn=stratum.cn))
 
 
 _DEFECTS = (

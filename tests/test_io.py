@@ -1,7 +1,6 @@
 """CSV round-tripping, load diagnostics, and mirror downloads."""
 
 import csv
-import dataclasses
 import functools
 import io
 import os
@@ -40,7 +39,7 @@ def test_round_trip_and_clip_keep_evalid_zero(tmp_path, capsys):
     synth1 = build_fixture("SYNTH-1")
     tables = {spec.db_field: synth1.table(spec.table) for spec in model.TABLES.values()}
     for field in ("evaluations", "estn_units"):
-        tables[field] = [dataclasses.replace(r, evalid=0) for r in tables[field]]
+        tables[field] = [r._replace(evalid=0) for r in tables[field]]
     db = model.ForestDatabase(states=synth1.states, **tables)
     write_database(db, tmp_path / "db")
     assert same_contents(load_database(tmp_path / "db", db.states), db)
@@ -145,7 +144,7 @@ def test_write_error_builds_only_the_bad_row(tmp_path, file, row, cells, table, 
 
 def test_sizer_derived_from_diameter_when_blank(tmp_path):
     db = build_fixture("SYNTH-1")
-    trees = [dataclasses.replace(t, sizer=None) for t in db.trees]
+    trees = [t._replace(sizer=None) for t in db.trees]
     redone = type(db)(
         plots=db.plots, conds=db.conds, trees=trees, seedlings=db.seedlings,
         dwm=db.dwm, invasives=db.invasives, evaluations=db.evaluations,
@@ -252,7 +251,7 @@ def _reference_read_table(path, spec):
                 )
     if spec.table == "TREE":
         records = [
-            dataclasses.replace(r, sizer=model.derive_sizer(r.dia))
+            r._replace(sizer=model.derive_sizer(r.dia))
             if r.sizer is None and r.dia is not None else r
             for r in records
         ]
@@ -517,10 +516,10 @@ def _write_case(draw):
     for i in draw(st.lists(st.integers(0, max(len(trees) - 1, 0)), max_size=6)):
         if trees:
             extras = {"NOTE": draw(st.sampled_from(["a", "b c", "x,y", '"q"']))}
-            trees[i] = dataclasses.replace(trees[i], dia=draw(_SPECIAL_FLOATS),
-                                           volcfnet=draw(_SPECIAL_FLOATS), extras=extras)
+            trees[i] = trees[i]._replace(dia=draw(_SPECIAL_FLOATS),
+                                         volcfnet=draw(_SPECIAL_FLOATS), extras=extras)
     if draw(st.booleans()):  # a plot CN twice, with a float that must keep its sign
-        twin = dataclasses.replace(tables["plots"][0], remper=-0.0)
+        twin = tables["plots"][0]._replace(remper=-0.0)
         tables["plots"].insert(draw(st.integers(0, len(tables["plots"]))), twin)
     for field in draw(st.lists(st.sampled_from(["seedlings", "dwm", "invasives"]))):
         tables[field] = []

@@ -6,7 +6,6 @@ that already holds them must give the text and the log lines the same
 request gives on a database that holds nothing yet.
 """
 
-import dataclasses
 import logging
 
 import numpy as np
@@ -60,7 +59,7 @@ def test_every_request_in_sequence_equals_it_on_a_fresh_database(seed, caplog):
 
 
 def test_missing_stratum_weight_raises_on_every_estimate(synth_panel):
-    strata = (dataclasses.replace(synth_panel.strata[0], weight=None), *synth_panel.strata[1:])
+    strata = (synth_panel.strata[0]._replace(weight=None), *synth_panel.strata[1:])
     db = ForestDatabase(
         plots=synth_panel.plots, conds=synth_panel.conds, trees=synth_panel.trees,
         evaluations=synth_panel.evaluations, estn_units=synth_panel.estn_units, strata=strata,

@@ -1,8 +1,8 @@
 """Record model, indexes, and integrity checks."""
 
-import dataclasses
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -66,14 +66,19 @@ def test_table_specs_match_the_schema_golden():
 
 
 def test_a_column_must_be_int_float_or_str():
-    record = dataclasses.make_dataclass("Visit", [
-        ("cn", "str"), ("visited", "date | None", dataclasses.field(default=None))])
+    class Visit(NamedTuple):
+        cn: "str"
+        visited: "date | None" = None  # noqa: F821
+
     with pytest.raises(TypeError, match=r"^Visit\.visited: "):
-        TableSpec.of("VISIT", record, False, "visits")
-    record = dataclasses.make_dataclass("Visit", [
-        ("cn", "str"), ("year", "int | None", dataclasses.field(
-            default=None, metadata={"column": "VISIT_YEAR"}))])
-    assert TableSpec.of("VISIT", record, False, "visits").columns == (
+        TableSpec.of("VISIT", Visit, False, "visits")
+
+    class Visit(NamedTuple):  # noqa: F811
+        cn: "str"
+        year: "int | None" = None
+        COLUMNS = {"year": "VISIT_YEAR"}
+
+    assert TableSpec.of("VISIT", Visit, False, "visits").columns == (
         ColumnSpec("CN", "cn", "str", True), ColumnSpec("VISIT_YEAR", "year", "int", False))
 
 

@@ -1,17 +1,20 @@
 """The value classes: equality, hashing, repr, immutability and signatures.
 
-The domain expression nodes and the public option and result classes are
-named tuples that behave as the frozen dataclasses they replaced: equal only
-to an instance of their own class with equal fields, hashable, immutable, and
-printed with their field names.
+The domain expression nodes, the public option and result classes and the
+table records are named tuples that behave as the frozen dataclasses they
+replaced: equal only to an instance of their own class with equal fields,
+immutable, and printed with their field names.  Nodes, options and results
+hash; a record holds its ``extras`` dict and does not.
 """
 
 import copy
 import inspect
 import pickle
+from pathlib import Path
 
 import pytest
 
+import timberline as tl
 from timberline.attributes import EstimatorRequest
 from timberline.core import TotalEstimate
 from timberline.domain import (
@@ -28,7 +31,9 @@ from timberline.domain import (
 )
 from timberline.errors import DomainBindError
 from timberline.evals import ClipOptions
-from timberline.model import Violation
+from timberline.io import load_database, write_database
+from timberline.model import TABLES, Evaluation, Violation
+from timberline.oracle import brute_force_estimate
 
 A = Comparison(">=", Ident("DIA"), 10.0)
 B = InSet(Ident("SPCD"), (316, 318))
@@ -115,3 +120,73 @@ def test_public_classes_keep_their_dataclass_behaviour(cls, signature, changes):
 
 def test_violation_prints_table_key_and_rule():
     assert str(Violation("PLOT", "P1", "duplicate CN")) == "PLOT[P1]: duplicate CN"
+
+
+def _record(spec):
+    """A record of the table with its required columns filled, the rest defaulted."""
+    sample = {"int": 1, "float": 1.0, "str": "A"}
+    return spec.record(**{c.attr: sample[c.kind] for c in spec.columns if c.required})
+
+
+RECORDS = {spec.record: _record(spec) for spec in TABLES.values()}
+
+
+def test_records_keep_their_fields_and_defaults():
+    for spec in TABLES.values():
+        cls = spec.record
+        assert cls._fields == (*(c.attr for c in spec.columns), "extras")
+        assert cls._field_defaults == {
+            **{c.attr: None for c in spec.columns if not c.required}, "extras": {}}
+    assert Evaluation(1).eval_type == "VOL" and Evaluation(1, eval_typ="GRM").eval_type == "GRM"
+
+
+def test_records_equal_only_records_of_their_own_class():
+    lookalikes = 0
+    for cls, rec in RECORDS.items():
+        assert rec == cls(*rec) and not rec != cls(*rec)
+        assert rec != tuple(rec) and tuple(rec) != rec and not rec == tuple(rec)
+        for other in RECORDS:
+            if other is not cls and len(other._fields) == len(rec):
+                twin = other._make(rec)  # the same values under another class
+                assert rec != twin and twin != rec and not rec == twin
+                lookalikes += 1
+    assert lookalikes > 0
+
+
+def test_records_are_immutable_and_unhashable():
+    for cls, rec in RECORDS.items():
+        with pytest.raises(AttributeError):
+            setattr(rec, cls._fields[0], "changed")
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(rec)
+
+
+def test_records_copy_pickle_and_replace_to_records_of_their_class():
+    for cls, rec in RECORDS.items():
+        for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert type(twin) is cls and twin == rec and twin.extras == {}
+        changed = rec._replace(extras={"X": "1"})
+        assert type(changed) is cls and changed != rec
+        assert changed.extras == {"X": "1"} and rec.extras == {}
+        assert changed._replace(extras={}) == rec
+
+
+def test_a_loaded_record_prints_its_fields():
+    fixtures = Path(__file__).parent / "fixtures"
+    assert repr(load_database(fixtures / "SYNTH-1", ["CT"]).strata[0]) == (
+        "Stratum(cn='S91801-1', estn_unit_cn='U91801', weight=1.0, adj_subp=1.0, "
+        "adj_micr=1.0, adj_macr=None, extras={})")
+    assert repr(load_database(fixtures / "SYNTH-INV", ["CT"]).plots[0]) == (
+        "PlotRecord(cn='V1', statecd=9, plot=21, invyr=2018, measyear=2018, lat=41.45, "
+        "lon=-72.75, remper=None, plot_status_cd=None, designcd=None, "
+        "extras={'INVASIVE_SAMPLING_STATUS_CD': '1'})")
+
+
+def test_nothing_mutates_the_shared_empty_extras(synth_inv, tmp_path):
+    """Records made without ``extras`` share their class's default dict."""
+    for family in ("tpa", "area", "invasive", "seedling"):
+        tl.estimate(synth_inv, family)
+        brute_force_estimate(synth_inv, family)
+    write_database(synth_inv, tmp_path)
+    list(load_database(tmp_path, ["CT"]).trees)
+    assert all(cls._field_defaults["extras"] == {} for cls in RECORDS)
