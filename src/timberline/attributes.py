@@ -336,8 +336,7 @@ class _Ctx:
                          "SIZER", "record", np.intp)
         else:
             size = np.full(f.n, ADJUST_CLASSES.index(adjust), dtype=np.intp)
-        table = np.column_stack(values).reshape(f.n, len(values))
-        return Records(f.joins["plot"], key, levels, weight, table, size, codes)
+        return Records(f.joins["plot"], key, levels, weight, np.stack(values), size, codes)
 
     def area_den(self, keep: np.ndarray | None = None) -> Records:
         """Forested area within the area domain, the shared ratio denominator."""
@@ -346,19 +345,29 @@ class _Ctx:
         return self.rows(f, f.num("CONDPROP_UNADJ", "cond"), [np.ones(f.n)], SUBPLOT, cols=cols)
 
     def remper(self) -> np.ndarray:
-        """Which plots have a usable REMPER; notes the change plots without."""
-        view = self.db.columns
-        codes, values = view.column("PLOT", "REMPER")
-        usable = np.array([v is not None and v > 0 for v in values])[codes]
-        plot = view.plot_rows("TREE")
-        codes, values = view.column("TREE", "COMPONENT")
-        changed = np.zeros(len(usable), dtype=bool)
-        changed[plot[np.array([bool(v) for v in values])[codes[:-1]] & (plot >= 0)]] = True
-        self.notes.append(Note(
-            logging.WARNING, "%d plots have change records but no usable REMPER; skipped",
-            np.flatnonzero(changed & ~usable),
-        ))
+        """Which plots have a usable REMPER; notes the change plots without.
+
+        Both depend only on the database, so ``db.columns`` keeps them.
+        """
+        usable, flagged = self.db.columns.kept(("remper", "PLOT", "TREE"),
+                                               lambda: _remper(self.db))
+        self.notes.append(Note(logging.WARNING, "%d plots have change records but no usable "
+                               "REMPER; skipped", flagged))
         return usable
+
+
+def _remper(db: ForestDatabase) -> tuple[np.ndarray, np.ndarray]:
+    """Each plot row's usable REMPER, and the change plots without one."""
+    view = db.columns
+    codes, values = view.column("PLOT", "REMPER")
+    usable = np.array([v is not None and v > 0 for v in values])[codes]
+    plot = view.plot_rows("TREE")
+    codes, values = view.column("TREE", "COMPONENT")
+    changed = np.zeros(len(usable), dtype=bool)
+    changed[plot[np.array([bool(v) for v in values])[codes[:-1]] & (plot >= 0)]] = True
+    flagged = np.flatnonzero(changed & ~usable)
+    read_only(usable, flagged)
+    return usable, flagged
 
 
 # --------------------------------------------------------------------------
@@ -433,7 +442,7 @@ def _vital_rates_values(ctx: _Ctx) -> dict:
         f.num("DRYBIO_AG") / LB_PER_TON * (1.0 - shrink) / remper,
     ]
     num = ctx.rows(f, gx, growth + growth)
-    return dict(num=num, den_tree=num._replace(values=np.ones((f.n, 1))),
+    return dict(num=num, den_tree=num._replace(values=np.ones((1, f.n))),
                 den_area=ctx.area_den())
 
 
@@ -481,7 +490,7 @@ def _stages(db: ForestDatabase) -> tuple[np.ndarray, list]:
         [total <= 0.0, pole / share >= STAGE_DOMINANCE, mature / share >= STAGE_DOMINANCE,
          late / share >= STAGE_DOMINANCE], [0, 1, 2, 3], 4)
     canonical = db.columns.cond_rows("COND")  # duplicate conditions share their trees
-    return np.append(stage[canonical], 0), [None, *STAGES]
+    return read_only(np.append(stage[canonical], 0)), [None, *STAGES]
 
 
 def _stand_struct_values(ctx: _Ctx) -> dict:
@@ -490,7 +499,7 @@ def _stand_struct_values(ctx: _Ctx) -> dict:
     The denominator covers only conditions with a defined stage, which is
     what makes the emitted percentages sum to exactly 100 per group.
     """
-    codes, names = _stages(ctx.db)
+    codes, names = ctx.db.columns.kept(("stages", "TREE", "COND"), lambda: _stages(ctx.db))
     staged = ctx.area_ok & (codes[:-1] != 0)
     f = ctx.conds.select(staged)
     num = ctx.rows(f, f.num("CONDPROP_UNADJ", "cond"), [np.full(f.n, 100.0)], SUBPLOT,
@@ -524,7 +533,7 @@ def _diversity_values(ctx: _Ctx) -> dict:
         s = np.bincount(e, minlength=m)
         eh = np.where(s > 1, h / np.log(np.maximum(s, 2)), 0.0)
         x = bundle.den_area.at(bundle.area_of[num.key], num.plot)
-        return np.column_stack([h * x, s * x, eh * x, np.bincount(entry, a, minlength=m)])
+        return np.stack([h * x, s * x, eh * x, np.bincount(entry, a, minlength=m)])
 
     species_cols = ctx.group_cols + (GroupCol("SPCD", "tree", "species"),)
     return dict(num=ctx.rows(f, abundance * tpa, [np.ones(f.n)]), den_area=ctx.area_den(),
@@ -876,7 +885,7 @@ def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable
         bundle = make_bundle(db, plan, sample)
         num = bundle.num
         keep = np.flatnonzero(fresh[num.plot])
-        key, plot, values = num.key[keep], num.plot[keep], num.values[keep]
+        key, plot, values = num.key[keep], num.plot[keep], np.take(num.values, keep, axis=1)
         dens = {}  # per denominator kind: is it missing, and the divisor
         for kind, entries, of in (("area", bundle.den_area, bundle.area_of),
                                   ("trees", bundle.den_tree, bundle.tree_of)):
@@ -886,7 +895,7 @@ def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable
                 dens[kind] = none, np.where(none, 1.0, den)
         cols = []
         for c, kind in zip(visible, kinds):
-            col = values[:, c]
+            col = values[c]
             if kind != "none":
                 none, den = dens[kind]
                 col = (col / den).astype(object)
@@ -899,9 +908,9 @@ def _by_plot_table(db: ForestDatabase, fam: Family, plan: Plan) -> EstimateTable
     present = dense(cn, len(cns))[0].tolist()
     cn_rank[sorted(present, key=cns.__getitem__)] = np.arange(len(present))
     ranks = [level_ranks(column, levels, repr)
-             for column, levels in zip(plan.num.codes[key].T, plan.num.levels)]
+             for column, levels in zip(np.take(plan.num.codes, key, axis=0).T, plan.num.levels)]
     order = np.lexsort((*ranks[::-1], cn_rank[cn], year))
-    group = plan.group_columns(plan.num.codes[key[order]])
+    group = plan.group_columns(np.take(plan.num.codes, key[order], axis=0))
     columns = ["YEAR", "PLT_CN", *group, *comp_names, "nStems"]
     return EstimateTable.from_columns(columns, [
         year[order].tolist(), list(map(cns.__getitem__, cn[order].tolist())), *group.values(),

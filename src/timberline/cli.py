@@ -3,7 +3,8 @@
 One subcommand per estimator family plus data plumbing (fetch, validate,
 clip, evalids).  Tables go to stdout or --output as CSV (default), JSON, or
 GeoJSON; --pretty renders an aligned two-decimal view for reading at the
-terminal.  Exit codes: 0 success, 1 data error, 2 usage error.
+terminal.  Exit codes: 0 success, 1 data error (or out of memory), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -438,6 +439,9 @@ def main(argv=None) -> int:
         return 2
     except TimberlineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return 1
 
 

@@ -349,6 +349,10 @@ def _eval_groups(db: ForestDatabase, fam, family_name):
             f"{family_name} needs a {wanted} evaluation; database has "
             f"{', '.join(present) if present else 'no evaluations'}"
         )
+    for ev in chosen:  # one EVALID twice would walk its units twice, in any report years
+        if sum(1 for other in chosen if other.evalid == ev.evalid) > 1:
+            raise EstimationError(f"POP_EVAL repeats EVALID {ev.evalid}; "
+                                  "each row needs an EVALID of its own")
     groups: dict[int, list] = {}
     for ev in sorted(chosen, key=lambda e: (e.report_year or 0, e.statecd or 0, e.evalid)):
         groups.setdefault(_report_year([ev]), []).append(ev)
@@ -424,10 +428,6 @@ def _collect_sample(db: ForestDatabase, evals, years=None) -> _OSample:
     stratum_of: dict[str, object] = {}
     panel_year: dict[str, int] = {}
     by_stratum: dict[str, list[str]] = {}
-    for ev in evals:  # one EVALID twice would walk its units twice
-        if sum(1 for other in evals if other.evalid == ev.evalid) > 1:
-            raise EstimationError(f"POP_EVAL repeats EVALID {ev.evalid}; "
-                                  "each row needs an EVALID of its own")
     for ev in evals:
         per_plot: dict[str, list[str]] = {}
         for a in _indexes(db).assignments_by_eval.get(ev.evalid, ()):

@@ -547,3 +547,47 @@ def test_validate_reports_violations_and_fails(tmp_path):
     assert done.returncode == 1
     assert done.stdout == _VALIDATE_GOLDEN
     assert done.stderr == "26 integrity violation(s)\n"
+
+
+def test_running_out_of_memory_is_one_error_line_and_exit_1(monkeypatch, capsys):
+    from timberline import attributes
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(attributes, "estimate", exhausted)
+    assert main(["tpa", "--db", SYNTH1]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: tpa ran out of memory"]
+
+
+def test_an_estimate_past_the_address_space_limit_exits_1_without_traceback(tmp_path):
+    # Grouped by CN under EMA, the 5k-plot state has 35,777 keys x 80 cells:
+    # the kernel's first per-cell sum alone asks for 43.7 MiB, which a
+    # 250 MB address space does not hold.  The limit is set in the child only.
+    import resource
+
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import gen
+    finally:
+        sys.path.remove(perfbench)
+    gen.generate(tmp_path, 3, 5000)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (250 << 20, 250 << 20))
+
+    src = str(Path(tl.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "timberline.cli", "tpa", "--db", str(tmp_path), "--most-recent",
+         "--grp-by", "CN", "--variance", "--method", "EMA"],
+        env=env, capture_output=True, text=True, preexec_fn=limit, timeout=300)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [
+        "error: tpa ran out of memory"]

@@ -202,6 +202,28 @@ def test_repeated_evalid_fails_the_estimate_and_the_reference(synth1, tmp_path, 
     assert "Traceback" not in err
 
 
+def test_an_evalid_on_rows_of_two_report_years_fails_the_estimate_and_the_reference(
+        synth1, tmp_path, capsys):
+    # The copies fall into two evaluation groups, one per report year; both
+    # estimators once printed the same estimate for each year and exited 0.
+    tables = {name: list(getattr(synth1, name)) for name in (
+        "plots", "conds", "trees", "evaluations", "estn_units", "strata", "assignments")}
+    tables["evaluations"].append(tables["evaluations"][0]._replace(report_year=2019))
+    db = ForestDatabase(states=synth1.states, **tables)
+    message = "POP_EVAL repeats EVALID 91801; each row needs an EVALID of its own"
+    for kwargs in ({"variance": True}, {"method": "EMA"}, {"by_plot": True}):
+        with pytest.raises(EstimationError, match=f"^{message}$"):
+            tl.tpa(db, **kwargs)
+    with pytest.raises(EstimationError, match=f"^{message}$"):
+        brute_force_estimate(db, "tpa")
+    write_database(db, tmp_path)
+    assert main(["tpa", "--variance", "--db", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 # -- post_stratified_total -------------------------------------------------
 
 

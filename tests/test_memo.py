@@ -107,3 +107,18 @@ def test_the_kept_state_does_not_grow_with_requests(synth_panel):
     for i in range(1, 50):
         tl.tpa(db, tree_domain=f"DIA >= {i / 10}")
     assert len(db.columns._memo) == size
+
+
+def test_stages_and_usable_remper_are_kept_and_the_note_logged_every_time(caplog):
+    db = random_database(1)  # a change plot without REMPER: growMort and vitalRates note it
+    runs = [_run(db, family, {}, caplog) for family in ("growMort", "vitalRates", "standStruct")]
+    kept = {key: value for key, value in db.columns._memo.items()
+            if key[0] in ("stages", "remper")}
+    assert len(kept) == 2
+    for value in kept.values():
+        assert not value[0].flags.writeable
+    note = (logging.WARNING, "1 plots have change records but no usable REMPER; skipped")
+    assert note in runs[0][1] and note in runs[1][1]
+    again = [_run(db, family, {}, caplog) for family in ("growMort", "vitalRates", "standStruct")]
+    assert again == runs
+    assert all(db.columns._memo[key] is value for key, value in kept.items())
